@@ -1,0 +1,150 @@
+"""Golden corpus: exit code and stdout digest of fixed CLI invocations.
+
+The corpus covers `diagram`, `diagram --dot` and `pairs --q 7` for every
+split label of rank at most 8 and both twisted indices, `family` and
+`certify` round trips (with a refinement, with the two-place swap and on a
+twisted group), and fixed `ratio` requests.  `tests/golden.json` holds the
+SHA-256 of each stdout, not the output itself.
+
+A refactor must leave every digest unchanged.  A change that alters output
+on purpose rewrites the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and names each changed entry.
+"""
+
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from paravol.cli import run
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+LABELS = (
+    [f"split:A{r}" for r in range(1, 9)]
+    + [f"split:B{r}" for r in range(3, 9)]
+    + [f"split:C{r}" for r in range(2, 9)]
+    + [f"split:D{r}" for r in range(4, 9)]
+    + ["split:E6", "split:E7", "split:E8", "split:F4", "split:G2",
+       "twisted:C-BC1", "twisted:C-B2"]
+)
+
+
+def _place(pid, q, p):
+    return {"id": pid, "q": q, "p": p}
+
+
+FAMILIES = {
+    "split:B3 refined": {
+        "group": "split:B3",
+        "places": [_place("v2", 2, 2), _place("v3", 3, 3), _place("v5", 5, 5),
+                   _place("w4", 4, 2), _place("w9", 9, 3)],
+        "family_places": ["v2", "v3", "v5"],
+        "refine": ["w4", "w9"],
+    },
+    "twisted:C-B2": {
+        "group": "twisted:C-B2",
+        "places": [_place("v2", 2, 2), _place("v3", 3, 3), _place("x5", 5, 5)],
+        "family_places": ["v2", "v3"],
+    },
+}
+
+SWAP_FAMILY = {
+    "group": "split:A4",
+    "places": [_place("u1", 7, 7), _place("u2", 7, 7), _place("u3", 8, 2),
+               _place("u4", 8, 2), _place("x3", 3, 3)],
+    "family_places": ["u1", "u2", "u3", "u4"],
+}
+
+
+def _ratio(group, places, a, b):
+    return {"group": group, "places": places, "collections": [a, b]}
+
+
+RATIOS = {
+    "split:A3": _ratio(
+        "split:A3", [_place("v", 2, 2)],
+        {"assignment": {"v": [0, 2]}}, {"assignment": {"v": [0, 3]}}),
+    "split:B3 refined": _ratio(
+        "split:B3", [_place("v2", 2, 2), _place("v3", 3, 3), _place("w4", 4, 2)],
+        {"assignment": {"v2": [2, 3], "v3": []}, "refinements": ["v2", "v3"]},
+        {"assignment": {"v2": [0, 1, 3], "w4": [1]}, "refinements": ["w4"]}),
+    "split:G2": _ratio(
+        "split:G2", [_place("v", 5, 5), _place("w", 9, 3)],
+        {"assignment": {"v": [0], "w": [1, 2]}},
+        {"assignment": {"v": [], "w": [2]}}),
+    "split:E8 refined": _ratio(
+        "split:E8", [_place("v", 2, 2), _place("w", 3, 3)],
+        {"assignment": {"v": [], "w": []}, "refinements": ["v", "w"]},
+        {"assignment": {"v": [0, 2, 3, 4, 5, 6, 7, 8]}}),
+    "twisted:C-BC1": _ratio(
+        "twisted:C-BC1", [_place("v2", 2, 2), _place("v3", 3, 3)],
+        {"assignment": {"v2": [0]}}, {"assignment": {"v2": [], "v3": [1]}}),
+    "twisted:C-B2 refined": _ratio(
+        "twisted:C-B2", [_place("v4", 4, 2), _place("v7", 7, 7)],
+        {"assignment": {"v4": [0, 2]}, "refinements": ["v7"]},
+        {"assignment": {"v4": [1], "v7": []}, "refinements": ["v4"]}),
+    "split:D4 improper": _ratio(
+        "split:D4", [_place("v", 3, 3)],
+        {"assignment": {"v": [0, 1, 2, 3, 4]}}, {"assignment": {"v": [0]}}),
+}
+
+
+def _invoke(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+def corpus(workdir):
+    """Entry name -> {"exit": code, "stdout_sha256": digest}, in a fixed order."""
+    entries = {}
+
+    def record(name, argv):
+        code, out = _invoke(argv)
+        entries[name] = {"exit": code,
+                         "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
+        return out
+
+    def write(name, obj):
+        path = workdir / name
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+        return str(path)
+
+    for label in LABELS:
+        record(f"diagram {label}", ["diagram", label])
+        record(f"diagram {label} --dot", ["diagram", label, "--dot"])
+        record(f"pairs {label} --q 7", ["pairs", label, "--q", "7"])
+    families = [(name, write(f"family-{k}.json", req), [])
+                for k, (name, req) in enumerate(FAMILIES.items())]
+    families.append(("split:A4 --fallback-swap", write("swap.json", SWAP_FAMILY),
+                     ["--fallback-swap"]))
+    for k, (name, path, flags) in enumerate(families):
+        cert = record(f"family {name}", ["family", "--input", path] + flags)
+        record(f"certify {name}",
+               ["certify", "--input", write(f"certificate-{k}.json", cert)])
+    for k, (name, req) in enumerate(RATIOS.items()):
+        record(f"ratio {name}", ["ratio", "--input", write(f"ratio-{k}.json", req)])
+    return entries
+
+
+def test_cli_outputs_match_golden_digests(tmp_path):
+    expected = json.loads(GOLDEN.read_text())
+    actual = corpus(tmp_path)
+    changed = [name for name in expected if actual.get(name) != expected[name]]
+    assert not changed, f"outputs differ from {GOLDEN.name}: {changed}"
+    assert list(actual) == list(expected)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = corpus(Path(tmp))
+    GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"wrote {len(entries)} digests to {GOLDEN}", file=sys.stderr)
