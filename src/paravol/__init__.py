@@ -27,7 +27,6 @@ from .diagram import (
     ParahoricTypeSpec,
     build_local_index,
     induced_subdiagram,
-    realized_automorphisms,
 )
 from .errors import (
     CertificateError,
@@ -43,12 +42,10 @@ from .errors import (
 )
 from .parahoric import (
     HalfPowerRational,
-    LocalFactor,
     ONE,
     conjugate_types,
     factor_ratio,
     find_equal_volume_pairs,
-    local_factor,
 )
 from .reductive import (
     OrderPolynomial,
@@ -57,6 +54,6 @@ from .reductive import (
     order_polynomial,
     quotient_descriptor,
 )
-from .roots import GROUP_DIMENSIONS, group_dimension
+from .roots import group_dimension
 
 __all__ = [name for name in dir() if not name.startswith("_")]

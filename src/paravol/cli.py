@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
 
 from .construction import (
     FamilyCertificate,
@@ -23,45 +23,43 @@ from .construction import (
     relative_covolume,
 )
 from .diagram import GroupSpec, build_local_index
-from .errors import CertificateError, DomainError, SchemaError
+from .errors import CertificateError, DomainError, InvalidResidueError, SchemaError
 from .parahoric import find_equal_volume_pairs, pairs_to_json
 from .reductive import prime_power_base
-from .errors import InvalidResidueError
+
+# Input integers may have at most this many digits: the interpreter's
+# default limit on int-string conversion.  Results are exact and may be
+# longer, so commands run with that limit lifted (see `run`).
+MAX_INPUT_DIGITS = 4300
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One validated CLI invocation."""
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    flags: tuple = ()
-
-    def __post_init__(self):
-        if self.input is not None and not os.path.exists(self.input):
-            raise SchemaError(f"no such file: {self.input}")
-
-
-def _write(job, text):
-    if job.output:
-        with open(job.output, "w") as fh:
+def _write(output, text):
+    if output:
+        with open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _dump(job, obj):
-    _write(job, json.dumps(obj, indent=2) + "\n")
+def _dump(output, obj):
+    _write(output, json.dumps(obj, indent=2) + "\n")
 
 
 # -- schema helpers ---------------------------------------------------------
 
+def _input_int(text):
+    if len(text.lstrip("-")) > MAX_INPUT_DIGITS:
+        raise SchemaError(f"integer with more than {MAX_INPUT_DIGITS} digits")
+    return int(text)
+
+
 def _load_json(path):
+    if not os.path.exists(path):
+        raise SchemaError(f"no such file: {path}")
     with open(path) as fh:
         text = fh.read()
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_input_int)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -72,7 +70,8 @@ def _get(obj, key, ctx, kind=None):
     if key not in obj:
         raise SchemaError(f"{ctx}: missing key {key!r}")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    # bool is a subclass of int, but true is no residue size
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise SchemaError(f"{ctx}: key {key!r} has wrong type")
     return value
 
@@ -109,16 +108,16 @@ def _assignment_from_json(value, ctx):
 
 # -- subcommands ------------------------------------------------------------
 
-def cmd_diagram(job, args):
+def cmd_diagram(args):
     d = build_local_index(GroupSpec.parse(args.group))
     if args.dot:
-        _write(job, d.to_dot() + "\n")
+        _write(args.output, d.to_dot() + "\n")
     else:
-        _dump(job, d.to_json())
+        _dump(args.output, d.to_json())
     return 0
 
 
-def cmd_pairs(job, args):
+def cmd_pairs(args):
     d = build_local_index(GroupSpec.parse(args.group))
     if args.q is not None and prime_power_base(args.q) is None:
         raise InvalidResidueError(f"invalid residue size: {args.q} is not a prime power")
@@ -130,7 +129,7 @@ def cmd_pairs(job, args):
                     "use the family command with --fallback-swap")
         print(f"warning: no single-place equal-volume pair of non-conjugate "
               f"types for {d.group.label}{note}", file=sys.stderr)
-    _dump(job, pairs_to_json(d, pairs, args.q))
+    _dump(args.output, pairs_to_json(d, pairs, args.q))
     return 0
 
 
@@ -142,8 +141,8 @@ def _collection_from_json(entry, group, places, ctx):
     return make_collection(group, places, overrides, tuple(refinements))
 
 
-def cmd_ratio(job, args):
-    data = _load_json(job.input)
+def cmd_ratio(args):
+    data = _load_json(args.input)
     group = GroupSpec.parse(_get(data, "group", "input", str))
     places = _places_from_json(_get(data, "places", "input"), group.label)
     colls = _get(data, "collections", "input", list)
@@ -151,12 +150,12 @@ def cmd_ratio(job, args):
         raise SchemaError("input: collections must list exactly two entries")
     a = _collection_from_json(colls[0], group, places, "collections[0]")
     b = _collection_from_json(colls[1], group, places, "collections[1]")
-    _dump(job, relative_covolume(a, b).to_json())
+    _dump(args.output, relative_covolume(a, b).to_json())
     return 0
 
 
-def cmd_family(job, args):
-    data = _load_json(job.input)
+def cmd_family(args):
+    data = _load_json(args.input)
     group = GroupSpec.parse(_get(data, "group", "input", str))
     places = _places_from_json(_get(data, "places", "input"), group.label)
     family_ids = _get(data, "family_places", "input", list)
@@ -171,7 +170,10 @@ def cmd_family(job, args):
                 raise SchemaError(f"input: pairs[{pid}] must list two types")
             pairs[pid] = (tuple(_int_list(duo[0], f"pairs[{pid}][0]")),
                           tuple(_int_list(duo[1], f"pairs[{pid}][1]")))
-    fallback = bool(data.get("fallback_swap", False)) or args.fallback_swap
+    fallback = data.get("fallback_swap", False)
+    if not isinstance(fallback, bool):
+        raise SchemaError("input: fallback_swap must be true or false")
+    fallback = fallback or args.fallback_swap
     refine = data.get("refine")
     if args.refine:
         refine = args.refine.split(",")
@@ -183,12 +185,12 @@ def cmd_family(job, args):
         refine = tuple(refine)
     members = build_family(group, places, list(family_ids), pairs, fallback, refine)
     certificate = certify_family(members)
-    _dump(job, certificate.to_json())
+    _dump(args.output, certificate.to_json())
     return 0
 
 
-def cmd_certify(job, args):
-    data = _load_json(job.input)
+def cmd_certify(args):
+    data = _load_json(args.input)
     group = GroupSpec.parse(_get(data, "group", "certificate", str))
     places = _places_from_json(_get(data, "places", "certificate"), group.label)
     member_entries = _get(data, "members", "certificate", list)
@@ -209,11 +211,25 @@ def cmd_certify(job, args):
         "members": len(members),
         "witnesses": len(recomputed["witnesses"]),
     }
-    _dump(job, result)
+    _dump(None, result)
     return 0
 
 
 # -- entry points ------------------------------------------------------------
+
+@contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's limit on int-string conversion, then restore it."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -257,16 +273,8 @@ def build_parser():
 def run(argv):
     args = build_parser().parse_args(argv)
     try:
-        job = JobSpec(
-            command=args.command,
-            input=getattr(args, "input", None),
-            output=getattr(args, "output", None),
-            flags=tuple(
-                name for name in ("dot", "fallback_swap")
-                if getattr(args, name, False)
-            ),
-        )
-        return args.func(job, args)
+        with _unlimited_int_digits():
+            return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -227,11 +227,6 @@ def certify_family(members):
     return FamilyCertificate(members, ratios, tuple(witnesses))
 
 
-def swap_types(d):
-    """Canonical non-conjugate type pair for the two-place exchange trick."""
-    return IWAHORI, d.default_type()
-
-
 def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
                  refine=None):
     """The 2^m (or fallback 2^(m//2)) coherent collections of equal covolume.
@@ -269,7 +264,7 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
             if pa.q != pb.q:
                 raise DomainError(
                     f"fallback swap needs equal residue sizes, got {pa.q} at {a} and {pb.q} at {b}")
-            t1, t2 = swap_types(pa.local_index)
+            t1, t2 = IWAHORI, pa.local_index.default_type()
             variations.append(((a, b), [{a: t1, b: t2}, {a: t2, b: t1}]))
     else:
         pairs = dict(pairs or {})

@@ -153,16 +153,10 @@ class LocalIndex:
     marks: tuple
     hyperspecial: tuple
     realized_auts: tuple
-    residual_source: str  # "computed" or "table"
-    residual_table: dict | None = None
 
     @property
     def relative_rank(self):
         return len(self.vertices) - 1
-
-    def is_proper(self, t):
-        t = ParahoricTypeSpec.coerce(t)
-        return set(t.vertices) < set(self.vertices)
 
     def check_proper(self, t):
         t = ParahoricTypeSpec.coerce(t)
@@ -189,13 +183,10 @@ class LocalIndex:
 
     def default_type(self):
         """Hyperspecial vertex {0} if split, else smallest maximal type."""
-        if self.residual_source == "computed":
+        if self.group.form == "split":
             return ParahoricTypeSpec((0,))
         maximal = [t for t in self.proper_types() if len(t) == len(self.vertices) - 1]
         return min(maximal, key=lambda t: t.vertices)
-
-    def edge_map(self):
-        return {(e.u, e.v): e for e in self.edges}
 
     def to_json(self):
         return {
@@ -263,22 +254,20 @@ def _split_affine_data(family, rank):
     return tuple(range(n + 1)), tuple(sorted(edges)), marks
 
 
+def _edge_role(x, e):
+    return 0 if e.arrow is None else (1 if e.arrow == x else 2)
+
+
 def _vertex_invariants(vertices, edges, marks, hyperspecial):
     """Per-vertex class key: decorations plus incident edge shapes."""
     incident = {v: [] for v in vertices}
     for e in edges:
-        role_u = 0 if e.arrow is None else (1 if e.arrow == e.u else 2)
-        role_v = 0 if e.arrow is None else (1 if e.arrow == e.v else 2)
-        incident[e.u].append((e.mult, role_u))
-        incident[e.v].append((e.mult, role_v))
+        incident[e.u].append((e.mult, _edge_role(e.u, e)))
+        incident[e.v].append((e.mult, _edge_role(e.v, e)))
     return {
         v: (marks[v], hyperspecial[v], tuple(sorted(incident[v])))
         for v in vertices
     }
-
-
-def _edge_role(x, e):
-    return 0 if e.arrow is None else (1 if e.arrow == x else 2)
 
 
 def _graph_automorphisms(vertices, edges, marks, hyperspecial):
@@ -337,35 +326,14 @@ def build_local_index(spec):
             auts = tuple(sorted(tuple((i + k) % n1 for i in range(n1)) for k in range(n1)))
         else:
             auts = _graph_automorphisms(vertices, edges, marks, hyper)
-        return LocalIndex(spec, vertices, edges, marks, hyper, auts, "computed")
+        return LocalIndex(spec, vertices, edges, marks, hyper, auts)
     data = twisted.TWISTED_INDICES[spec.twisted_index]
     vertices = tuple(range(data["vertex_count"]))
     edges = tuple(Edge(*e) for e in data["edges"])
     marks = data["marks"]
     hyper = tuple(False for _ in vertices)
     auts = _graph_automorphisms(vertices, edges, marks, hyper)
-    table = {
-        key: (tuple(FiniteTypeLabel(*lbl) for lbl in comps), torus)
-        for key, (comps, torus) in data["residues"].items()
-    }
-    auts = tuple(g for g in auts if _preserves_table(vertices, table, g))
-    return LocalIndex(spec, vertices, edges, marks, hyper, auts, "table", table)
-
-
-def _preserves_table(vertices, table, perm):
-    for key, (comps, torus) in table.items():
-        image = tuple(sorted(perm[v] for v in key))
-        comps2, torus2 = table[image]
-        if torus2 != torus or sorted(c.sort_key() for c in comps2) != sorted(
-            c.sort_key() for c in comps
-        ):
-            return False
-    return True
-
-
-def realized_automorphisms(d):
-    """The stored automorphism group, as vertex permutation tuples."""
-    return d.realized_auts
+    return LocalIndex(spec, vertices, edges, marks, hyper, auts)
 
 
 def _classify_component(comp, edges):

@@ -8,25 +8,11 @@ q are tracked formally per place and fold into the rational part in pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagram import ParahoricTypeSpec
 from .errors import InvalidResidueError
 from .reductive import prime_power_base, quotient_descriptor
-
-
-@dataclass(frozen=True)
-class LocalFactor:
-    """Dimension and residue order attached to one parahoric type."""
-
-    dim: int
-    order: object  # OrderPolynomial
-
-
-def local_factor(d, t):
-    desc = quotient_descriptor(d, t)
-    return LocalFactor(desc.dim, desc.order)
 
 
 class HalfPowerRational:
@@ -112,8 +98,8 @@ def factor_ratio(d, t1, t2, place):
     q = place.q
     if prime_power_base(q) is None:
         raise InvalidResidueError(f"invalid residue size at place {place.id}: {q}")
-    f1 = local_factor(d, t1)
-    f2 = local_factor(d, t2)
+    f1 = quotient_descriptor(d, t1)
+    f2 = quotient_descriptor(d, t2)
     return HalfPowerRational.from_parts(
         Fraction(f2.order(q), f1.order(q)),
         {place.id: (q, f1.dim - f2.dim)},

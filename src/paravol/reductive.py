@@ -79,21 +79,14 @@ class OrderPolynomial:
         return list(self.coeffs)
 
 
-def label_positive_roots(label):
-    """Exponent of q in the order: positive roots of the ambient root system."""
-    if label.form == "unitary":
-        return label.rank * (label.rank + 1) // 2
-    return roots.num_positive_roots(label.family, label.rank)
-
-
 def label_dimension(label):
-    return label.rank + 2 * label_positive_roots(label)
+    return roots.group_dimension(label.family, label.rank)
 
 
 @lru_cache(maxsize=None)
 def order_polynomial(label):
     """Order of the finite group of Lie type with this label, as a polynomial."""
-    n_pos = label_positive_roots(label)
+    n_pos = roots.num_positive_roots(label.family, label.rank)
     poly = OrderPolynomial.monomial(n_pos)
     if label.form == "unitary":
         for i in range(2, label.rank + 2):
@@ -122,12 +115,8 @@ Q_MINUS_ONE = OrderPolynomial.q_power_minus_one(1)
 
 def quotient_descriptor(d, t):
     """Components, central torus rank, dimension and order for a type."""
-    t = d.check_proper(t)
-    if d.residual_table is not None:
-        components, torus_rank = d.residual_table[t.vertices]
-    else:
-        components = dg.induced_subdiagram(d, t)
-        torus_rank = d.relative_rank - sum(c.rank for c in components)
+    components = dg.induced_subdiagram(d, t)
+    torus_rank = d.relative_rank - sum(c.rank for c in components)
     order = Q_MINUS_ONE ** torus_rank
     dim = torus_rank
     for c in components:

@@ -154,27 +154,7 @@ def num_positive_roots(family, rank):
     return sum(d - 1 for d in fundamental_degrees(family, rank))
 
 
+@lru_cache(maxsize=None)
 def group_dimension(family, rank):
     """dim of the (absolute almost simple) group: rank + number of roots."""
-    if family == "A":
-        return rank * (rank + 2)
-    if family in ("B", "C"):
-        return rank * (2 * rank + 1)
-    if family == "D":
-        return rank * (2 * rank - 1)
-    if family == "E":
-        return {6: 78, 7: 133, 8: 248}[rank]
-    if family == "F":
-        return 52
-    if family == "G":
-        return 14
-    raise ValueError(f"unknown family {family!r}")
-
-
-# dimension table for the standard low ranks, built from the closed forms
-GROUP_DIMENSIONS = {
-    (fam, r): group_dimension(fam, r)
-    for fam in RANK_BOUNDS
-    for r in range(RANK_BOUNDS[fam][0], (RANK_BOUNDS[fam][1] or 8) + 1)
-    if check_rank(fam, r)
-}
+    return rank + 2 * num_positive_roots(family, rank)

@@ -11,16 +11,12 @@ ramified special unitary groups:
   a path short-long-short with two double edges, arrows pointing outward,
   all marks 1.
 
-Neither diagram has a hyperspecial vertex.  The residue entries list, for
-each proper type, the component labels of the reductive quotient over the
-residue field and the rank of its split central torus.  For both diagrams
-the entries agree with the induced-subdiagram reading of the decorated
-graph; they are tabulated here so the twisted data stays auditable and
-independent of the graph classifier.
+Neither diagram has a hyperspecial vertex.  As for the split forms, each
+parahoric's reductive quotient is read off the induced subdiagram.  The
+audited residue tables (component labels and central torus rank for each
+proper type) are kept in `tests/test_reductive.py` as an oracle for that
+reading.
 """
-
-A1 = ("A", 1, "split")
-B2 = ("B", 2, "split")
 
 TWISTED_INDICES = {
     "C-BC1": {
@@ -28,25 +24,11 @@ TWISTED_INDICES = {
         "vertex_count": 2,
         "edges": ((0, 1, 4, 1),),
         "marks": (1, 2),
-        "residues": {
-            (): ((), 1),
-            (0,): ((A1,), 0),
-            (1,): ((A1,), 0),
-        },
     },
     "C-B2": {
         "absolute": ("A", 3),
         "vertex_count": 3,
         "edges": ((0, 1, 2, 0), (1, 2, 2, 2)),
         "marks": (1, 1, 1),
-        "residues": {
-            (): ((), 2),
-            (0,): ((A1,), 1),
-            (1,): ((A1,), 1),
-            (2,): ((A1,), 1),
-            (0, 1): ((B2,), 0),
-            (0, 2): ((A1, A1), 0),
-            (1, 2): ((B2,), 0),
-        },
     },
 }

@@ -1,6 +1,8 @@
 """End-to-end command line behavior: outputs, exit codes, determinism."""
 
 import json
+import sys
+from decimal import Decimal
 
 import pytest
 
@@ -158,6 +160,16 @@ def test_family_fallback_swap_flag(tmp_path, capsys):
     assert code == 1 and "no equal-volume pair" in err
 
 
+def test_fallback_swap_must_be_a_json_boolean(tmp_path, capsys):
+    assert invoke(capsys, "family", "--input", write_json(
+        tmp_path / "false.json", family_request(fallback_swap=False)))[0] == 0
+    for k, value in enumerate(("false", "true", 0, 1, None, [])):
+        request = write_json(tmp_path / f"bad-{k}.json",
+                             family_request(fallback_swap=value))
+        code, out, err = invoke(capsys, "family", "--input", request)
+        assert code == 2 and out == "" and "fallback_swap" in err
+
+
 def test_family_bad_residue_names_place(tmp_path, capsys):
     req = write_json(tmp_path / "req.json", family_request(
         places=[{"id": "v6", "q": 6, "p": 2},
@@ -195,6 +207,70 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "missing key" in err
     wrong_type = write_json(tmp_path / "wt.json", family_request(places="x"))
     assert invoke(capsys, "family", "--input", wrong_type)[0] == 2
+    for key in ("q", "p"):  # JSON true is a bool, not a residue size
+        places = [{"id": "v2", "q": 2, "p": 2}, {"id": "v3", "q": 3, "p": 3}]
+        places[0][key] = True
+        request = write_json(tmp_path / f"bool-{key}.json", family_request(places=places))
+        code, _, err = invoke(capsys, "family", "--input", request)
+        assert code == 2 and "wrong type" in err
+
+
+def test_ratio_prints_values_past_the_digit_limit(tmp_path, capsys):
+    qs = (1000000007, 999999937)
+    spec = {
+        "group": "split:E8",
+        "places": [{"id": "v", "q": qs[0], "p": qs[0]},
+                   {"id": "w", "q": qs[1], "p": qs[1]}],
+        "collections": [
+            {"assignment": {"v": [], "w": []}, "refinements": ["v", "w"]},
+            {"assignment": {"v": [], "w": []}},
+        ],
+    }
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(capsys, "ratio", "--input",
+                            write_json(tmp_path / "r.json", spec))
+    assert sys.get_int_max_str_digits() == limit
+    assert code == 0 and err == ""
+    payload = json.loads(out, parse_int=lambda text: int(Decimal(text)))
+    # each refinement index is q^(248 - 8) * (q - 1)^8 for the Iwahori of E8
+    index = 1
+    for q in qs:
+        index *= q ** 240 * (q - 1) ** 8
+    assert payload == {"num": index, "den": 1, "half_exponents": {}}
+
+
+def test_input_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    req = write_json(tmp_path / "req.json", family_request())
+    cert_path = tmp_path / "cert.json"
+    invoke(capsys, "family", "--input", req, "--output", str(cert_path))
+    cert = json.loads(cert_path.read_text())
+    cert["ratios"][0][1]["num"] = 123454321
+    text = json.dumps(cert).replace("123454321", "9" * 5001)
+    tampered = tmp_path / "long.json"
+    tampered.write_text(text)
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(capsys, "certify", "--input", str(tampered))
+    assert sys.get_int_max_str_digits() == limit
+    assert code == 2 and out == "" and "input error" in err and "digits" in err
+
+
+def test_certify_failure_on_a_ratio_past_the_digit_limit_exits_1(tmp_path, capsys):
+    big = [{"id": "v", "q": 1000000007, "p": 1000000007},
+           {"id": "w", "q": 999999937, "p": 999999937}]
+    req = write_json(tmp_path / "req.json", {
+        "group": "split:E8",
+        "places": [{"id": "u", "q": 2, "p": 2}] + big,
+        "family_places": ["u"],
+    })
+    code, out, _ = invoke(capsys, "family", "--input", req)
+    assert code == 0
+    cert = json.loads(out)
+    cert["members"][1]["refinements"] = ["v", "w"]  # the error names a huge ratio
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(capsys, "certify", "--input",
+                            write_json(tmp_path / "bad.json", cert))
+    assert sys.get_int_max_str_digits() == limit
+    assert code == 1 and out == "" and "not equal covolume" in err
 
 
 def test_improper_assignment_exits_1(tmp_path, capsys):

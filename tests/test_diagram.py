@@ -11,7 +11,6 @@ from paravol.diagram import (
     build_local_index,
     canonical_labels,
     induced_subdiagram,
-    realized_automorphisms,
 )
 from paravol.errors import ImproperTypeError, UnsupportedTypeError
 
@@ -89,7 +88,7 @@ def test_edge_decorations():
 def test_realized_automorphisms_of_split_a_are_the_rotations():
     for n in (1, 2, 4, 5):
         d = build_local_index(GroupSpec("split", "A", n))
-        auts = realized_automorphisms(d)
+        auts = d.realized_auts
         assert len(auts) == n + 1
         expected = {tuple((i + k) % (n + 1) for i in range(n + 1)) for k in range(n + 1)}
         assert set(auts) == expected

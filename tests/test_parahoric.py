@@ -13,7 +13,6 @@ from paravol.parahoric import (
     conjugate_types,
     factor_ratio,
     find_equal_volume_pairs,
-    local_factor,
     pairs_to_json,
 )
 from paravol.construction import Place
@@ -118,14 +117,6 @@ def test_factor_ratio_rejects_bad_residue():
 
     with pytest.raises(InvalidResidueError):
         factor_ratio(a2, (0,), (1,), FakePlace())
-
-
-def test_local_factor_matches_descriptor():
-    b3 = build_local_index("split:B3")
-    f = local_factor(b3, (2, 3))
-    assert f.dim == 11  # rank-2 component of dimension 10 plus a 1-torus
-    assert f.order(2) == 720  # (q-1) * the rank-2 symplectic order, at q=2
-    assert f.order(3) == 2 * 51840
 
 
 def test_find_pairs_a4_empty_a5_contains_spec_pair():

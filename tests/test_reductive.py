@@ -83,6 +83,10 @@ def test_quotient_descriptor_spec_cases():
     assert iwahori.components == ()
     assert (iwahori.torus_rank, iwahori.dim) == (3, 3)
     assert iwahori.order(2) == 1  # (q-1)^3 at q=2
+    wall = quotient_descriptor(build_local_index("split:B3"), (2, 3))
+    assert wall.dim == 11  # rank-2 component of dimension 10 plus a 1-torus
+    assert wall.order(2) == 720  # (q-1) * the rank-2 symplectic order, at q=2
+    assert wall.order(3) == 2 * 51840
 
 
 def test_quotient_descriptor_b3_singletons_agree():
@@ -92,17 +96,35 @@ def test_quotient_descriptor_b3_singletons_agree():
     assert descs[0].dim == 5
 
 
-def test_twisted_tables_match_induced_subdiagram_reading():
-    from paravol.diagram import induced_subdiagram
+# Audited residue tables of the twisted forms: for each proper type, the
+# component labels of the reductive quotient and its central torus rank.
+TWISTED_RESIDUES = {
+    "twisted:C-BC1": {
+        (): ((), 1),
+        (0,): (("A1",), 0),
+        (1,): (("A1",), 0),
+    },
+    "twisted:C-B2": {
+        (): ((), 2),
+        (0,): (("A1",), 1),
+        (1,): (("A1",), 1),
+        (2,): (("A1",), 1),
+        (0, 1): (("B2",), 0),
+        (0, 2): (("A1", "A1"), 0),
+        (1, 2): (("B2",), 0),
+    },
+}
 
-    for label in ("twisted:C-BC1", "twisted:C-B2"):
+
+def test_twisted_tables_match_induced_subdiagram_reading():
+    for label, table in TWISTED_RESIDUES.items():
         d = build_local_index(label)
+        assert sorted(table) == [t.vertices for t in d.proper_types()]
         for t in d.proper_types():
-            comps, torus = d.residual_table[t.vertices]
-            naive = induced_subdiagram(d, t)
-            assert tuple(sorted(c.sort_key() for c in comps)) == tuple(
-                sorted(c.sort_key() for c in naive))
-            assert torus == d.relative_rank - sum(c.rank for c in comps)
+            desc = quotient_descriptor(d, t)
+            comps, torus = table[t.vertices]
+            assert tuple(str(c) for c in desc.components) == comps
+            assert desc.torus_rank == torus
 
 
 def test_twisted_descriptor_values():
