@@ -189,6 +189,26 @@ def cmd_family(args):
     return 0
 
 
+def _first_difference(expected, found, path):
+    """Path of the first entry where found differs from expected; they differ.
+
+    Lists are compared index by index and objects key by key, in the
+    expected order; an entry missing on either side is named by its path.
+    """
+    if isinstance(expected, list) and isinstance(found, list):
+        for k, (e, f) in enumerate(zip(expected, found)):
+            if e != f:
+                return _first_difference(e, f, f"{path}[{k}]")
+        return f"{path}[{min(len(expected), len(found))}]"
+    if isinstance(expected, dict) and isinstance(found, dict):
+        for key in list(expected) + [k for k in found if k not in expected]:
+            if key not in expected or key not in found:
+                return f"{path}.{key}"
+            if expected[key] != found[key]:
+                return _first_difference(expected[key], found[key], f"{path}.{key}")
+    return path
+
+
 def cmd_certify(args):
     data = _load_json(args.input)
     group = GroupSpec.parse(_get(data, "group", "certificate", str))
@@ -205,7 +225,8 @@ def cmd_certify(args):
     recomputed = certify_family(members).to_json()
     for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
         if recomputed[key] != data[key]:
-            raise CertificateError(f"certificate mismatch: {key} does not match recomputation")
+            entry = _first_difference(recomputed[key], data[key], key)
+            raise CertificateError(f"certificate mismatch: {entry} does not match recomputation")
     result = {
         "valid": True,
         "members": len(members),

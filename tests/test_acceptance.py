@@ -169,31 +169,41 @@ def test_acceptance_6_twisted_pairs_and_families():
             assert cert.witnesses[0][2] == "r"
 
 
+def random_collections(rng, trial):
+    """A function drawing random collections of one group over three places.
+
+    The group cycles through a fixed pool by trial; residues, types and
+    refinements (at places of distinct characteristic) come from rng.
+    """
+    pool = ["split:B3", "split:A4", "split:C2", "split:D4",
+            "twisted:C-BC1", "twisted:C-B2"]
+    residues = [(2, 2), (3, 3), (4, 2), (5, 5), (7, 7), (9, 3)]
+    g = GroupSpec.parse(pool[trial % len(pool)])
+    d = build_local_index(g)
+    qs = rng.sample(residues, 3)
+    places = [Place(f"v{k}", q, p, d) for k, (q, p) in enumerate(qs)]
+    types = d.proper_types()
+
+    def pick():
+        overrides = {pl.id: rng.choice(types) for pl in places}
+        refinements = ()
+        if rng.random() < 0.4:
+            chars = {}
+            for pl in places:
+                chars.setdefault(pl.p, pl.id)
+            chosen = rng.sample(sorted(chars.values()),
+                                rng.randint(1, len(chars)))
+            refinements = tuple(chosen)
+        return make_collection(g, places, overrides, refinements)
+
+    return pick
+
+
 def test_acceptance_7_cocycle_identity_random_triples():
     with criterion(7, "covolume ratio cocycle identity on 100 random triples", 5.0):
         rng = random.Random(20260814)
-        pool = ["split:B3", "split:A4", "split:C2", "split:D4",
-                "twisted:C-BC1", "twisted:C-B2"]
-        residues = [(2, 2), (3, 3), (4, 2), (5, 5), (7, 7), (9, 3)]
         for trial in range(100):
-            g = GroupSpec.parse(pool[trial % len(pool)])
-            d = build_local_index(g)
-            qs = rng.sample(residues, 3)
-            places = [Place(f"v{k}", q, p, d) for k, (q, p) in enumerate(qs)]
-            types = d.proper_types()
-
-            def pick():
-                overrides = {pl.id: rng.choice(types) for pl in places}
-                refinements = ()
-                if rng.random() < 0.4:
-                    chars = {}
-                    for pl in places:
-                        chars.setdefault(pl.p, pl.id)
-                    chosen = rng.sample(sorted(chars.values()),
-                                        rng.randint(1, len(chars)))
-                    refinements = tuple(chosen)
-                return make_collection(g, places, overrides, refinements)
-
+            pick = random_collections(rng, trial)
             a, b, c = pick(), pick(), pick()
             left = relative_covolume(a, b) * relative_covolume(b, c)
             assert left == relative_covolume(a, c)

@@ -195,6 +195,48 @@ def test_tampered_certificate_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+def _set_ratio_num(cert):
+    cert["ratios"][3][7]["num"] = 2
+
+
+def _set_witness_place(cert):
+    cert["witnesses"][12]["place"] = "v5"  # members 1 and 7 first differ at v3
+
+
+def _set_citation(cert):
+    cert["citations"][2] = "non-conjugacy: trust me"
+
+
+def _repeat_type_vertex(cert):
+    cert["members"][5]["assignment"]["v3"] *= 2  # same type, not canonical
+
+
+def _drop_witness_type(cert):
+    del cert["witnesses"][0]["t2"]
+
+
+@pytest.mark.parametrize("tamper, entry", [
+    (_set_ratio_num, "ratios[3][7].num"),
+    (_set_witness_place, "witnesses[12].place"),
+    (_set_citation, "citations[2]"),
+    (_repeat_type_vertex, "members[5].assignment.v3[1]"),
+    (_drop_witness_type, "witnesses[0].t2"),
+], ids=["ratio", "witness-place", "citation", "member-type", "witness-key"])
+def test_certify_names_the_first_tampered_entry(tmp_path, capsys, tamper, entry):
+    places = [{"id": "v2", "q": 2, "p": 2}, {"id": "v3", "q": 3, "p": 3},
+              {"id": "v5", "q": 5, "p": 5}]
+    req = write_json(tmp_path / "req.json",
+                     family_request(places=places, family_places=["v2", "v3", "v5"]))
+    code, out, _ = invoke(capsys, "family", "--input", req)
+    assert code == 0
+    cert = json.loads(out)
+    tamper(cert)
+    code, out, err = invoke(capsys, "certify", "--input",
+                            write_json(tmp_path / "bad.json", cert))
+    assert code == 1 and out == ""
+    assert f"certificate mismatch: {entry} does not match" in err
+
+
 def test_schema_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     code, _, err = invoke(capsys, "family", "--input", missing)
@@ -271,6 +313,11 @@ def test_certify_failure_on_a_ratio_past_the_digit_limit_exits_1(tmp_path, capsy
                             write_json(tmp_path / "bad.json", cert))
     assert sys.get_int_max_str_digits() == limit
     assert code == 1 and out == "" and "not equal covolume" in err
+    # the message names the pair and where it differs, not the 4,464-digit ratio
+    assert len(err) < 500
+    assert "members 0 and 1" in err
+    assert "v (refinement), w (refinement)" in err
+    assert "4464-digit denominator" in err
 
 
 def test_improper_assignment_exits_1(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Coherent collections, covolume ratios, refinements, certified families."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from test_acceptance import random_collections
 
+from paravol import construction
 from paravol.construction import (
     CITATIONS,
     Place,
@@ -14,6 +17,7 @@ from paravol.construction import (
     make_collection,
     refinement_index,
     relative_covolume,
+    _unequal_covolume,
 )
 from paravol.diagram import GroupSpec, build_local_index
 from paravol.errors import (
@@ -24,7 +28,7 @@ from paravol.errors import (
     InvalidResidueError,
     UnknownPlaceError,
 )
-from paravol.parahoric import HalfPowerRational, factor_ratio
+from paravol.parahoric import HalfPowerRational, conjugate_types, factor_ratio
 
 
 def setup_group(label, *qs):
@@ -270,3 +274,115 @@ def test_relative_covolume_cocycle_random():
             a, b, c = random_collection(), random_collection(), random_collection()
             assert relative_covolume(a, b) * relative_covolume(b, c) == \
                 relative_covolume(a, c)
+
+
+def pairwise_certify(members):
+    """The quadratic reference: every ratio and witness computed directly.
+
+    Returns (ratios, witnesses) or raises the CertificateError of the first
+    failure in row-major order.
+    """
+    ratios = tuple(tuple(relative_covolume(a, b) for b in members) for a in members)
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            if not ratios[i][j].is_one:
+                raise _unequal_covolume(i, j, members[i], members[j], ratios[i][j])
+    witnesses = []
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            found = [
+                (i, j, pl.id, ti, tj)
+                for pl, ti, tj in zip(members[i].places, members[i].types, members[j].types)
+                if ti != tj and not conjugate_types(pl.local_index, ti, tj)
+            ]
+            if not found:
+                raise CertificateError(f"no witness separating members {i} and {j}")
+            witnesses.append(found[0])
+    return ratios, tuple(witnesses)
+
+
+def oracle_families():
+    g, _, places = setup_group("split:B3", 2, 3, 5, 4, 9)
+    yield build_family(g, places, ["v0", "v1", "v2"], refine=("v3", "v4"))
+    g, _, places = setup_group("twisted:C-B2", 2, 3, 5)
+    yield build_family(g, places, ["v0", "v1", "v2"])
+    g, _, places = setup_group("split:A4", 7, 7, 11, 11)
+    yield build_family(g, places, ["v0", "v1", "v2", "v3"], fallback_swap=True)
+
+
+def test_cocycle_matrix_equals_pairwise_matrix():
+    for members in oracle_families():
+        cert = certify_family(members)
+        assert (cert.ratios, cert.witnesses) == pairwise_certify(members)
+
+
+def test_certify_matches_pairwise_scan_on_random_collections():
+    rng = random.Random(31337)
+    outcomes = Counter()
+    for trial in range(60):
+        pick = random_collections(rng, trial)
+        members = [pick() for _ in range(rng.randint(2, 6))]
+        try:
+            expected = pairwise_certify(members)
+        except CertificateError as exc:
+            with pytest.raises(CertificateError) as got:
+                certify_family(members)
+            assert str(got.value) == str(exc)
+            outcomes[str(exc).split(":")[0]] += 1  # the kind of failure
+        else:
+            cert = certify_family(members)
+            assert (cert.ratios, cert.witnesses) == expected
+            outcomes["valid"] += 1
+    assert outcomes["not equal covolume"] >= 40  # random members rarely agree
+
+
+def test_unequal_covolume_message_names_pair_places_and_short_ratio():
+    g, d, places = setup_group("split:B3", 2, 3, 4, 9)
+    a = make_collection(g, places, {"v0": (0,)})
+    b = make_collection(g, places, {"v0": (0, 1)}, ("v2", "v3"))
+    with pytest.raises(CertificateError) as got:
+        certify_family([a, a, b])
+    ratio = relative_covolume(a, b)
+    assert str(got.value) == (
+        "not equal covolume: members 0 and 2 differ at places v0 (type), "
+        f"v2 (refinement), v3 (refinement) and have ratio {ratio!r}")
+
+
+def test_digit_count_without_string_conversion():
+    for n, digits in ((0, 1), (1, 1), (9, 1), (10, 2), (99, 2), (100, 3), (-12345, 5),
+                      (10 ** 4999, 5000), (10 ** 5000 - 1, 5000), (3 ** 20000, 9543)):
+        assert construction._digits(n) == digits
+
+
+def test_certify_family_local_work_is_linear(monkeypatch):
+    g, _, places = setup_group("split:B3", 2, 3, 5, 7, 11, 13, 4, 9)
+    family = [f"v{k}" for k in range(6)]
+    members = build_family(g, places, family, refine=("v6", "v7"))
+    assert len(members) == 64
+    relative_calls = []
+    conjugate_calls = []
+
+    def counted_relative(a, b):
+        relative_calls.append((a, b))
+        return relative_covolume(a, b)
+
+    def counted_conjugate(d, t1, t2):
+        conjugate_calls.append((t1, t2))
+        return conjugate_types(d, t1, t2)
+
+    monkeypatch.setattr(construction, "relative_covolume", counted_relative)
+    monkeypatch.setattr(construction, "conjugate_types", counted_conjugate)
+    cert = certify_family(members)
+    assert len(cert.witnesses) == 64 * 63 // 2
+    assert len(relative_calls) == 64
+    # at most one call per distinct (place, t_i, t_j) across all member pairs
+    keys = {
+        (pl.id, ti, tj)
+        for i, a in enumerate(members)
+        for b in members[i + 1:]
+        for pl, ti, tj in zip(a.places, a.types, b.types)
+        if ti != tj
+    }
+    per_types = Counter((ti, tj) for _, ti, tj in keys)
+    assert all(n <= per_types[t] for t, n in Counter(conjugate_calls).items())
+    assert len(conjugate_calls) <= 2 * len(family)
