@@ -50,7 +50,6 @@ from .parahoric import (
 from .reductive import (
     OrderPolynomial,
     ReductiveQuotientDescriptor,
-    evaluate_order,
     order_polynomial,
     quotient_descriptor,
 )

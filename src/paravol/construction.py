@@ -8,14 +8,14 @@ optionally times indices of torsion-free congruence refinements.
 
 Certifying N members over m places does O(N*m) local work.  Covolume
 ratios form a cocycle, covol(a)/covol(b) = (covol(a)/covol(c)) *
-(covol(c)/covol(b)), and `HalfPowerRational` arithmetic is exact and
-canonical, so the ratio of members i and j is c_i * c_j^-1 with c_i the
-ratio of member i to member 0: N ratio evaluations, then at most N^2
-products, of which an equal-covolume family needs none.  A witness pair of
-types is tested for conjugacy once per place, however many member pairs it
-separates.  `certify` on the command line still rebuilds the whole
-certificate from the members and compares it entry by entry, because
-nothing in a certificate file is trusted.
+(covol(c)/covol(b)), and ratios are exact rationals, so the ratio of
+members i and j is c_i * c_j^-1 with c_i the ratio of member i to member 0:
+N ratio evaluations, then at most N^2 products, of which an equal-covolume
+family needs none.  A witness pair of types is tested for conjugacy once
+per place, however many member pairs it separates.  `certify` on the
+command line still rebuilds the whole certificate from the members and
+compares it entry by entry, because nothing in a certificate file is
+trusted.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     UnknownPlaceError,
 )
 from .parahoric import ONE, HalfPowerRational, conjugate_types, factor_ratio
-from .reductive import is_prime, prime_power_base, quotient_descriptor
+from .reductive import prime_power_base, quotient_descriptor
 
 CITATIONS = (
     "equal covolume: the covolume ratio is the product over shared places of "
@@ -60,11 +60,11 @@ class Place:
     local_index: object
 
     def __post_init__(self):
-        base = prime_power_base(self.q)
+        base = prime_power_base(self.q)  # a prime, so base == p proves p prime
         if base is None:
             raise InvalidResidueError(
                 f"invalid residue size at place {self.id}: {self.q} is not a prime power")
-        if not is_prime(self.p) or base != self.p:
+        if base != self.p:
             raise InvalidResidueError(
                 f"invalid residue size at place {self.id}: {self.q} is not a power of {self.p}")
 
@@ -298,12 +298,13 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
     """The 2^m (or fallback 2^(m//2)) coherent collections of equal covolume.
 
     family_ids names the places where members vary.  pairs optionally gives
-    an explicit (t1, t2) per family place; otherwise the engine takes the
-    first symbolic equal-volume pair of the diagram there.  With
-    fallback_swap the family places are taken in consecutive twos with equal
-    residue size and members swap a fixed non-conjugate type pair across
-    each two; ratios still cancel exactly.  refine names two extra places
-    for an identical torsion-free refinement of every member.
+    an explicit (t1, t2) per family place, and names no other place;
+    otherwise the engine takes the first symbolic equal-volume pair of the
+    diagram there.  With fallback_swap the family places are taken in
+    consecutive twos with equal residue size and members swap a fixed
+    non-conjugate type pair across each two, so pairs may not be given;
+    ratios still cancel exactly.  refine names two extra places for an
+    identical torsion-free refinement of every member.
     """
     from .parahoric import find_equal_volume_pairs
 
@@ -320,6 +321,14 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
                 raise UnknownPlaceError(f"unknown place id: {pid}")
             if pid in family_ids:
                 raise DomainError(f"refinement place {pid} may not be a family place")
+    pairs = dict(pairs or {})
+    for pid in pairs:
+        if pid not in by_id:
+            raise UnknownPlaceError(f"unknown place id in pairs: {pid}")
+        if pid not in family_ids:
+            raise DomainError(f"pairs names place {pid}, which is not a family place")
+        if fallback_swap:
+            raise DomainError(f"pairs names place {pid}, but the fallback swap fixes its types")
 
     variations = []  # (place ids, list of override-dicts), one factor of choices
     if fallback_swap:
@@ -333,7 +342,6 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
             t1, t2 = IWAHORI, pa.local_index.default_type()
             variations.append(((a, b), [{a: t1, b: t2}, {a: t2, b: t1}]))
     else:
-        pairs = dict(pairs or {})
         for pid in family_ids:
             pl = by_id[pid]
             if pid in pairs:

@@ -2,8 +2,8 @@
 
 Only ratios of local factors at a shared place are ever formed, so the
 residue exponent common to both types and the global normalization cancel;
-what remains is q^((dim1-dim2)/2) * order2(q) / order1(q).  Half powers of
-q are tracked formally per place and fold into the rational part in pairs.
+what remains is q^((dim1-dim2)/2) * order2(q) / order1(q).  The exponent
+is a whole number, so every ratio is an exact rational.
 """
 
 from __future__ import annotations
@@ -11,76 +11,41 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .diagram import ParahoricTypeSpec
-from .errors import InvalidResidueError
-from .reductive import prime_power_base, quotient_descriptor
+from .reductive import quotient_descriptor
 
 
 class HalfPowerRational:
-    """Exact rational times a formal sqrt(q) for finitely many places."""
+    """An exact rational; no ratio carries a sqrt(q), so the v1 `half_exponents` is {}."""
 
-    __slots__ = ("rational", "half")
+    __slots__ = ("rational",)
 
-    def __init__(self, rational, half=()):
+    def __init__(self, rational):
         self.rational = Fraction(rational)
-        self.half = tuple(sorted(half))  # entries (place_id, q), one sqrt(q) each
-        assert len({p for p, _ in self.half}) == len(self.half)
-
-    @classmethod
-    def from_parts(cls, rational, exponents):
-        """Build from a rational and per-place exponents {place: (q, e)} of sqrt(q)^e."""
-        r = Fraction(rational)
-        half = []
-        for pid, (q, e) in exponents.items():
-            whole, rem = divmod(e, 2)
-            r *= Fraction(q) ** whole
-            if rem:
-                half.append((pid, q))
-        return cls(r, half)
 
     def __mul__(self, other):
-        if not isinstance(other, HalfPowerRational):
-            other = HalfPowerRational(other)
-        r = self.rational * other.rational
-        acc = dict(self.half)
-        for pid, q in other.half:
-            if pid in acc:
-                assert acc[pid] == q, "inconsistent residue size at a place"
-                del acc[pid]
-                r *= q  # sqrt(q) * sqrt(q)
-            else:
-                acc[pid] = q
-        return HalfPowerRational(r, acc.items())
+        return HalfPowerRational(self.rational * other.rational)
 
     def inverse(self):
-        r = 1 / self.rational
-        for _, q in self.half:
-            r /= q  # 1/sqrt(q) = sqrt(q)/q
-        return HalfPowerRational(r, self.half)
+        return HalfPowerRational(1 / self.rational)
 
     @property
     def is_one(self):
-        return self.rational == 1 and not self.half
+        return self.rational == 1
 
     def __eq__(self, other):
         if isinstance(other, HalfPowerRational):
-            return self.rational == other.rational and self.half == other.half
+            return self.rational == other.rational
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.rational, self.half))
+        return hash(self.rational)
 
     def __repr__(self):
-        if not self.half:
-            return f"HalfPowerRational({self.rational})"
-        tail = " * ".join(f"sqrt({q})@{pid}" for pid, q in self.half)
-        return f"HalfPowerRational({self.rational} * {tail})"
+        return f"HalfPowerRational({self.rational})"
 
     def to_json(self):
-        return {
-            "num": self.rational.numerator,
-            "den": self.rational.denominator,
-            "half_exponents": {str(pid): 1 for pid, _ in self.half},
-        }
+        r = self.rational
+        return {"num": r.numerator, "den": r.denominator, "half_exponents": {}}
 
 
 ONE = HalfPowerRational(1)
@@ -94,16 +59,16 @@ def conjugate_types(d, t1, t2):
 
 
 def factor_ratio(d, t1, t2, place):
-    """Exact ratio of the local volume factors of t1 and t2 at the place."""
+    """Exact ratio of the local volume factors of t1 and t2 at the place.
+
+    Each dim is the relative rank plus twice a root count: the power of q is whole.
+    """
     q = place.q
-    if prime_power_base(q) is None:
-        raise InvalidResidueError(f"invalid residue size at place {place.id}: {q}")
     f1 = quotient_descriptor(d, t1)
     f2 = quotient_descriptor(d, t2)
-    return HalfPowerRational.from_parts(
-        Fraction(f2.order(q), f1.order(q)),
-        {place.id: (q, f1.dim - f2.dim)},
-    )
+    assert (f1.dim - f2.dim) % 2 == 0
+    return HalfPowerRational(
+        Fraction(f2.order(q), f1.order(q)) * Fraction(q) ** ((f1.dim - f2.dim) // 2))
 
 
 def orbit_representatives(d):

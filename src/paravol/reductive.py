@@ -11,7 +11,6 @@ from functools import lru_cache
 
 from . import diagram as dg
 from . import roots
-from .errors import InvalidResidueError
 
 
 class OrderPolynomial:
@@ -126,17 +125,6 @@ def quotient_descriptor(d, t):
     return ReductiveQuotientDescriptor(components, torus_rank, dim, order)
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
-            return False
-        k += 1
-    return True
-
-
 def prime_power_base(q):
     """The prime p with q = p^k, or None if q is not a prime power."""
     if q < 2:
@@ -152,8 +140,5 @@ def prime_power_base(q):
     return q  # q itself prime
 
 
-def evaluate_order(poly, q):
-    """Exact order at a prime power residue size."""
-    if prime_power_base(q) is None:
-        raise InvalidResidueError(f"invalid residue size: {q} is not a prime power")
-    return poly(q)
+def is_prime(n):
+    return n >= 2 and prime_power_base(n) == n

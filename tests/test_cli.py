@@ -72,7 +72,8 @@ def test_pairs_empty_warns_but_succeeds(capsys):
 
 def test_pairs_bad_q_exits_1(capsys):
     code, _, err = invoke(capsys, "pairs", "split:B3", "--q", "6")
-    assert code == 1 and "invalid residue size" in err
+    assert code == 1
+    assert err == "error: invalid residue size: 6 is not a prime power\n"
 
 
 def test_ratio_command(tmp_path, capsys):
@@ -177,6 +178,24 @@ def test_family_bad_residue_names_place(tmp_path, capsys):
         family_places=["v3"]))
     code, _, err = invoke(capsys, "family", "--input", req)
     assert code == 1 and "v6" in err
+
+
+def test_family_pairs_must_name_family_places(tmp_path, capsys):
+    places = [{"id": "v2", "q": 2, "p": 2}, {"id": "v3", "q": 3, "p": 3},
+              {"id": "x5", "q": 5, "p": 5}]
+    ok = write_json(tmp_path / "ok.json", family_request(
+        places=places, pairs={"v2": [[0], [2]]}))
+    assert invoke(capsys, "family", "--input", ok)[0] == 0
+    for pid in ("zz", "x5"):
+        req = write_json(tmp_path / f"{pid}.json", family_request(
+            places=places, pairs={pid: [[0], [2]]}))
+        code, out, err = invoke(capsys, "family", "--input", req)
+        assert (code, out) == (1, "") and pid in err
+    swap = write_json(tmp_path / "swap.json", family_request(
+        places=[{"id": "u1", "q": 7, "p": 7}, {"id": "u2", "q": 7, "p": 7}],
+        family_places=["u1", "u2"], pairs={"u1": [[0], [2]]}, fallback_swap=True))
+    code, out, err = invoke(capsys, "family", "--input", swap)
+    assert (code, out) == (1, "") and "u1" in err and "fallback swap" in err
 
 
 def test_tampered_certificate_exits_1(tmp_path, capsys):

@@ -49,14 +49,16 @@ def test_place_validation():
     d = build_local_index("split:A1")
     Place("ok", 8, 2, d)
     Place("ok9", 9, 3, d)
-    with pytest.raises(InvalidResidueError, match="bad6"):
-        Place("bad6", 6, 2, d)
-    with pytest.raises(InvalidResidueError, match="bad1"):
-        Place("bad1", 1, 2, d)
-    with pytest.raises(InvalidResidueError, match="wrongp"):
-        Place("wrongp", 8, 3, d)
-    with pytest.raises(InvalidResidueError, match="notprime"):
-        Place("notprime", 16, 4, d)
+    for pid, q, p, message in (
+        ("bad6", 6, 2, "6 is not a prime power"),
+        ("bad1", 1, 2, "1 is not a prime power"),
+        ("wrongp", 8, 3, "8 is not a power of 3"),
+        ("notprime", 16, 4, "16 is not a power of 4"),
+        ("notprime1", 1, 1, "1 is not a prime power"),
+    ):
+        with pytest.raises(InvalidResidueError) as info:
+            Place(pid, q, p, d)
+        assert str(info.value) == f"invalid residue size at place {pid}: {message}"
 
 
 def test_make_collection_defaults_and_overrides():

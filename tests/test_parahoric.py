@@ -1,12 +1,15 @@
-"""Half-power arithmetic, conjugacy of types, symbolic equal-volume search."""
+"""Exact ratio arithmetic, conjugacy of types, symbolic equal-volume search."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_golden import LABELS
 
 from paravol.diagram import build_local_index
-from paravol.errors import ImproperTypeError, InvalidResidueError
+from paravol.errors import ImproperTypeError
 from paravol.parahoric import (
     ONE,
     HalfPowerRational,
@@ -23,35 +26,42 @@ def place(pid, q, p, d):
 
 
 def test_half_power_folding():
-    x = HalfPowerRational.from_parts(1, {"v": (2, 4)})
-    assert x == HalfPowerRational(4)  # sqrt(2)^4 = 4
-    y = HalfPowerRational.from_parts(1, {"v": (2, 3)})
-    assert y.rational == 2 and y.half == (("v", 2),)
-    z = HalfPowerRational.from_parts(1, {"v": (2, -1)})
-    assert z.rational == Fraction(1, 2) and z.half == (("v", 2),)
-    assert HalfPowerRational.from_parts(5, {"v": (3, 0)}) == HalfPowerRational(5)
+    # the whole power q^((dim1-dim2)/2) folds into the rational
+    a1 = build_local_index("split:A1")
+    for q, p in ((2, 2), (4, 2), (7, 7)):
+        v = place("v", q, p, a1)
+        # q^((1-3)/2) (q^3-q)/(q-1) = q+1
+        assert factor_ratio(a1, (), (0,), v) == HalfPowerRational(q + 1)
+        assert factor_ratio(a1, (0,), (), v) == HalfPowerRational(Fraction(1, q + 1))
+    b3 = build_local_index("split:B3")
+    # q^((5-11)/2) * 720 / 6 at q=2
+    assert factor_ratio(b3, (0,), (2, 3), place("v", 2, 2, b3)) == HalfPowerRational(15)
 
 
 def test_half_power_multiplication_cancels_in_pairs():
-    a = HalfPowerRational.from_parts(1, {"v": (3, 1)})
-    assert (a * a) == HalfPowerRational(3)
-    b = HalfPowerRational.from_parts(Fraction(1, 2), {"w": (2, 1)})
+    a = HalfPowerRational(Fraction(3, 2))
+    assert a * a == HalfPowerRational(Fraction(9, 4))
+    assert a * a.inverse() == ONE
+    b = HalfPowerRational(Fraction(1, 2))
     ab = a * b
-    assert ab.rational == Fraction(1, 2)
-    assert ab.half == (("v", 3), ("w", 2))
+    assert ab.rational == Fraction(3, 4)
     assert not ab.is_one
+    assert HalfPowerRational(Fraction(2, 4)) == b
+    assert hash(HalfPowerRational(Fraction(2, 4))) == hash(b)
 
 
 def test_half_power_inverse():
-    for parts in ({}, {"v": (2, 1)}, {"v": (5, 3), "w": (2, 1)}):
-        x = HalfPowerRational.from_parts(Fraction(7, 9), parts)
+    for value in (1, 5, Fraction(7, 9), Fraction(1, 1024)):
+        x = HalfPowerRational(value)
         assert (x * x.inverse()).is_one
+        assert x.inverse().rational == 1 / Fraction(value)
     assert ONE.is_one
 
 
 def test_half_power_json():
-    x = HalfPowerRational.from_parts(Fraction(7, 3), {"v": (2, 1)})
-    assert x.to_json() == {"num": 7, "den": 3, "half_exponents": {"v": 1}}
+    x = HalfPowerRational(Fraction(7, 3))
+    assert x.to_json() == {"num": 7, "den": 3, "half_exponents": {}}
+    assert repr(x) == "HalfPowerRational(7/3)"
     assert ONE.to_json() == {"num": 1, "den": 1, "half_exponents": {}}
 
 
@@ -108,15 +118,35 @@ def test_factor_ratio_cocycle_at_one_place():
                 assert chained == factor_ratio(b3, t1, t3, v)
 
 
-def test_factor_ratio_rejects_bad_residue():
-    a2 = build_local_index("split:A2")
+SMALL_LABELS = [label for label in LABELS if build_local_index(label).relative_rank <= 6]
 
-    class FakePlace:
-        id = "bad"
-        q = 6
 
-    with pytest.raises(InvalidResidueError):
-        factor_ratio(a2, (0,), (1,), FakePlace())
+@st.composite
+def place_and_types(draw, count):
+    """A place of a random label of rank at most 6, and `count` proper types there."""
+    label = draw(st.sampled_from(SMALL_LABELS))
+    d = build_local_index(label)
+    p = draw(st.sampled_from((2, 3, 5, 7, 101)))
+    q = p ** draw(st.integers(1, 4))
+    types = d.proper_types()
+    return place("v", q, p, d), [draw(st.sampled_from(types)) for _ in range(count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(place_and_types(3))
+def test_factor_ratio_cocycle_law(drawn):
+    v, (a, b, c) = drawn
+    d = v.local_index
+    assert factor_ratio(d, a, b, v) * factor_ratio(d, b, c, v) == factor_ratio(d, a, c, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(place_and_types(2))
+def test_factor_ratio_inverse_law(drawn):
+    v, (a, b) = drawn
+    x = factor_ratio(v.local_index, a, b, v)
+    assert (x * x.inverse()).is_one
+    assert x.inverse() == factor_ratio(v.local_index, b, a, v)
 
 
 def test_find_pairs_a4_empty_a5_contains_spec_pair():

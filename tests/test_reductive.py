@@ -1,12 +1,13 @@
 """Order polynomials and reductive quotient descriptors."""
 
 import pytest
+from test_golden import LABELS
 
 from paravol.diagram import FiniteTypeLabel, build_local_index
-from paravol.errors import ImproperTypeError, InvalidResidueError
+from paravol.errors import ImproperTypeError
 from paravol.reductive import (
     OrderPolynomial,
-    evaluate_order,
+    is_prime,
     label_dimension,
     order_polynomial,
     prime_power_base,
@@ -169,12 +170,19 @@ def test_prime_power_base():
     assert prime_power_base(1024) == 2
     for bad in (0, 1, 6, 12, 100):
         assert prime_power_base(bad) is None
+    sieve = [False, False] + [True] * 1998
+    for n in range(2, 2000):
+        if sieve[n]:
+            for m in range(n * n, 2000, n):
+                sieve[m] = False
+    assert [n for n in range(2000) if is_prime(n)] == [
+        n for n in range(2000) if sieve[n]]
 
 
-def test_evaluate_order_checks_residue():
-    poly = order_polynomial(FiniteTypeLabel("A", 1))
-    assert evaluate_order(poly, 5) == 120
-    with pytest.raises(InvalidResidueError):
-        evaluate_order(poly, 6)
-    with pytest.raises(InvalidResidueError):
-        evaluate_order(poly, 1)
+@pytest.mark.parametrize("label", LABELS)
+def test_quotient_dim_minus_relative_rank_is_even(label):
+    # dim = relative rank + 2 * |positive roots|, so no local factor ratio
+    # carries an odd power of sqrt(q)
+    d = build_local_index(label)
+    for t in d.proper_types():
+        assert (quotient_descriptor(d, t).dim - d.relative_rank) % 2 == 0
