@@ -53,13 +53,18 @@ def _input_int(text):
     return int(text)
 
 
+def _input_float(text):
+    raise SchemaError(f"number {text} is not an integer")  # no schema has a float
+
+
 def _load_json(path):
     if not os.path.exists(path):
         raise SchemaError(f"no such file: {path}")
     with open(path) as fh:
         text = fh.read()
     try:
-        return json.loads(text, parse_int=_input_int)
+        return json.loads(text, parse_int=_input_int, parse_float=_input_float,
+                          parse_constant=_input_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
@@ -189,6 +194,29 @@ def cmd_family(args):
     return 0
 
 
+def _holds_bool(value):
+    """Whether a decoded JSON value is or contains true or false."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if type(value) is list:
+            stack.extend(value)
+        elif type(value) is dict:
+            stack.extend(value.values())
+        elif type(value) is bool:
+            return True
+    return False
+
+
+def _differs(expected, found):
+    """Whether decoded JSON found differs from expected, which holds no bools.
+
+    Python's == takes true for 1 and false for 0; floats are refused when
+    the input is parsed, so a bool is the only alias it lets through.
+    """
+    return expected != found or _holds_bool(found)
+
+
 def _first_difference(expected, found, path):
     """Path of the first entry where found differs from expected; they differ.
 
@@ -197,14 +225,14 @@ def _first_difference(expected, found, path):
     """
     if isinstance(expected, list) and isinstance(found, list):
         for k, (e, f) in enumerate(zip(expected, found)):
-            if e != f:
+            if _differs(e, f):
                 return _first_difference(e, f, f"{path}[{k}]")
         return f"{path}[{min(len(expected), len(found))}]"
     if isinstance(expected, dict) and isinstance(found, dict):
         for key in list(expected) + [k for k in found if k not in expected]:
             if key not in expected or key not in found:
                 return f"{path}.{key}"
-            if expected[key] != found[key]:
+            if _differs(expected[key], found[key]):
                 return _first_difference(expected[key], found[key], f"{path}.{key}")
     return path
 
@@ -224,7 +252,7 @@ def cmd_certify(args):
         _get(data, key, "certificate", list)
     recomputed = certify_family(members).to_json()
     for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
-        if recomputed[key] != data[key]:
+        if _differs(recomputed[key], data[key]):
             entry = _first_difference(recomputed[key], data[key], key)
             raise CertificateError(f"certificate mismatch: {entry} does not match recomputation")
     result = {

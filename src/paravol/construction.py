@@ -6,16 +6,13 @@ points.  Covolumes are only ever compared between collections over the same
 places, where the comparison is the exact product of local factor ratios,
 optionally times indices of torsion-free congruence refinements.
 
-Certifying N members over m places does O(N*m) local work.  Covolume
-ratios form a cocycle, covol(a)/covol(b) = (covol(a)/covol(c)) *
-(covol(c)/covol(b)), and ratios are exact rationals, so the ratio of
-members i and j is c_i * c_j^-1 with c_i the ratio of member i to member 0:
-N ratio evaluations, then at most N^2 products, of which an equal-covolume
-family needs none.  A witness pair of types is tested for conjugacy once
-per place, however many member pairs it separates.  `certify` on the
-command line still rebuilds the whole certificate from the members and
-compares it entry by entry, because nothing in a certificate file is
-trusted.
+Certifying N members over m places does O(N*m) local work.  Equal
+covolume is transitive, so a family needs only each member's covolume to
+equal member 0's: N-1 exact ratio evaluations, after which every pairwise
+ratio is one.  A witness pair of types is tested for conjugacy once per place,
+however many member pairs it separates.  `certify` on the command line
+still rebuilds the whole certificate from the members and compares it
+entry by entry, because nothing in a certificate file is trusted.
 """
 
 from __future__ import annotations
@@ -143,11 +140,6 @@ def refinement_index(place, t):
 
 def apply_torsionfree_refinement(coll, pid1, pid2):
     """Refine at two places of distinct residue characteristic."""
-    p1 = coll.place(pid1).p
-    p2 = coll.place(pid2).p
-    if pid1 == pid2 or p1 == p2:
-        raise EqualCharacteristicError(
-            f"equal residue characteristic: {pid1} and {pid2} share p={p1}")
     for pid in (pid1, pid2):
         if pid in coll.refinements:
             raise DomainError(f"place {pid} already refined")
@@ -250,29 +242,22 @@ def _unequal_covolume(i, j, a, b, ratio):
 def certify_family(members):
     """Check equal covolume and pairwise non-conjugacy; raise on failure.
 
-    Each member's covolume c_i relative to member 0 is computed once, and
-    the matrix entry for members i and j is c_i * c_j^-1 (one when c_i ==
-    c_j), which by the cocycle law equals `relative_covolume` of the pair
-    exactly.  A failure names the first pair i < j in row-major order,
-    which is always (0, j).  The witness for a pair is the first place where
-    the two types differ and are not conjugate; conjugacy is decided once
-    per place and ordered type pair.
+    The ratio of member 0 to every other member is computed before any is
+    tested, so an incomparable member is reported ahead of an unequal
+    covolume.  A failure names members 0 and j for the first j whose ratio
+    is not one; on success every matrix entry is one.  The
+    witness for a pair is the first place where the two types differ and
+    are not conjugate; conjugacy is decided once per place and ordered type
+    pair.
     """
     members = tuple(members)
     if len(members) < 2:
         raise CertificateError("a family needs at least two members")
-    for m in members[1:]:
-        _check_comparable(members[0], m)
-    to_first = [relative_covolume(m, members[0]) for m in members]
-    from_first = [c.inverse() for c in to_first]
-    # Equal values have ratio exactly one, so most products of a family are skipped.
-    ratios = tuple(
-        tuple(ONE if ci == cj else ci * inv for cj, inv in zip(to_first, from_first))
-        for ci in to_first)
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if not ratios[i][j].is_one:
-                raise _unequal_covolume(i, j, members[i], members[j], ratios[i][j])
+    row = [relative_covolume(members[0], m) for m in members[1:]]
+    for j, ratio in enumerate(row, 1):
+        if not ratio.is_one:
+            raise _unequal_covolume(0, j, members[0], members[j], ratio)
+    ratios = ((ONE,) * len(members),) * len(members)
     conjugate = {}  # (place id, t_i, t_j) -> conjugate_types
     witnesses = []
     for i in range(len(members)):
@@ -303,8 +288,10 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
     diagram there.  With fallback_swap the family places are taken in
     consecutive twos with equal residue size and members swap a fixed
     non-conjugate type pair across each two, so pairs may not be given;
-    ratios still cancel exactly.  refine names two extra places for an
-    identical torsion-free refinement of every member.
+    ratios still cancel exactly.  refine names exactly two extra places for
+    an identical torsion-free refinement of every member.  One base
+    collection is validated; each member is the base with the family
+    places retyped.
     """
     from .parahoric import find_equal_volume_pairs
 
@@ -316,6 +303,8 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
     if len(set(family_ids)) != len(family_ids):
         raise DomainError("duplicate family place ids")
     if refine:
+        if len(refine) != 2:
+            raise DomainError(f"refine must name exactly two places, got {len(refine)}")
         for pid in refine:
             if pid not in by_id:
                 raise UnknownPlaceError(f"unknown place id: {pid}")
@@ -330,7 +319,7 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
         if fallback_swap:
             raise DomainError(f"pairs names place {pid}, but the fallback swap fixes its types")
 
-    variations = []  # (place ids, list of override-dicts), one factor of choices
+    variations = []  # per factor of choices, its two {place id: type} dicts
     if fallback_swap:
         if len(family_ids) < 2:
             raise DomainError("fallback swap needs at least two family places")
@@ -340,7 +329,7 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
                 raise DomainError(
                     f"fallback swap needs equal residue sizes, got {pa.q} at {a} and {pb.q} at {b}")
             t1, t2 = IWAHORI, pa.local_index.default_type()
-            variations.append(((a, b), [{a: t1, b: t2}, {a: t2, b: t1}]))
+            variations.append([{a: t1, b: t2}, {a: t2, b: t1}])
     else:
         for pid in family_ids:
             pl = by_id[pid]
@@ -354,17 +343,16 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
                         f"no equal-volume pair of non-conjugate types at place {pid} "
                         f"({pl.local_index.group.label}); try the two-place swap fallback")
                 t1, t2 = found[0]
-            variations.append(((pid,), [{pid: t1}, {pid: t2}]))
+            variations.append([{pid: t1}, {pid: t2}])
 
+    base = make_collection(group, places, refinements=refine)
     members = []
     for bits in range(2 ** len(variations)):
-        overrides = {}
-        for k, (_, choices) in enumerate(variations):
-            overrides.update(choices[bits >> k & 1])
-        member = make_collection(group, places, overrides)
-        if refine:
-            member = apply_torsionfree_refinement(member, refine[0], refine[1])
-        members.append(member)
+        types = list(base.types)
+        for k, choices in enumerate(variations):
+            for pid, t in choices[bits >> k & 1].items():
+                types[base.index_of(pid)] = t
+        members.append(replace(base, types=tuple(types)))
     return members
 
 

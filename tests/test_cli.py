@@ -1,10 +1,16 @@
 """End-to-end command line behavior: outputs, exit codes, determinism."""
 
+import functools
+import io
 import json
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paravol.cli import run
 
@@ -234,13 +240,24 @@ def _drop_witness_type(cert):
     del cert["witnesses"][0]["t2"]
 
 
+def _ratio_num_true(cert):
+    cert["ratios"][0][1]["num"] = True  # == 1 in Python, not in JSON
+
+
+def _witness_pair_bools(cert):
+    cert["witnesses"][0]["pair"] = [False, True]
+
+
 @pytest.mark.parametrize("tamper, entry", [
     (_set_ratio_num, "ratios[3][7].num"),
     (_set_witness_place, "witnesses[12].place"),
     (_set_citation, "citations[2]"),
     (_repeat_type_vertex, "members[5].assignment.v3[1]"),
     (_drop_witness_type, "witnesses[0].t2"),
-], ids=["ratio", "witness-place", "citation", "member-type", "witness-key"])
+    (_ratio_num_true, "ratios[0][1].num"),
+    (_witness_pair_bools, "witnesses[0].pair[0]"),
+], ids=["ratio", "witness-place", "citation", "member-type", "witness-key",
+        "ratio-true", "witness-bools"])
 def test_certify_names_the_first_tampered_entry(tmp_path, capsys, tamper, entry):
     places = [{"id": "v2", "q": 2, "p": 2}, {"id": "v3", "q": 3, "p": 3},
               {"id": "v5", "q": 5, "p": 5}]
@@ -254,6 +271,84 @@ def test_certify_names_the_first_tampered_entry(tmp_path, capsys, tamper, entry)
                             write_json(tmp_path / "bad.json", cert))
     assert code == 1 and out == ""
     assert f"certificate mismatch: {entry} does not match" in err
+
+
+def test_certify_refuses_a_json_float(tmp_path, capsys):
+    req = write_json(tmp_path / "req.json", family_request())
+    code, out, _ = invoke(capsys, "family", "--input", req)
+    assert code == 0
+    cert = json.loads(out)
+    cert["ratios"][2][3]["den"] = 1.0  # == 1 in Python, but no entry is a float
+    code, out, err = invoke(capsys, "certify", "--input",
+                            write_json(tmp_path / "bad.json", cert))
+    assert (code, out) == (2, "") and "number 1.0 is not an integer" in err
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@functools.lru_cache(maxsize=None)
+def refined_certificate(family_qs):
+    """The certificate text of a split:B3 family refined at w4 and w9."""
+    places = [{"id": f"v{q}", "q": q, "p": q} for q in family_qs]
+    places += [{"id": "w4", "q": 4, "p": 2}, {"id": "w9", "q": 9, "p": 3}]
+    with tempfile.TemporaryDirectory() as tmp:
+        req = write_json(Path(tmp) / "req.json", family_request(
+            places=places, family_places=[pl["id"] for pl in places[:-2]],
+            refine=["w4", "w9"]))
+        code, out, _ = run_quietly(["family", "--input", req])
+    assert code == 0
+    return out
+
+
+def leaves(value, path):
+    """(path, value) of every scalar, empty list and empty object in value."""
+    if isinstance(value, (list, dict)) and value:
+        items = enumerate(value) if isinstance(value, list) else value.items()
+        for key, item in items:
+            yield from leaves(item, path + [key])
+    else:
+        yield path, value
+
+
+def path_text(path):
+    return path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path[1:])
+
+
+@st.composite
+def single_field_tampers(draw):
+    # Members, places and group are left out: a change there can yield
+    # another valid certificate, such as q 5 -> 25 at a family place or a
+    # conjugate of the default type at a non-family place.
+    cert = json.loads(refined_certificate(draw(st.sampled_from(((2, 3), (2, 3, 5))))))
+    section = draw(st.sampled_from(("ratios", "witnesses", "citations")))
+    path, old = draw(st.sampled_from(list(leaves(cert[section], [section]))))
+    new = draw(st.one_of(st.integers(), st.booleans(), st.floats(), st.text(max_size=4))
+               .filter(lambda v: json.dumps(v) != json.dumps(old)))
+    parent = cert
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return cert, path, new
+
+
+@settings(max_examples=40, deadline=None)
+@given(single_field_tampers())
+def test_certify_rejects_any_single_field_tamper(tampered):
+    cert, path, new = tampered
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = run_quietly(
+            ["certify", "--input", write_json(Path(tmp) / "bad.json", cert)])
+    assert out == ""
+    if isinstance(new, float):  # no schema has a float
+        assert code == 2 and "is not an integer" in err
+    else:
+        assert code == 1
+        assert err == f"error: certificate mismatch: {path_text(path)} does not match recomputation\n"
 
 
 def test_schema_errors_exit_2(tmp_path, capsys):

@@ -182,6 +182,13 @@ def test_build_family_errors():
         build_family(g3, places3, ["v0"], refine=("v0", "v1"))
 
 
+def test_build_family_refine_names_exactly_two_places():
+    g, d, places = setup_group("split:B3", 2, 3, 5, 7)
+    for refine in (("v1",), ("v1", "v2", "v3")):
+        with pytest.raises(DomainError, match="exactly two places"):
+            build_family(g, places, ["v0"], refine=refine)
+
+
 def test_build_family_swap_fallback():
     g, d, places = setup_group("split:A4", 7, 7, 11, 11)
     members = build_family(g, places, ["v0", "v1", "v2", "v3"], fallback_swap=True)
@@ -359,8 +366,20 @@ def test_digit_count_without_string_conversion():
 def test_certify_family_local_work_is_linear(monkeypatch):
     g, _, places = setup_group("split:B3", 2, 3, 5, 7, 11, 13, 4, 9)
     family = [f"v{k}" for k in range(6)]
+    built = Counter()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("make_collection", "apply_torsionfree_refinement"):
+        monkeypatch.setattr(construction, name, counted(name, getattr(construction, name)))
     members = build_family(g, places, family, refine=("v6", "v7"))
     assert len(members) == 64
+    # one validated base collection; members differ from it only in type
+    assert built == {"make_collection": 1}
     relative_calls = []
     conjugate_calls = []
 
@@ -376,7 +395,7 @@ def test_certify_family_local_work_is_linear(monkeypatch):
     monkeypatch.setattr(construction, "conjugate_types", counted_conjugate)
     cert = certify_family(members)
     assert len(cert.witnesses) == 64 * 63 // 2
-    assert len(relative_calls) == 64
+    assert len(relative_calls) == 63  # member 0 against each other member
     # at most one call per distinct (place, t_i, t_j) across all member pairs
     keys = {
         (pl.id, ti, tj)
