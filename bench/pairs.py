@@ -1,0 +1,93 @@
+"""Record the wall time and output size of `paravol pairs` per group label.
+
+For each label the script times `python -m paravol pairs <label> --q 1009`
+as a separate process, so each time includes interpreter start-up and
+import, as a user of the command pays it.  Each time is the median of 3
+runs; the size of the JSON output is recorded too.  The default labels
+are those of perfbench's pairs_sweep workload.
+
+    python3 bench/pairs.py --output bench/BENCH_6.json
+    python3 bench/pairs.py --output bench/BENCH_6.json --baseline-src OTHER/src
+    python3 bench/pairs.py --labels split:G2,twisted:C-B2 --output pairs.json
+
+The first times this tree (column "head").  The second also times the tree
+whose source directory is OTHER/src (column "baseline").  The two trees are
+run alternately, run by run, so a drift in host speed hits both columns
+alike.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+from pathlib import Path
+
+from scale import RUNS, SRC, timed
+
+LABELS = ("split:E8", "split:E7", "split:E6", "split:F4", "split:G2",
+          "split:A11", "split:B8", "split:C10", "split:D10",
+          "twisted:C-BC1", "twisted:C-B2")
+Q = 1009
+
+
+def measure(label, trees, workdir):
+    samples = {name: [] for name in trees}
+    sizes = {}
+    for _ in range(RUNS):
+        for name, src in trees.items():
+            output = workdir / f"pairs-{name}.json"
+            samples[name].append(timed(src, [
+                "pairs", label, "--q", str(Q), "--output", str(output)]))
+            sizes[name] = output.stat().st_size
+    return {
+        "label": label,
+        "columns": {
+            name: {
+                "pairs_s": round(statistics.median(samples[name]), 3),
+                "output_bytes": sizes[name],
+            }
+            for name in trees
+        },
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--labels", default=",".join(LABELS),
+                        help="comma-separated group labels (default: the pairs_sweep labels)")
+    parser.add_argument("--baseline-src", type=Path,
+                        help="source directory of another tree, timed as column 'baseline'")
+    parser.add_argument("--output", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    trees = {"head": SRC}
+    if args.baseline_src is not None:
+        trees["baseline"] = args.baseline_src.resolve()
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for label in args.labels.split(","):
+            row = measure(label, trees, Path(tmp))
+            print(json.dumps(row), file=sys.stderr)
+            rows.append(row)
+    record = {
+        "command": f"paravol pairs <label> --q {Q}",
+        "runs": RUNS,
+        "statistic": "median wall seconds per process, start-up included",
+        "host": {
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+        },
+        "rows": rows,
+    }
+    args.output.write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -46,8 +46,11 @@ class GroupSpec:
         """Parse 'split:B3' or 'twisted:C-BC1'."""
         form, _, name = text.partition(":")
         if form == "split":
-            if len(name) >= 2 and name[0] in roots.RANK_BOUNDS and name[1:].isdigit():
-                return cls("split", name[0], int(name[1:]))
+            # str.isdigit also accepts digits int() refuses (superscripts) or
+            # reads as ASCII ones (Arabic-Indic), so only ASCII digits pass
+            rank = name[1:]
+            if name[:1] in roots.RANK_BOUNDS and rank.isascii() and rank.isdigit():
+                return cls("split", name[0], int(rank))
             raise UnsupportedTypeError(f"unsupported type: {text!r}")
         if form == "twisted":
             data = twisted.TWISTED_INDICES.get(name)
@@ -182,7 +185,13 @@ class LocalIndex:
         return sorted(out, key=lambda t: t.vertices)
 
     def default_type(self):
-        """Hyperspecial vertex {0} if split, else smallest maximal type."""
+        """Type {0} if split, else the smallest maximal type.
+
+        The split default holds the affine vertex alone, so its quotient is
+        A1 times a torus of rank n - 1 (dim 5 for split:B3).  It is not the
+        hyperspecial type, which omits vertex 0: {1, ..., n}, of quotient
+        the whole finite group (dim 21 for split:B3).
+        """
         if self.group.form == "split":
             return ParahoricTypeSpec((0,))
         maximal = [t for t in self.proper_types() if len(t) == len(self.vertices) - 1]

@@ -105,9 +105,20 @@ def find_equal_volume_pairs(d):
 
 
 def pairs_to_json(d, pairs, q=None):
+    """The `pairs` command's payload: each pair with t1's dim and order.
+
+    Both types of a pair share one volume factor, and many pairs share t1,
+    so the descriptor is looked up once per distinct t1 and the order is
+    evaluated at q once per distinct polynomial, in dicts that live for
+    this call only.
+    """
     out = {"diagram": d.group.label, "pairs": []}
+    descriptors = {}
+    values = {}
     for t1, t2 in pairs:
-        desc = quotient_descriptor(d, t1)
+        if t1 not in descriptors:
+            descriptors[t1] = quotient_descriptor(d, t1)
+        desc = descriptors[t1]
         entry = {
             "t1": list(t1.vertices),
             "t2": list(t2.vertices),
@@ -115,7 +126,9 @@ def pairs_to_json(d, pairs, q=None):
             "order_coeffs": desc.order.to_json(),
         }
         if q is not None:
-            entry["order_at_q"] = desc.order(q)
+            if desc.order not in values:
+                values[desc.order] = desc.order(q)
+            entry["order_at_q"] = values[desc.order]
         out["pairs"].append(entry)
     if q is not None:
         out["q"] = q

@@ -113,9 +113,22 @@ Q_MINUS_ONE = OrderPolynomial.q_power_minus_one(1)
 
 
 def quotient_descriptor(d, t):
-    """Components, central torus rank, dimension and order for a type."""
+    """Components, central torus rank, dimension and order for a type.
+
+    Only the induced subdiagram is read off (d, t) on each call.  The
+    descriptor itself is memoized by its value, (components, torus_rank),
+    so each quotient's order is multiplied out once per process.  The key
+    is not (d, t): a `LocalIndex` hashes by identity and callers build a
+    new one per request, so such a memo would grow with every request,
+    while this one holds at most the finitely many quotient types of the
+    ranks in use.
+    """
     components = dg.induced_subdiagram(d, t)
-    torus_rank = d.relative_rank - sum(c.rank for c in components)
+    return _descriptor(components, d.relative_rank - sum(c.rank for c in components))
+
+
+@lru_cache(maxsize=None)
+def _descriptor(components, torus_rank):
     order = Q_MINUS_ONE ** torus_rank
     dim = torus_rank
     for c in components:

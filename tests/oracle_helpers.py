@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Nothing here touches the engine's order formulas or automorphism search;
-counts come from enumerating matrices over small fields and permutations
-over small vertex sets directly.
+Nothing here touches the engine's order formulas, subdiagram
+classification or automorphism search; counts come from enumerating
+matrices over small fields, permutations over small vertex sets and Weyl
+group elements directly.
 """
 
 import itertools
+from functools import lru_cache
 
 
 def det2(m, q):
@@ -89,3 +91,112 @@ def brute_force_decorated_autos(d):
         if ok:
             found.append(perm)
     return sorted(found)
+
+
+WEYL_CAP = 60_000
+
+
+def cartan_from_edges(d, vertices):
+    """Integer Cartan matrix A[i][j] = <alpha_i, alpha_j coroot> of the vertices.
+
+    Read off the decorated edges alone: an edge of multiplicity m with its
+    arrow on the short root s has A[long][s] = -m and A[s][long] = -1; an
+    edge without arrow has both entries -sqrt(m).
+    """
+    pos = {v: k for k, v in enumerate(vertices)}
+    A = [[2 if i == j else 0 for j in range(len(vertices))] for i in range(len(vertices))]
+    for e in d.edges:
+        if e.u not in pos or e.v not in pos:
+            continue
+        u, v = pos[e.u], pos[e.v]
+        if e.arrow is None:
+            root = {1: 1, 4: 2}[e.mult]
+            A[u][v] = A[v][u] = -root
+        else:
+            short, long_ = (u, v) if e.arrow == e.u else (v, u)
+            A[long_][short] = -e.mult
+            A[short][long_] = -1
+    return tuple(tuple(row) for row in A)
+
+
+@lru_cache(maxsize=None)
+def weyl_length_counts(cartan):
+    """Number of elements of each length in the Weyl group, or None past the cap.
+
+    Breadth first over the orbit of rho = (1, ..., 1) in fundamental weight
+    coordinates, which is free, so its points are the group's elements.  The
+    simple reflection s_i maps a weight l to l_j - l_i * A[i][j], and it
+    lengthens w exactly when l_i > 0 at l = w(rho), so the images with
+    l_i > 0 of one level make up the next.
+    """
+    n = len(cartan)
+    links = [[(j, cartan[i][j]) for j in range(n) if cartan[i][j]] for i in range(n)]
+    level = {(1,) * n}
+    counts = []
+    total = 0
+    while level:
+        counts.append(len(level))
+        total += len(level)
+        if total > WEYL_CAP:
+            return None
+        grown = set()
+        for lam in level:
+            for i in range(n):
+                if lam[i] > 0:
+                    image = list(lam)
+                    for j, a in links[i]:
+                        image[j] -= lam[i] * a
+                    grown.add(tuple(image))
+        level = grown
+    return tuple(counts)
+
+
+def _components(cartan):
+    """Vertex index lists of the connected components of a Cartan matrix.
+
+    Each is listed depth first from a vertex of least degree, so that the
+    chains of a cycle read the same matrix wherever they sit on it.
+    """
+    n = len(cartan)
+    links = [[j for j in range(n) if j != i and cartan[i][j]] for i in range(n)]
+    left = set(range(n))
+    comps = []
+    while left:
+        stack = [min(left, key=lambda i: (len(links[i]), i))]
+        comp = []
+        while stack:
+            i = stack.pop()
+            if i in left:
+                left.discard(i)
+                comp.append(i)
+                stack.extend(j for j in links[i] if j in left)
+        comps.append(comp)
+    return comps
+
+
+def parabolic_length_counts(d, t):
+    """Length counts of W_J for the type's vertex set J, or None past the cap.
+
+    W_J is the product of the Weyl groups of its connected components, and
+    length adds over the factors, so the counts are the convolution of the
+    factors' counts.  Each factor is enumerated once per process, up to
+    WEYL_CAP elements.
+    """
+    cartan = cartan_from_edges(d, t.vertices)
+    counts = [1]
+    for comp in _components(cartan):
+        block = tuple(tuple(cartan[i][j] for j in comp) for i in comp)
+        factor = weyl_length_counts(block)
+        if factor is None:
+            return None
+        product = [0] * (len(counts) + len(factor) - 1)
+        for a, x in enumerate(counts):
+            for b, y in enumerate(factor):
+                product[a + b] += x * y
+        counts = product
+    return counts
+
+
+def poincare_value(counts, q):
+    """W(q) = sum over w of q^length(w), from the counts per length."""
+    return sum(c * q ** k for k, c in enumerate(counts))

@@ -464,3 +464,17 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["realized_aut_order"] == 2
+
+
+@pytest.mark.parametrize("label", ["split:B³", "split:B²", "split:B٣"])
+def test_rank_with_non_ascii_digits_exits_1(tmp_path, capsys, label):
+    ratio = write_json(tmp_path / "r.json", {
+        "group": label,
+        "places": [{"id": "v", "q": 2, "p": 2}],
+        "collections": [{"assignment": {}}, {"assignment": {}}],
+    })
+    for argv in (["diagram", label], ["pairs", label], ["ratio", "--input", ratio]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "Traceback" not in err
+        assert err == f"error: unsupported type: {label!r}\n"

@@ -1,8 +1,22 @@
 """Brute-force oracle values, frozen, against the order polynomial formulas."""
 
-from oracle_helpers import brute_sl_count, brute_su2_over_gf4_count
+from fractions import Fraction
+from itertools import combinations
 
-from paravol.diagram import FiniteTypeLabel
+import pytest
+from oracle_helpers import (
+    brute_sl_count,
+    brute_su2_over_gf4_count,
+    cartan_from_edges,
+    parabolic_length_counts,
+    poincare_value,
+    weyl_length_counts,
+)
+from test_golden import LABELS
+
+from paravol.construction import Place
+from paravol.diagram import IWAHORI, FiniteTypeLabel, build_local_index
+from paravol.parahoric import factor_ratio
 from paravol.reductive import order_polynomial
 
 # determinant-1 matrix counts over prime fields, computed by brute_sl_count
@@ -54,3 +68,58 @@ def test_split_orders_match_known_group_orders():
         poly = order_polynomial(FiniteTypeLabel(fam, rank))
         for q, expected in values.items():
             assert poly(q) == expected
+
+
+# |W| and the number of reflections (the longest length) of finite Weyl groups
+WEYL_ORDERS = {
+    "split:A3": (24, 6),
+    "split:B3": (48, 9),
+    "split:C3": (48, 9),
+    "split:D4": (192, 12),
+    "split:G2": (12, 6),
+    "split:F4": (1152, 24),
+    "split:E6": (51840, 36),
+}
+
+
+def test_weyl_enumeration_gives_known_orders():
+    for label, (order, reflections) in WEYL_ORDERS.items():
+        d = build_local_index(label)
+        counts = weyl_length_counts(cartan_from_edges(d, d.vertices[1:]))
+        assert (sum(counts), len(counts) - 1) == (order, reflections), label
+        assert counts == counts[::-1]  # w -> w0 w reverses length
+    e7 = build_local_index("split:E7")
+    assert weyl_length_counts(cartan_from_edges(e7, e7.vertices[1:])) is None  # 2,903,040
+
+
+SPLIT_LABELS = [label for label in LABELS if label.startswith("split:")]
+SMALL_SPLIT = [label for label in SPLIT_LABELS
+               if build_local_index(label).relative_rank <= 6]
+LARGE_SPLIT = [label for label in SPLIT_LABELS if label not in SMALL_SPLIT]
+RESIDUES = ((4, 2), (7, 7))
+
+
+@pytest.mark.parametrize("label", SMALL_SPLIT)
+def test_factor_ratio_of_every_type_pair_is_a_ratio_of_weyl_poincare_values(label):
+    # Iwahori-Matsumoto: [P_J : I] = W_J(q), so the ratio of the volume
+    # factors of J1 and J2 is W_J2(q) / W_J1(q)
+    d = build_local_index(label)
+    counts = {t: parabolic_length_counts(d, t) for t in d.proper_types()}
+    for q, p in RESIDUES:
+        v = Place("v", q, p, d)
+        index = {t: Fraction(poincare_value(c, q)) for t, c in counts.items()}
+        for t1, t2 in combinations(counts, 2):
+            assert factor_ratio(d, t1, t2, v).rational == index[t2] / index[t1], (t1, t2)
+
+
+@pytest.mark.parametrize("label", LARGE_SPLIT)
+def test_factor_ratio_over_the_iwahori_is_the_weyl_poincare_value(label):
+    d = build_local_index(label)
+    types = d.proper_types()
+    counts = {t: parabolic_length_counts(d, t) for t in types}
+    counts = {t: c for t, c in counts.items() if c is not None}
+    assert len(counts) > len(types) // 2  # the cap leaves most types in
+    for q, p in RESIDUES:
+        v = Place("v", q, p, d)
+        for t, c in counts.items():
+            assert factor_ratio(d, IWAHORI, t, v).rational == poincare_value(c, q), t

@@ -193,3 +193,29 @@ def test_pairs_json_shape():
     assert first["dim"] == 5
     assert first["order_at_q"] == 6 * 1  # q(q^2-1)(q-1)^2 at q=2
     assert first["order_coeffs"][first["dim"]] == 1
+
+
+def test_pairs_compute_each_quotient_once(monkeypatch):
+    import paravol.parahoric as parahoric
+    from paravol.reductive import OrderPolynomial
+
+    d = build_local_index("split:D6")
+    pairs = find_equal_volume_pairs(d)
+    first_types = {t1 for t1, _ in pairs}
+    assert len(first_types) < len(pairs)  # 19 distinct t1 over 32 pairs
+
+    looked_up = []
+    descriptor = parahoric.quotient_descriptor
+    monkeypatch.setattr(parahoric, "quotient_descriptor",
+                        lambda d, t: looked_up.append(t) or descriptor(d, t))
+    pairs_to_json(d, pairs, q=7)
+    assert len(looked_up) == len(first_types) and set(looked_up) == first_types
+    monkeypatch.undo()
+
+    # the orders are memoized by quotient type, not by diagram object
+    products = []
+    mul = OrderPolynomial.__mul__
+    monkeypatch.setattr(OrderPolynomial, "__mul__",
+                        lambda a, b: products.append(1) or mul(a, b))
+    again = find_equal_volume_pairs(build_local_index("split:D6"))
+    assert again == pairs and products == []
