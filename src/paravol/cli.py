@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _quote
 
 from .construction import (
     FamilyCertificate,
@@ -41,32 +42,104 @@ def _write(output, text):
         sys.stdout.write(text)
 
 
+_ATOMS = {True: "true", False: "false", None: "null"}
+_INT_ONLY = frozenset((int,))
+
+
+def _encode(value):
+    """The text of `json.dumps(value, indent=2)`, byte for byte, built in one pass.
+
+    With `indent` set, the standard library encodes in pure Python, one
+    generator per container.  Here dicts and lists append fragments to one
+    list that is joined once, a list of plain ints is one join over
+    `int.__repr__`, and strings and keys go through the C
+    `encode_basestring_ascii`.  A value made of dicts with str keys,
+    lists, str, int, bool and None yields exactly the bytes of `json.dumps`;
+    any other type raises TypeError, so the output never differs.  Values
+    must be acyclic, as every payload the engine builds is.
+    """
+    parts = []
+    _encode_into(parts.append, value, "\n")
+    return "".join(parts)
+
+
+def _encode_into(append, value, newline):
+    kind = type(value)
+    if kind is str:
+        append(_quote(value))
+    elif kind is int:
+        append(int.__repr__(value))
+    elif kind is bool or value is None:
+        append(_ATOMS[value])
+    elif kind is list:
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        # type(v) is int, not isinstance: a bool in the list prints true
+        if _INT_ONLY.issuperset(map(type, value)):
+            append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            append(sep)
+            sep = "," + inner
+            _encode_into(append, item, inner)
+        append(newline + "]")
+    elif kind is dict:
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            append(sep + _quote(key) + ": ")
+            sep = "," + inner
+            _encode_into(append, item, inner)
+        append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _dump(output, obj):
-    _write(output, json.dumps(obj, indent=2) + "\n")
+    _write(output, _encode(obj) + "\n")
 
 
 # -- schema helpers ---------------------------------------------------------
-
-def _input_int(text):
-    if len(text.lstrip("-")) > MAX_INPUT_DIGITS:
-        raise SchemaError(f"integer with more than {MAX_INPUT_DIGITS} digits")
-    return int(text)
-
 
 def _input_float(text):
     raise SchemaError(f"number {text} is not an integer")  # no schema has a float
 
 
+@contextmanager
+def _int_digit_limit(n):
+    """Run with the interpreter's int-string digit limit at n (0: none), then restore it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(n)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _load_json(path):
     if not os.path.exists(path):
         raise SchemaError(f"no such file: {path}")
-    with open(path) as fh:
-        text = fh.read()
     try:
-        return json.loads(text, parse_int=_input_int, parse_float=_input_float,
-                          parse_constant=_input_float)
+        with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        # the C scanner builds each int and refuses one past the limit
+        with _int_digit_limit(MAX_INPUT_DIGITS):
+            return json.loads(text, parse_float=_input_float, parse_constant=_input_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise SchemaError(f"integer with more than {MAX_INPUT_DIGITS} digits") from exc
 
 
 def _get(obj, key, ctx, kind=None):
@@ -266,20 +339,6 @@ def cmd_certify(args):
 
 # -- entry points ------------------------------------------------------------
 
-@contextmanager
-def _unlimited_int_digits():
-    """Lift the interpreter's limit on int-string conversion, then restore it."""
-    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="paravol",
@@ -322,7 +381,7 @@ def build_parser():
 def run(argv):
     args = build_parser().parse_args(argv)
     try:
-        with _unlimited_int_digits():
+        with _int_digit_limit(0):
             return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,9 +10,10 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from paravol.cli import run
+from paravol import cli
+from paravol.cli import _encode, _int_digit_limit, run
 
 
 def invoke(capsys, *argv):
@@ -410,6 +411,42 @@ def test_input_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
     assert code == 2 and out == "" and "input error" in err and "digits" in err
 
 
+@pytest.mark.parametrize("number, code", [("9" * 4300, 1), ("-" + "9" * 4301, 2)],
+                         ids=["4300-digits-parse", "negative-4301-digits"])
+def test_input_digit_limit_boundary_restores_the_callers_limit(tmp_path, capsys,
+                                                               number, code):
+    req = write_json(tmp_path / "req.json", family_request())
+    code_family, out, _ = invoke(capsys, "family", "--input", req)
+    assert code_family == 0
+    tampered = tmp_path / "long.json"
+    tampered.write_text(out.replace('"num": 1', f'"num": {number}', 1))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        result = invoke(capsys, "certify", "--input", str(tampered))
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert result[:2] == (code, "")
+    if code == 1:  # parsed, then refused as a mismatch
+        assert "certificate mismatch: ratios[0][0].num" in result[2]
+    else:
+        assert result[2] == "input error: integer with more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("command", ["ratio", "family", "certify"])
+@pytest.mark.parametrize("data", [
+    b"\xff{}",
+    '{"group": "split:B3", "id": "\u00e9"}'.encode("latin-1"),
+], ids=["byte-ff", "latin-1"])
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, command, data):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    code, out, err = invoke(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {path}: not UTF-8 text")
+
+
 def test_certify_failure_on_a_ratio_past_the_digit_limit_exits_1(tmp_path, capsys):
     big = [{"id": "v", "q": 1000000007, "p": 1000000007},
            {"id": "w", "q": 999999937, "p": 999999937}]
@@ -478,3 +515,56 @@ def test_rank_with_non_ascii_digits_exits_1(tmp_path, capsys, label):
         assert (code, out) == (1, ""), argv
         assert "Traceback" not in err
         assert err == f"error: unsupported type: {label!r}\n"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.builds(lambda digits, sign: sign * (10 ** digits - 1),  # past 4,300 digits
+                st.integers(4300, 4310), st.sampled_from((1, -1)))
+    | st.lists(st.integers()) | st.lists(st.integers() | st.booleans() | st.none()),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=30)
+
+
+@st.composite
+def shared_lists(draw):
+    """A value in which one list object is reached at two depths."""
+    shared = draw(st.lists(json_values, max_size=3))
+    return {"a": shared, "b": [draw(json_values), {"c": shared}]}
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values | shared_lists())
+@example([[], {}, [[]], {"k": {}}, {"k": [[], {"j": []}]}])
+@example([1, True, 2, None, False])
+@example({"\u00e9\"\\\n\x00\x1f\u2028\U0001d11e": ["\"\\\t\x7f\u00ff", "\ud800"]})
+def test_encode_is_json_dumps_with_indent_2(value):
+    with _int_digit_limit(0):  # as `run` does
+        assert _encode(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1,), [1, 2.0], {1: 2}, {"k": b"x"}, [[set()]]])
+def test_encode_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _encode(value)
+
+
+def test_encode_is_json_dumps_on_command_payloads(tmp_path, monkeypatch):
+    places = [{"id": "v2", "q": 2, "p": 2}, {"id": "v3", "q": 3, "p": 3},
+              {"id": "w4", "q": 4, "p": 2}, {"id": "w9", "q": 9, "p": 3}]
+    refined = write_json(tmp_path / "req.json", family_request(
+        places=places, family_places=["v2", "v3"], refine=["w4", "w9"]))
+    payloads = []
+    monkeypatch.setattr(cli, "_dump", lambda output, obj: payloads.append(obj))
+    for argv in (["pairs", "split:A11", "--q", "1009"],
+                 ["family", "--input", refined],
+                 ["diagram", "twisted:C-B2"],
+                 ["diagram", "split:B3"]):
+        assert run_quietly(argv)[0] == 0, argv
+    pairs, certificate, _, diagram = payloads
+    assert len(pairs["pairs"]) > 100 and certificate["members"][1]["refinements"]
+    # split:B3 has edges without an arrow (null) and both kinds of vertex
+    assert any(e["arrow"] is None for e in diagram["edges"])
+    assert {v["hyperspecial"] for v in diagram["vertices"]} == {True, False}
+    for payload in payloads:
+        assert _encode(payload) == json.dumps(payload, indent=2)
