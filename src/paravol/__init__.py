@@ -11,7 +11,6 @@ from .construction import (
     CoherentCollection,
     FamilyCertificate,
     Place,
-    apply_torsionfree_refinement,
     build_family,
     certify_family,
     make_collection,

@@ -138,6 +138,8 @@ def _load_json(path):
             return json.loads(text, parse_float=_input_float, parse_constant=_input_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: JSON nested too deeply") from exc
     except ValueError as exc:
         raise SchemaError(f"integer with more than {MAX_INPUT_DIGITS} digits") from exc
 

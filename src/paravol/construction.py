@@ -29,7 +29,13 @@ from .errors import (
     InvalidResidueError,
     UnknownPlaceError,
 )
-from .parahoric import ONE, HalfPowerRational, conjugate_types, factor_ratio
+from .parahoric import (
+    ONE,
+    HalfPowerRational,
+    conjugate_types,
+    factor_ratio,
+    find_equal_volume_pairs,
+)
 from .reductive import prime_power_base, quotient_descriptor
 
 CITATIONS = (
@@ -136,16 +142,6 @@ def refinement_index(place, t):
     desc = quotient_descriptor(d, t)
     codim = d.group.dimension() - desc.dim
     return place.q ** codim * desc.order(place.q)
-
-
-def apply_torsionfree_refinement(coll, pid1, pid2):
-    """Refine at two places of distinct residue characteristic."""
-    for pid in (pid1, pid2):
-        if pid in coll.refinements:
-            raise DomainError(f"place {pid} already refined")
-    refinements = tuple(sorted(coll.refinements + (pid1, pid2)))
-    _check_refinements(coll, refinements)
-    return replace(coll, refinements=refinements)
 
 
 def _check_comparable(a, b):
@@ -293,8 +289,6 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
     collection is validated; each member is the base with the family
     places retyped.
     """
-    from .parahoric import find_equal_volume_pairs
-
     places = tuple(places)
     by_id = {pl.id: pl for pl in places}
     for pid in family_ids:

@@ -70,39 +70,30 @@ class GroupSpec:
         return roots.group_dimension(self.family, self.rank)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class FiniteTypeLabel:
-    """Isogeny-free label of a finite reductive group: family, rank, form."""
+    """Isogeny-free label of a split finite reductive group: family, rank."""
 
     family: str
     rank: int
-    form: str = "split"  # or "unitary" for the unramified quasi-split 2A_r
 
     def __post_init__(self):
         if self.family not in "ABCDEFG" or self.rank < 1:
             raise UnsupportedTypeError(f"unsupported type: {self.family}{self.rank}")
-        if self.form not in ("split", "unitary"):
-            raise UnsupportedTypeError(f"unsupported type: form {self.form!r}")
-        if self.form == "unitary" and self.family != "A":
-            raise UnsupportedTypeError("unsupported type: unitary form needs family A")
-
-    def sort_key(self):
-        return (self.family, self.rank, self.form)
 
     def __str__(self):
-        prefix = "2" if self.form == "unitary" else ""
-        return f"{prefix}{self.family}{self.rank}"
+        return f"{self.family}{self.rank}"
 
 
-def canonical_labels(family, rank, form="split"):
+def canonical_labels(family, rank):
     """Labels for one diagram component, low-rank coincidences folded in."""
     if family in ("B", "C") and rank == 1:
         family = "A"
     if family == "D" and rank == 2:
-        return (FiniteTypeLabel("A", 1, form), FiniteTypeLabel("A", 1, form))
+        return (FiniteTypeLabel("A", 1), FiniteTypeLabel("A", 1))
     if family == "D" and rank == 3:
         family, rank = "A", 3
-    return (FiniteTypeLabel(family, rank, form),)
+    return (FiniteTypeLabel(family, rank),)
 
 
 class Edge(NamedTuple):
@@ -194,8 +185,7 @@ class LocalIndex:
         """
         if self.group.form == "split":
             return ParahoricTypeSpec((0,))
-        maximal = [t for t in self.proper_types() if len(t) == len(self.vertices) - 1]
-        return min(maximal, key=lambda t: t.vertices)
+        return ParahoricTypeSpec(self.vertices[:-1])
 
     def to_json(self):
         return {
@@ -423,4 +413,4 @@ def induced_subdiagram(d, t):
         seen |= comp
         comp_edges = [e for e in edges if e.u in comp]
         labels.extend(_classify_component(comp, comp_edges))
-    return tuple(sorted(labels, key=lambda lbl: lbl.sort_key()))
+    return tuple(sorted(labels))

@@ -36,11 +36,6 @@ class OrderPolynomial:
     def q_power_minus_one(cls, d):
         return cls((-1,) + (0,) * (d - 1) + (1,))
 
-    @classmethod
-    def q_power_minus_sign(cls, i):
-        # q^i - (-1)^i, the unitary analogue of q^i - 1
-        return cls((-((-1) ** i),) + (0,) * (i - 1) + (1,))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -87,14 +82,10 @@ def order_polynomial(label):
     """Order of the finite group of Lie type with this label, as a polynomial."""
     n_pos = roots.num_positive_roots(label.family, label.rank)
     poly = OrderPolynomial.monomial(n_pos)
-    if label.form == "unitary":
-        for i in range(2, label.rank + 2):
-            poly = poly * OrderPolynomial.q_power_minus_sign(i)
-    else:
-        degrees = roots.fundamental_degrees(label.family, label.rank)
-        assert sum(d - 1 for d in degrees) == n_pos
-        for d in degrees:
-            poly = poly * OrderPolynomial.q_power_minus_one(d)
+    degrees = roots.fundamental_degrees(label.family, label.rank)
+    assert sum(d - 1 for d in degrees) == n_pos
+    for d in degrees:
+        poly = poly * OrderPolynomial.q_power_minus_one(d)
     assert poly.degree == label_dimension(label)
     return poly
 

@@ -31,45 +31,6 @@ def brute_sl_count(n, q):
     return count
 
 
-# GF(4) as pairs (c0, c1) meaning c0 + c1*w with w^2 = w + 1
-
-GF4 = [(0, 0), (1, 0), (0, 1), (1, 1)]
-GF4_ONE = (1, 0)
-
-
-def gf4_add(a, b):
-    return ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2)
-
-
-def gf4_mul(a, b):
-    c0 = a[0] * b[0] + a[1] * b[1]
-    c1 = a[0] * b[1] + a[1] * b[0] + a[1] * b[1]
-    return (c0 % 2, c1 % 2)
-
-
-def gf4_conj(a):
-    # Frobenius x -> x^2, the nontrivial automorphism over F_2
-    return ((a[0] + a[1]) % 2, a[1])
-
-
-def brute_su2_over_gf4_count():
-    """|SU_2| for the hermitian identity form on GF(4)^2 over GF(2)."""
-    count = 0
-    for a, b, c, d in itertools.product(GF4, repeat=4):
-        det = gf4_add(gf4_mul(a, d), gf4_mul(b, c))  # char 2: ad + bc
-        if det != GF4_ONE:
-            continue
-        # M* M = I for M = [[a, b], [c, d]], M* the conjugate transpose
-        ca, cb, cc, cd = gf4_conj(a), gf4_conj(b), gf4_conj(c), gf4_conj(d)
-        if (
-            gf4_add(gf4_mul(ca, a), gf4_mul(cc, c)) == GF4_ONE
-            and gf4_add(gf4_mul(ca, b), gf4_mul(cc, d)) == (0, 0)
-            and gf4_add(gf4_mul(cb, b), gf4_mul(cd, d)) == GF4_ONE
-        ):
-            count += 1
-    return count
-
-
 def brute_force_decorated_autos(d):
     """All vertex permutations preserving marks, flags and decorated edges."""
     emap = {(e.u, e.v): e for e in d.edges}

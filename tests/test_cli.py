@@ -352,6 +352,93 @@ def test_certify_rejects_any_single_field_tamper(tampered):
         assert err == f"error: certificate mismatch: {path_text(path)} does not match recomputation\n"
 
 
+RATIO_SEED = {
+    "group": "split:B3",
+    "places": [{"id": "v2", "q": 2, "p": 2}, {"id": "v3", "q": 3, "p": 3}],
+    "collections": [
+        {"assignment": {"v2": [0, 2]}, "refinements": ["v2", "v3"]},
+        {"assignment": {"v2": [1]}},
+    ],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_seed(command):
+    """A valid input text for command, which exits 0."""
+    if command == "certify":
+        return refined_certificate((2, 3))
+    places = [{"id": "v2", "q": 2, "p": 2}, {"id": "v3", "q": 3, "p": 3},
+              {"id": "w4", "q": 4, "p": 2}, {"id": "w9", "q": 9, "p": 3}]
+    seed = RATIO_SEED if command == "ratio" else family_request(
+        places=places, refine=["w4", "w9"])
+    text = json.dumps(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(text)
+        assert run_quietly([command, "--input", str(path)])[0] == 0
+    return text
+
+
+def json_paths(value, path=()):
+    """The path of value and of everything inside it, parents first."""
+    yield path
+    if isinstance(value, (list, dict)):
+        items = enumerate(value) if isinstance(value, list) else value.items()
+        for key, item in items:
+            yield from json_paths(item, path + (key,))
+
+
+def at_path(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+# Integers stay small: a huge residue size is a separate, known stall.
+other_json_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 30), st.floats(), st.text(max_size=6),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 4), max_size=2))
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A seed input with one key dropped, one value retyped or wrapped, or cut short."""
+    command = draw(st.sampled_from(("ratio", "family", "certify")))
+    text = fuzz_seed(command)
+    mutation = draw(st.sampled_from(("drop", "swap", "wrap", "truncate")))
+    if mutation == "truncate":
+        return command, text[:draw(st.integers(0, len(text) - 1))]
+    data = json.loads(text)
+    if mutation == "drop":
+        path = draw(st.sampled_from([
+            p for p in json_paths(data) if p and isinstance(at_path(data, p[:-1]), dict)]))
+        del at_path(data, path[:-1])[path[-1]]
+        return command, json.dumps(data)
+    path = draw(st.sampled_from(list(json_paths(data))))
+    old = at_path(data, path)
+    if mutation == "swap":
+        new = draw(other_json_values.filter(lambda v: type(v) is not type(old)))
+    else:
+        new = draw(st.sampled_from(([old], {draw(st.text(max_size=3)): old})))
+    if not path:
+        return command, json.dumps(new)
+    at_path(data, path[:-1])[path[-1]] = new
+    return command, json.dumps(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_inputs())
+def test_mutated_inputs_exit_0_1_or_2_without_a_traceback(mutated):
+    command, text = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.json"
+        path.write_text(text)
+        code, _, err = run_quietly([command, "--input", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
 def test_schema_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "absent.json")
     code, _, err = invoke(capsys, "family", "--input", missing)
@@ -445,6 +532,15 @@ def test_input_that_is_not_utf8_exits_2(tmp_path, capsys, command, data):
     code, out, err = invoke(capsys, command, "--input", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"input error: {path}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("command", ["ratio", "family", "certify"])
+def test_input_nested_too_deeply_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = invoke(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {path}: JSON nested too deeply\n"
 
 
 def test_certify_failure_on_a_ratio_past_the_digit_limit_exits_1(tmp_path, capsys):

@@ -11,7 +11,6 @@ from paravol import construction
 from paravol.construction import (
     CITATIONS,
     Place,
-    apply_torsionfree_refinement,
     build_family,
     certify_family,
     make_collection,
@@ -122,7 +121,7 @@ def test_refinement_index_values():
 def test_refinement_changes_covolume_by_exact_index():
     g, d, places = setup_group("split:B3", 2, 3)
     plain = make_collection(g, places)
-    refined = apply_torsionfree_refinement(plain, "v0", "v1")
+    refined = make_collection(g, places, refinements=("v1", "v0"))
     assert refined.refinements == ("v0", "v1")
     expected = refinement_index(places[0], plain.types[0]) * refinement_index(
         places[1], plain.types[1])
@@ -133,18 +132,15 @@ def test_refinement_changes_covolume_by_exact_index():
 
 def test_refinement_requires_distinct_characteristics():
     g, d, places = setup_group("split:B3", 2, 4, 3)  # p = 2, 2, 3
-    coll = make_collection(g, places)
-    with pytest.raises(EqualCharacteristicError):
-        apply_torsionfree_refinement(coll, "v0", "v1")
-    with pytest.raises(EqualCharacteristicError):
-        apply_torsionfree_refinement(coll, "v0", "v0")
-    once = apply_torsionfree_refinement(coll, "v0", "v2")
-    with pytest.raises(DomainError):
-        apply_torsionfree_refinement(once, "v0", "v2")
-    with pytest.raises(UnknownPlaceError):
-        apply_torsionfree_refinement(coll, "v0", "nope")
-    with pytest.raises(EqualCharacteristicError):
+    with pytest.raises(EqualCharacteristicError) as info:
         make_collection(g, places, refinements=("v0", "v1"))
+    assert str(info.value) == "equal residue characteristic: places v0 and v1 share p=2"
+    with pytest.raises(EqualCharacteristicError) as info:
+        make_collection(g, places, refinements=("v0", "v0"))
+    assert str(info.value) == "equal residue characteristic: places v0 and v0 share p=2"
+    assert make_collection(g, places, refinements=("v2", "v0")).refinements == ("v0", "v2")
+    with pytest.raises(UnknownPlaceError):
+        make_collection(g, places, refinements=("v0", "nope"))
 
 
 def test_build_family_counts_and_determinism():
@@ -366,20 +362,17 @@ def test_digit_count_without_string_conversion():
 def test_certify_family_local_work_is_linear(monkeypatch):
     g, _, places = setup_group("split:B3", 2, 3, 5, 7, 11, 13, 4, 9)
     family = [f"v{k}" for k in range(6)]
-    built = Counter()
+    made = []
 
-    def counted(name, func):
-        def wrapper(*args, **kwargs):
-            built[name] += 1
-            return func(*args, **kwargs)
-        return wrapper
+    def counted_make(*args, **kwargs):
+        made.append(args)
+        return make_collection(*args, **kwargs)
 
-    for name in ("make_collection", "apply_torsionfree_refinement"):
-        monkeypatch.setattr(construction, name, counted(name, getattr(construction, name)))
+    monkeypatch.setattr(construction, "make_collection", counted_make)
     members = build_family(g, places, family, refine=("v6", "v7"))
     assert len(members) == 64
     # one validated base collection; members differ from it only in type
-    assert built == {"make_collection": 1}
+    assert len(made) == 1
     relative_calls = []
     conjugate_calls = []
 

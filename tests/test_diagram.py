@@ -15,12 +15,6 @@ from paravol.diagram import (
 from paravol.errors import ImproperTypeError, UnsupportedTypeError
 
 
-def lbl(text):
-    form = "unitary" if text.startswith("2") else "split"
-    text = text.lstrip("2")
-    return FiniteTypeLabel(text[0], int(text[1:]), form)
-
-
 def labels(d, t):
     return tuple(str(c) for c in induced_subdiagram(d, t))
 

@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 from oracle_helpers import (
     brute_sl_count,
-    brute_su2_over_gf4_count,
     cartan_from_edges,
     parabolic_length_counts,
     poincare_value,
@@ -39,21 +38,6 @@ def test_order_polynomials_match_sl_brute_force():
     for q in (2, 3):
         assert a1(q) == FROZEN_SL_COUNTS[(2, q)]
         assert a2(q) == FROZEN_SL_COUNTS[(3, q)]
-
-
-def test_unitary_order_polynomial_matches_su2_brute_force():
-    # the rank-1 unitary group over GF(4)/GF(2) has 6 elements
-    count = brute_su2_over_gf4_count()
-    assert count == 6
-    assert order_polynomial(FiniteTypeLabel("A", 1, "unitary"))(2) == count
-
-
-def test_unitary_orders_match_known_group_orders():
-    su3 = order_polynomial(FiniteTypeLabel("A", 2, "unitary"))
-    su4 = order_polynomial(FiniteTypeLabel("A", 3, "unitary"))
-    assert su3(2) == 216
-    assert su3(3) == 6048
-    assert su4(2) == 25920
 
 
 def test_split_orders_match_known_group_orders():

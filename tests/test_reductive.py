@@ -24,8 +24,6 @@ def test_polynomial_arithmetic():
     assert p(3) == 7
     assert p.degree == 1
     assert OrderPolynomial.q_power_minus_one(3).coeffs == (-1, 0, 0, 1)
-    assert OrderPolynomial.q_power_minus_sign(3).coeffs == (1, 0, 0, 1)
-    assert OrderPolynomial.q_power_minus_sign(2).coeffs == (-1, 0, 1)
     assert p.to_json() == [1, 2]
 
 
@@ -49,14 +47,8 @@ def test_order_degree_equals_dimension():
         FiniteTypeLabel("D", 6),
         FiniteTypeLabel("E", 7),
         FiniteTypeLabel("F", 4),
-        FiniteTypeLabel("A", 3, "unitary"),
     ):
         assert order_polynomial(label).degree == label_dimension(label)
-
-
-def test_unitary_rank_one_equals_split_rank_one():
-    assert order_polynomial(FiniteTypeLabel("A", 1, "unitary")) == order_polynomial(
-        FiniteTypeLabel("A", 1))
 
 
 def test_quotient_descriptor_singletons():
