@@ -1,7 +1,8 @@
 """Golden corpus: exit code and stdout digest of fixed CLI invocations.
 
 The corpus covers `diagram`, `diagram --dot` and `pairs --q 7` for every
-split label of rank at most 8 and both twisted indices, `family` and
+split label of rank at most 8 and both twisted indices, `pairs --q 1009`
+for three labels above rank 8 (thousands of pairs each), `family` and
 `certify` round trips (with a refinement, with the two-place swap and on a
 twisted group), and fixed `ratio` requests.  `tests/golden.json` holds the
 SHA-256 of each stdout, not the output itself.
@@ -34,6 +35,8 @@ LABELS = (
     + ["split:E6", "split:E7", "split:E8", "split:F4", "split:G2",
        "twisted:C-BC1", "twisted:C-B2"]
 )
+
+LARGE_PAIRS_LABELS = ("split:A11", "split:C10", "split:D10")
 
 
 def _place(pid, q, p):
@@ -132,6 +135,8 @@ def corpus(workdir):
                ["certify", "--input", write(f"certificate-{k}.json", cert)])
     for k, (name, req) in enumerate(RATIOS.items()):
         record(f"ratio {name}", ["ratio", "--input", write(f"ratio-{k}.json", req)])
+    for label in LARGE_PAIRS_LABELS:
+        record(f"pairs {label} --q 1009", ["pairs", label, "--q", "1009"])
     return entries
 
 
