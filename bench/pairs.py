@@ -3,11 +3,12 @@
 For each label the script times `python -m paravol pairs <label> --q 1009`
 as a separate process, so each time includes interpreter start-up and
 import, as a user of the command pays it.  Each time is the median of 3
-runs; the size of the JSON output is recorded too.  The default labels
-are those of perfbench's pairs_sweep workload.
+runs; the size and SHA-256 of the JSON output are recorded too, so a
+record with two columns shows whether both trees wrote the same bytes.
+The default labels are those of perfbench's pairs_sweep workload.
 
-    python3 bench/pairs.py --output bench/BENCH_6.json
-    python3 bench/pairs.py --output bench/BENCH_6.json --baseline-src OTHER/src
+    python3 bench/pairs.py --output bench/BENCH_9.json
+    python3 bench/pairs.py --output bench/BENCH_9.json --baseline-src OTHER/src
     python3 bench/pairs.py --labels split:G2,twisted:C-B2 --output pairs.json
 
 The first times this tree (column "head").  The second also times the tree
@@ -19,6 +20,7 @@ alike.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -37,19 +39,20 @@ Q = 1009
 
 def measure(label, trees, workdir):
     samples = {name: [] for name in trees}
-    sizes = {}
+    outputs = {}
     for _ in range(RUNS):
         for name, src in trees.items():
             output = workdir / f"pairs-{name}.json"
             samples[name].append(timed(src, [
                 "pairs", label, "--q", str(Q), "--output", str(output)]))
-            sizes[name] = output.stat().st_size
+            outputs[name] = output.read_bytes()
     return {
         "label": label,
         "columns": {
             name: {
                 "pairs_s": round(statistics.median(samples[name]), 3),
-                "output_bytes": sizes[name],
+                "output_bytes": len(outputs[name]),
+                "output_sha256": hashlib.sha256(outputs[name]).hexdigest(),
             }
             for name in trees
         },

@@ -57,13 +57,20 @@ def _encode(value):
     lists, str, int, bool and None yields exactly the bytes of `json.dumps`;
     any other type raises TypeError, so the output never differs.  Values
     must be acyclic, as every payload the engine builds is.
+
+    A payload may hold one int list in many places (`pairs` shares each
+    type's and each order's list across its entries).  `shared` maps an
+    int-only list's `id` and indent to its text, so a list object met again
+    at the same indent is written without joining its ints again.  The
+    dict lives for this call only, while `value` keeps every list alive,
+    so no id is reused within it.
     """
     parts = []
-    _encode_into(parts.append, value, "\n")
+    _encode_into(parts.append, value, "\n", {})
     return "".join(parts)
 
 
-def _encode_into(append, value, newline):
+def _encode_into(append, value, newline, shared):
     kind = type(value)
     if kind is str:
         append(_quote(value))
@@ -75,16 +82,23 @@ def _encode_into(append, value, newline):
         if not value:
             append("[]")
             return
+        key = (id(value), newline)
+        text = shared.get(key)
+        if text is not None:
+            append(text)
+            return
         inner = newline + "  "
         # type(v) is int, not isinstance: a bool in the list prints true
         if _INT_ONLY.issuperset(map(type, value)):
-            append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            text = shared[key] = (
+                "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            append(text)
             return
         sep = "[" + inner
         for item in value:
             append(sep)
             sep = "," + inner
-            _encode_into(append, item, inner)
+            _encode_into(append, item, inner, shared)
         append(newline + "]")
     elif kind is dict:
         if not value:
@@ -97,7 +111,7 @@ def _encode_into(append, value, newline):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             append(sep + _quote(key) + ": ")
             sep = "," + inner
-            _encode_into(append, item, inner)
+            _encode_into(append, item, inner, shared)
         append(newline + "}")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")

@@ -99,9 +99,6 @@ class CoherentCollection:
     def assignment(self):
         return {pl.id: list(t.vertices) for pl, t in zip(self.places, self.types)}
 
-    def to_json(self):
-        return {"assignment": self.assignment(), "refinements": list(self.refinements)}
-
 
 def make_collection(group, places, overrides=None, refinements=()):
     """Assemble a collection; absent places carry the diagram's default type."""
@@ -176,21 +173,39 @@ class FamilyCertificate:
     citations: tuple = CITATIONS
 
     def to_json(self):
+        """The v1 certificate.
+
+        Each distinct type's vertex list is built once and shared by every
+        assignment and witness naming the type, so the encoder writes it once.
+        """
         first = self.members[0]
+        lists = {}
+
+        def vertices(t):
+            if t.vertices not in lists:
+                lists[t.vertices] = list(t.vertices)
+            return lists[t.vertices]
+
         return {
             "group": first.group.label,
             "places": [
                 {"id": pl.id, "q": pl.q, "p": pl.p, "index": pl.local_index.group.label}
                 for pl in first.places
             ],
-            "members": [m.to_json() for m in self.members],
+            "members": [
+                {
+                    "assignment": {pl.id: vertices(t) for pl, t in zip(m.places, m.types)},
+                    "refinements": list(m.refinements),
+                }
+                for m in self.members
+            ],
             "ratios": [[r.to_json() for r in row] for row in self.ratios],
             "witnesses": [
                 {
                     "pair": [i, j],
                     "place": pid,
-                    "t1": list(t1.vertices),
-                    "t2": list(t2.vertices),
+                    "t1": vertices(t1),
+                    "t2": vertices(t2),
                 }
                 for (i, j, pid, t1, t2) in self.witnesses
             ],

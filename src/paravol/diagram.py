@@ -7,7 +7,7 @@ a proper subset of the vertex set; the empty type is the Iwahori.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -147,6 +147,9 @@ class LocalIndex:
     marks: tuple
     hyperspecial: tuple
     realized_auts: tuple
+    # sorted vertex tuple of a proper type -> its induced component labels,
+    # filled by reductive.quotient_descriptor; it dies with the index
+    component_labels: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def relative_rank(self):
@@ -164,16 +167,19 @@ class LocalIndex:
         return ParahoricTypeSpec(perm[v] for v in ParahoricTypeSpec.coerce(t))
 
     def orbit(self, t):
+        """Sorted vertex tuples of the images of t under the realized automorphisms."""
         t = self.check_proper(t)
-        return sorted({self.apply(g, t).vertices for g in self.realized_auts})
+        return sorted({tuple(sorted(g[v] for v in t.vertices)) for g in self.realized_auts})
+
+    def proper_vertex_tuples(self):
+        """Vertex tuples of all proper types, in lexicographic order."""
+        n = len(self.vertices)
+        return sorted(tuple(v for v in self.vertices if mask >> v & 1)
+                      for mask in range(2 ** n - 1))
 
     def proper_types(self):
         """All proper types in lexicographic vertex-tuple order."""
-        n = len(self.vertices)
-        out = []
-        for mask in range(2 ** n - 1):
-            out.append(ParahoricTypeSpec(v for v in self.vertices if mask >> v & 1))
-        return sorted(out, key=lambda t: t.vertices)
+        return [ParahoricTypeSpec(t) for t in self.proper_vertex_tuples()]
 
     def default_type(self):
         """Type {0} if split, else the smallest maximal type.
@@ -394,22 +400,23 @@ def _arm_lengths(center, comp, edges):
 def induced_subdiagram(d, t):
     """Component labels of the decorated subgraph induced on the type."""
     t = d.check_proper(t)
-    keep = set(t.vertices)
-    edges = [e for e in d.edges if e.u in keep and e.v in keep]
+    adj = {v: [] for v in t.vertices}
+    edges = [e for e in d.edges if e.u in adj and e.v in adj]
+    for e in edges:
+        adj[e.u].append(e.v)
+        adj[e.v].append(e.u)
     seen = set()
     labels = []
-    for v in sorted(keep):
+    for v in t.vertices:
         if v in seen:
             continue
         comp = {v}
         stack = [v]
         while stack:
-            x = stack.pop()
-            for e in edges:
-                for a, b in ((e.u, e.v), (e.v, e.u)):
-                    if a == x and b not in comp:
-                        comp.add(b)
-                        stack.append(b)
+            for b in adj[stack.pop()]:
+                if b not in comp:
+                    comp.add(b)
+                    stack.append(b)
         seen |= comp
         comp_edges = [e for e in edges if e.u in comp]
         labels.extend(_classify_component(comp, comp_edges))

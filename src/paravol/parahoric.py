@@ -72,15 +72,19 @@ def factor_ratio(d, t1, t2, place):
 
 
 def orbit_representatives(d):
-    """Canonical representative per realized-automorphism orbit of proper types."""
+    """Canonical representative per realized-automorphism orbit of proper types.
+
+    Orbits are sets of vertex tuples, met in lexicographic order, so the
+    first tuple of each orbit is its smallest; one type is built per orbit.
+    """
     seen = set()
     reps = []
-    for t in d.proper_types():
-        if t.vertices in seen:
+    for t in d.proper_vertex_tuples():
+        if t in seen:
             continue
-        orbit = d.orbit(t)
-        seen.update(orbit)
-        reps.append(ParahoricTypeSpec(orbit[0]))
+        rep = ParahoricTypeSpec(t)
+        seen.update(d.orbit(rep))
+        reps.append(rep)
     return reps
 
 
@@ -107,28 +111,31 @@ def find_equal_volume_pairs(d):
 def pairs_to_json(d, pairs, q=None):
     """The `pairs` command's payload: each pair with t1's dim and order.
 
-    Both types of a pair share one volume factor, and many pairs share t1,
-    so the descriptor is looked up once per distinct t1 and the order is
-    evaluated at q once per distinct polynomial, in dicts that live for
-    this call only.
+    Thousands of pairs share a few hundred types and fewer volume factors
+    (both types of a pair share one).  So each distinct t1's descriptor is
+    looked up once, and each distinct type's vertex list and each distinct
+    order's coefficient list and value at q are built once, in dicts that
+    live for this call only.  Entries share those list objects, which the
+    encoder writes once each.
     """
     out = {"diagram": d.group.label, "pairs": []}
-    descriptors = {}
-    values = {}
+    lists = {}  # vertex tuple -> its list
+    factors = {}  # t1's vertex tuple -> (dim, order_coeffs, order_at_q)
+    orders = {}  # order polynomial -> (order_coeffs, order_at_q)
     for t1, t2 in pairs:
-        if t1 not in descriptors:
-            descriptors[t1] = quotient_descriptor(d, t1)
-        desc = descriptors[t1]
-        entry = {
-            "t1": list(t1.vertices),
-            "t2": list(t2.vertices),
-            "dim": desc.dim,
-            "order_coeffs": desc.order.to_json(),
-        }
+        a, b = t1.vertices, t2.vertices
+        if a not in factors:
+            desc = quotient_descriptor(d, t1)
+            if desc.order not in orders:
+                orders[desc.order] = (desc.order.to_json(), None if q is None else desc.order(q))
+            factors[a] = (desc.dim, *orders[desc.order])
+        dim, coeffs, value = factors[a]
+        for v in (a, b):
+            if v not in lists:
+                lists[v] = list(v)
+        entry = {"t1": lists[a], "t2": lists[b], "dim": dim, "order_coeffs": coeffs}
         if q is not None:
-            if desc.order not in values:
-                values[desc.order] = desc.order(q)
-            entry["order_at_q"] = values[desc.order]
+            entry["order_at_q"] = value
         out["pairs"].append(entry)
     if q is not None:
         out["q"] = q

@@ -106,15 +106,20 @@ Q_MINUS_ONE = OrderPolynomial.q_power_minus_one(1)
 def quotient_descriptor(d, t):
     """Components, central torus rank, dimension and order for a type.
 
-    Only the induced subdiagram is read off (d, t) on each call.  The
-    descriptor itself is memoized by its value, (components, torus_rank),
-    so each quotient's order is multiplied out once per process.  The key
-    is not (d, t): a `LocalIndex` hashes by identity and callers build a
-    new one per request, so such a memo would grow with every request,
-    while this one holds at most the finitely many quotient types of the
-    ranks in use.
+    Two memos, each with the lifetime of what it is keyed by.  The index
+    `d` owns `component_labels`, from the type's sorted vertex tuple to its
+    induced component labels, so each (index, type) is classified once and
+    the dict dies with the index; an entry is stored only after
+    `induced_subdiagram` has checked the type proper, so an improper type
+    still raises on every call.  The descriptor itself is memoized by its
+    value, (components, torus_rank), so each quotient's order is
+    multiplied out once per process; that memo holds at most the finitely
+    many quotient types of the ranks in use.
     """
-    components = dg.induced_subdiagram(d, t)
+    t = dg.ParahoricTypeSpec.coerce(t)
+    components = d.component_labels.get(t.vertices)
+    if components is None:
+        components = d.component_labels[t.vertices] = dg.induced_subdiagram(d, t)
     return _descriptor(components, d.relative_rank - sum(c.rank for c in components))
 
 

@@ -639,6 +639,20 @@ def test_encode_is_json_dumps_with_indent_2(value):
         assert _encode(value) == json.dumps(value, indent=2)
 
 
+def test_encode_writes_one_list_object_right_wherever_it_recurs():
+    ints = [3, -1, 40]
+    mixed = [ints, None, "s", [ints], ints]
+    value = {
+        "a": ints,
+        "b": [ints, {"c": ints, "d": [[ints]]}],
+        "e": mixed,
+        "f": [mixed, {"g": mixed}, ints],
+        "h": {"i": {"j": ints}},
+        "k": [[ints, ints], ints],
+    }
+    assert _encode(value) == json.dumps(value, indent=2)
+
+
 @pytest.mark.parametrize("value", [1.5, (1,), [1, 2.0], {1: 2}, {"k": b"x"}, [[set()]]])
 def test_encode_refuses_other_types(value):
     with pytest.raises(TypeError):

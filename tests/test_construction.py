@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from test_acceptance import random_collections
 
-from paravol import construction
+from paravol import construction, diagram
 from paravol.construction import (
     CITATIONS,
     Place,
@@ -18,7 +18,7 @@ from paravol.construction import (
     relative_covolume,
     _unequal_covolume,
 )
-from paravol.diagram import GroupSpec, build_local_index
+from paravol.diagram import GroupSpec, ParahoricTypeSpec, build_local_index
 from paravol.errors import (
     CertificateError,
     DomainError,
@@ -27,7 +27,12 @@ from paravol.errors import (
     InvalidResidueError,
     UnknownPlaceError,
 )
-from paravol.parahoric import HalfPowerRational, conjugate_types, factor_ratio
+from paravol.parahoric import (
+    HalfPowerRational,
+    conjugate_types,
+    factor_ratio,
+    orbit_representatives,
+)
 
 
 def setup_group(label, *qs):
@@ -400,3 +405,23 @@ def test_certify_family_local_work_is_linear(monkeypatch):
     per_types = Counter((ti, tj) for _, ti, tj in keys)
     assert all(n <= per_types[t] for t, n in Counter(conjugate_calls).items())
     assert len(conjugate_calls) <= 2 * len(family)
+
+
+def test_family_and_certify_classify_each_type_once(monkeypatch):
+    g, d, places = setup_group("split:B3", 2, 3, 5, 7, 4, 9)
+    classified = []
+    induced = diagram.induced_subdiagram
+
+    def counted_induced(d, t):
+        classified.append(ParahoricTypeSpec.coerce(t).vertices)
+        return induced(d, t)
+
+    monkeypatch.setattr(diagram, "induced_subdiagram", counted_induced)
+    members = build_family(g, places, ["v0", "v1", "v2", "v3"], refine=("v4", "v5"))
+    certify_family(members)
+    # the pair search reads every orbit representative, the certificate
+    # every member type; the index classifies each of them once
+    reps = {t.vertices for t in orbit_representatives(d)}
+    assert {t.vertices for m in members for t in m.types} <= reps
+    assert sorted(classified) == sorted(reps)
+    assert d.component_labels.keys() == reps

@@ -3,6 +3,7 @@
 import pytest
 from test_golden import LABELS
 
+from paravol import diagram as dg
 from paravol.diagram import FiniteTypeLabel, build_local_index
 from paravol.errors import ImproperTypeError
 from paravol.reductive import (
@@ -150,6 +151,34 @@ def test_quotient_descriptor_rejects_improper():
     d = build_local_index("split:A2")
     with pytest.raises(ImproperTypeError):
         quotient_descriptor(d, (0, 1, 2))
+
+
+def test_quotient_descriptor_memo_keeps_the_proper_check(monkeypatch):
+    d = build_local_index("split:A2")
+    for t in d.proper_types():
+        quotient_descriptor(d, t)
+    assert len(d.component_labels) == 7
+    classified = []
+    induced = dg.induced_subdiagram
+    monkeypatch.setattr(dg, "induced_subdiagram",
+                        lambda d, t: classified.append(t) or induced(d, t))
+    # an unsorted or repeated vertex list is the same type: a memo hit
+    assert quotient_descriptor(d, (2, 0, 2)) is quotient_descriptor(d, (0, 2))
+    assert classified == []
+    for improper in ((0, 1, 2), (2, 1, 0), (0, 1, 2, 2), (3,), (0, 5)):
+        with pytest.raises(ImproperTypeError):
+            quotient_descriptor(d, improper)
+    assert len(classified) == 5  # each improper type was checked, none stored
+    assert len(d.component_labels) == 7
+
+
+def test_component_memo_belongs_to_one_index():
+    first = build_local_index("split:B3")
+    quotient_descriptor(first, (0,))
+    assert first.component_labels == {(0,): (FiniteTypeLabel("A", 1),)}
+    second = build_local_index("split:B3")
+    assert second.component_labels == {}
+    assert "component_labels" not in repr(second)
 
 
 def test_prime_power_base():
