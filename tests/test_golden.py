@@ -2,9 +2,10 @@
 
 The corpus covers `diagram`, `diagram --dot` and `pairs --q 7` for every
 split label of rank at most 8 and both twisted indices, `pairs --q 1009`
-for three labels above rank 8 (thousands of pairs each), `family` and
-`certify` round trips (with a refinement, with the two-place swap and on a
-twisted group), and fixed `ratio` requests.  `tests/golden.json` holds the
+for three labels above rank 8 (thousands of pairs each), `pairs` without
+`--q` for four labels (no `order_at_q` and no `"q"`; split:A4 has no
+pair), `family` and `certify` round trips (with a refinement, with the
+two-place swap and on a twisted group), and fixed `ratio` requests.  `tests/golden.json` holds the
 SHA-256 of each stdout, not the output itself.
 
 A refactor must leave every digest unchanged.  A change that alters output
@@ -37,6 +38,7 @@ LABELS = (
 )
 
 LARGE_PAIRS_LABELS = ("split:A11", "split:C10", "split:D10")
+PLAIN_PAIRS_LABELS = ("split:A4", "split:B3", "split:E8", "twisted:C-B2")
 
 
 def _place(pid, q, p):
@@ -137,6 +139,8 @@ def corpus(workdir):
         record(f"ratio {name}", ["ratio", "--input", write(f"ratio-{k}.json", req)])
     for label in LARGE_PAIRS_LABELS:
         record(f"pairs {label} --q 1009", ["pairs", label, "--q", "1009"])
+    for label in PLAIN_PAIRS_LABELS:
+        record(f"pairs {label}", ["pairs", label])
     return entries
 
 
