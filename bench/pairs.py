@@ -1,14 +1,16 @@
-"""Record the wall time and output size of `paravol pairs` per group label.
+"""Record the wall time, peak memory and output size of `paravol pairs` per group label.
 
 For each label the script times `python -m paravol pairs <label> --q 1009`
 as a separate process, so each time includes interpreter start-up and
-import, as a user of the command pays it.  Each time is the median of 3
-runs; the size and SHA-256 of the JSON output are recorded too, so a
-record with two columns shows whether both trees wrote the same bytes.
-The default labels are those of perfbench's pairs_sweep workload.
+import, as a user of the command pays it.  The process's peak resident
+set size comes from the rusage that `os.wait4` returns for it.  Each time
+and peak is the median of 3 runs; the size and SHA-256 of the JSON output
+are recorded too, so a record with two columns shows whether both trees
+wrote the same bytes.  The default labels are those of perfbench's
+pairs_sweep workload.
 
-    python3 bench/pairs.py --output bench/BENCH_9.json
-    python3 bench/pairs.py --output bench/BENCH_9.json --baseline-src OTHER/src
+    python3 bench/pairs.py --output bench/BENCH_10.json
+    python3 bench/pairs.py --output bench/BENCH_10.json --baseline-src OTHER/src
     python3 bench/pairs.py --labels split:G2,twisted:C-B2 --output pairs.json
 
 The first times this tree (column "head").  The second also times the tree
@@ -25,16 +27,35 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
-from scale import RUNS, SRC, timed
+from scale import RUNS, SRC
 
 LABELS = ("split:E8", "split:E7", "split:E6", "split:F4", "split:G2",
           "split:A11", "split:B8", "split:C10", "split:D10",
           "twisted:C-BC1", "twisted:C-B2")
 Q = 1009
+
+
+def timed_peak(src, argv):
+    """Wall seconds and peak RSS in MB of one `python -m paravol` process; exits on failure."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "paravol", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    err = proc.stderr.read()  # to end of file, so the pipe never fills
+    proc.stderr.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    elapsed = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        sys.exit(f"paravol {' '.join(argv)} with {src} exited {proc.returncode}: "
+                 f"{err.strip()}")
+    return elapsed, usage.ru_maxrss / 1024  # Linux reports kilobytes
 
 
 def measure(label, trees, workdir):
@@ -43,14 +64,15 @@ def measure(label, trees, workdir):
     for _ in range(RUNS):
         for name, src in trees.items():
             output = workdir / f"pairs-{name}.json"
-            samples[name].append(timed(src, [
+            samples[name].append(timed_peak(src, [
                 "pairs", label, "--q", str(Q), "--output", str(output)]))
             outputs[name] = output.read_bytes()
     return {
         "label": label,
         "columns": {
             name: {
-                "pairs_s": round(statistics.median(samples[name]), 3),
+                "pairs_s": round(statistics.median(s for s, _ in samples[name]), 3),
+                "peak_rss_mb": round(statistics.median(mb for _, mb in samples[name]), 1),
                 "output_bytes": len(outputs[name]),
                 "output_sha256": hashlib.sha256(outputs[name]).hexdigest(),
             }
@@ -80,7 +102,7 @@ def main(argv=None):
     record = {
         "command": f"paravol pairs <label> --q {Q}",
         "runs": RUNS,
-        "statistic": "median wall seconds per process, start-up included",
+        "statistic": "median wall seconds and peak RSS MB per process, start-up included",
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),

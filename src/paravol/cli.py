@@ -34,12 +34,13 @@ from .reductive import prime_power_base
 MAX_INPUT_DIGITS = 4300
 
 
-def _write(output, text):
+def _write(output, chunks):
+    """Write an iterable of text chunks to the file `output`, or to stdout."""
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 _ATOMS = {True: "true", False: "false", None: "null"}
@@ -58,8 +59,8 @@ def _encode(value):
     any other type raises TypeError, so the output never differs.  Values
     must be acyclic, as every payload the engine builds is.
 
-    A payload may hold one int list in many places (`pairs` shares each
-    type's and each order's list across its entries).  `shared` maps an
+    A payload may hold one int list in many places (a `family` certificate
+    shares each type's list among its members).  `shared` maps an
     int-only list's `id` and indent to its text, so a list object met again
     at the same indent is written without joining its ints again.  The
     dict lives for this call only, while `value` keeps every list alive,
@@ -118,7 +119,51 @@ def _encode_into(append, value, newline, shared):
 
 
 def _dump(output, obj):
-    _write(output, _encode(obj) + "\n")
+    _write(output, (_encode(obj), "\n"))
+
+
+# The newlines before a `pairs` entry and before each of its keys.
+_ENTRY, _KEY = "\n    ", "\n      "
+
+
+def _pairs_chunks(label, rows, q):
+    """The `pairs` output, in chunks of at most one entry each.
+
+    The text is `json.dumps(payload, indent=2) + "\\n"` byte for byte, where
+    the payload is {"diagram": label, "pairs": [entry, ...]} with "q": q
+    last when q is given, and each entry holds "t1", "t2", "dim",
+    "order_coeffs" and, when q is given, "order_at_q".  `rows` are those of
+    `parahoric.pairs_to_json`.  The entries of a row differ only in "t2",
+    so the text before it (the head) and after it (the tail) is built once
+    per row, and each t2 list's text once per list object.  An entry is
+    then one chunk: a separator, the head, the t2 text and the tail.
+    """
+    shared = {}
+    t2_texts = {}  # id of a t2 list -> its text; `rows` keeps every list alive
+
+    def text(value):
+        parts = []
+        _encode_into(parts.append, value, _KEY, shared)
+        return "".join(parts)
+
+    yield '{\n  "diagram": ' + _quote(label) + ',\n  "pairs": '
+    sep = "[" + _ENTRY
+    for t1, dim, coeffs, value, t2s in rows:
+        head = "{" + _KEY + '"t1": ' + text(t1) + "," + _KEY + '"t2": '
+        tail = "," + _KEY + '"dim": ' + text(dim) + "," + _KEY + '"order_coeffs": ' + text(coeffs)
+        if q is not None:
+            tail += "," + _KEY + '"order_at_q": ' + text(value)
+        tail += _ENTRY + "}"
+        for t2 in t2s:
+            t2_text = t2_texts.get(id(t2))
+            if t2_text is None:
+                t2_text = t2_texts[id(t2)] = text(t2)
+            yield sep + head + t2_text + tail
+            sep = "," + _ENTRY
+    end = "\n  ]" if rows else "[]"
+    if q is not None:
+        end += ',\n  "q": ' + text(q)
+    yield end + "\n}\n"
 
 
 # -- schema helpers ---------------------------------------------------------
@@ -205,7 +250,7 @@ def _assignment_from_json(value, ctx):
 def cmd_diagram(args):
     d = build_local_index(GroupSpec.parse(args.group))
     if args.dot:
-        _write(args.output, d.to_dot() + "\n")
+        _write(args.output, (d.to_dot(), "\n"))
     else:
         _dump(args.output, d.to_json())
     return 0
@@ -223,7 +268,8 @@ def cmd_pairs(args):
                     "use the family command with --fallback-swap")
         print(f"warning: no single-place equal-volume pair of non-conjugate "
               f"types for {d.group.label}{note}", file=sys.stderr)
-    _dump(args.output, pairs_to_json(d, pairs, args.q))
+    rows = pairs_to_json(d, pairs, args.q)
+    _write(args.output, _pairs_chunks(d.group.label, rows, args.q))
     return 0
 
 

@@ -109,34 +109,33 @@ def find_equal_volume_pairs(d):
 
 
 def pairs_to_json(d, pairs, q=None):
-    """The `pairs` command's payload: each pair with t1's dim and order.
+    """The rows of the `pairs` command's output: one per run of pairs with one t1.
 
-    Thousands of pairs share a few hundred types and fewer volume factors
-    (both types of a pair share one).  So each distinct t1's descriptor is
-    looked up once, and each distinct type's vertex list and each distinct
-    order's coefficient list and value at q are built once, in dicts that
-    live for this call only.  Entries share those list objects, which the
-    encoder writes once each.
+    Each row is (t1's vertex list, dim, order coefficient list, order at q
+    or None, the vertex lists of the t2 paired with it, in order).  Pairs
+    arrive sorted by (t1, t2), as `find_equal_volume_pairs` returns them, so
+    each t1's pairs are consecutive: it gets one row, and its descriptor
+    is looked up once.  Thousands of pairs share a few hundred types and
+    fewer volume factors (both types of a pair share one).  So each
+    distinct t2's vertex list and each distinct order's coefficient list
+    and value at q are built once, in dicts that live for this call only.
+    Rows share those list objects, so the writer formats each once.
     """
-    out = {"diagram": d.group.label, "pairs": []}
-    lists = {}  # vertex tuple -> its list
-    factors = {}  # t1's vertex tuple -> (dim, order_coeffs, order_at_q)
+    rows = []
+    lists = {}  # t2's vertex tuple -> its list
     orders = {}  # order polynomial -> (order_coeffs, order_at_q)
+    last = None
     for t1, t2 in pairs:
         a, b = t1.vertices, t2.vertices
-        if a not in factors:
+        if a != last:
             desc = quotient_descriptor(d, t1)
             if desc.order not in orders:
-                orders[desc.order] = (desc.order.to_json(), None if q is None else desc.order(q))
-            factors[a] = (desc.dim, *orders[desc.order])
-        dim, coeffs, value = factors[a]
-        for v in (a, b):
-            if v not in lists:
-                lists[v] = list(v)
-        entry = {"t1": lists[a], "t2": lists[b], "dim": dim, "order_coeffs": coeffs}
-        if q is not None:
-            entry["order_at_q"] = value
-        out["pairs"].append(entry)
-    if q is not None:
-        out["q"] = q
-    return out
+                orders[desc.order] = (desc.order.to_json(),
+                                      None if q is None else desc.order(q))
+            t2s = []
+            rows.append((list(a), desc.dim, *orders[desc.order], t2s))
+            last = a
+        if b not in lists:
+            lists[b] = list(b)
+        t2s.append(lists[b])
+    return rows

@@ -12,8 +12,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from test_golden import LABELS
+
 from paravol import cli
 from paravol.cli import _encode, _int_digit_limit, run
+from paravol.diagram import build_local_index
+from paravol.parahoric import find_equal_volume_pairs
+from paravol.reductive import quotient_descriptor
 
 
 def invoke(capsys, *argv):
@@ -61,13 +66,67 @@ def test_diagram_bad_group_exits_1(capsys):
     assert "unsupported type" in err and out == ""
 
 
-def test_pairs_command(capsys):
+def test_pairs_command(tmp_path, capsys):
     code, out, err = invoke(capsys, "pairs", "split:B3", "--q", "2")
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert payload["diagram"] == "split:B3"
     assert [p["t1"] for p in payload["pairs"]][0] == [0]
     assert all(p["order_at_q"] >= 1 for p in payload["pairs"])
+    path = tmp_path / "pairs.json"
+    assert invoke(capsys, "pairs", "split:B3", "--q", "2", "--output", str(path)) == (0, "", "")
+    assert path.read_text() == out
+
+
+def pairs_payload(label, q=None):
+    """The `pairs` payload with one dict per pair, from the engine's pairs and descriptors.
+
+    The command writes this payload's `json.dumps(indent=2)` text without
+    building it: each pair is {"t1", "t2", "dim", "order_coeffs"} with
+    "order_at_q" when q is given, and "q" closes the payload.
+    """
+    d = build_local_index(label)
+    entries = []
+    for t1, t2 in find_equal_volume_pairs(d):
+        desc = quotient_descriptor(d, t1)
+        entry = {"t1": list(t1.vertices), "t2": list(t2.vertices),
+                 "dim": desc.dim, "order_coeffs": desc.order.to_json()}
+        if q is not None:
+            entry["order_at_q"] = desc.order(q)
+        entries.append(entry)
+    payload = {"diagram": d.group.label, "pairs": entries}
+    if q is not None:
+        payload["q"] = q
+    return payload
+
+
+# The labels of perfbench's pairs_sweep workload.
+PAIRS_SWEEP_LABELS = ("split:E8", "split:E7", "split:E6", "split:F4", "split:G2",
+                      "split:A11", "split:B8", "split:C10", "split:D10",
+                      "twisted:C-BC1", "twisted:C-B2")
+
+
+@pytest.mark.parametrize("label, q", (
+    [(label, 7) for label in LABELS] + [(label, None) for label in LABELS]
+    + [(label, 1009) for label in PAIRS_SWEEP_LABELS]))
+def test_pairs_stdout_is_json_dumps_of_one_dict_per_pair(label, q):
+    argv = ["pairs", label] + ([] if q is None else ["--q", str(q)])
+    code, out, _ = run_quietly(argv)
+    assert code == 0
+    assert out == json.dumps(pairs_payload(label, q), indent=2) + "\n"
+
+
+def test_pairs_hands_the_writer_no_chunk_longer_than_one_entry(monkeypatch):
+    flat = pairs_payload("split:C10", 1009)
+    # an entry's text at its indent in the output, after its separator
+    longest = max(len(",\n    " + json.dumps(entry, indent=2).replace("\n", "\n    "))
+                  for entry in flat["pairs"])
+    chunks = []
+    monkeypatch.setattr(cli, "_write", lambda output, text: chunks.extend(text))
+    assert run_quietly(["pairs", "split:C10", "--q", "1009"])[0] == 0
+    assert "".join(chunks) == json.dumps(flat, indent=2) + "\n"
+    assert len(chunks) > len(flat["pairs"]) > 10_000
+    assert max(map(len, chunks)) <= longest
 
 
 def test_pairs_empty_warns_but_succeeds(capsys):
@@ -666,13 +725,14 @@ def test_encode_is_json_dumps_on_command_payloads(tmp_path, monkeypatch):
         places=places, family_places=["v2", "v3"], refine=["w4", "w9"]))
     payloads = []
     monkeypatch.setattr(cli, "_dump", lambda output, obj: payloads.append(obj))
-    for argv in (["pairs", "split:A11", "--q", "1009"],
-                 ["family", "--input", refined],
+    # `pairs` writes its entries without `_dump`; its oracle is
+    # test_pairs_stdout_is_json_dumps_of_one_dict_per_pair
+    for argv in (["family", "--input", refined],
                  ["diagram", "twisted:C-B2"],
                  ["diagram", "split:B3"]):
         assert run_quietly(argv)[0] == 0, argv
-    pairs, certificate, _, diagram = payloads
-    assert len(pairs["pairs"]) > 100 and certificate["members"][1]["refinements"]
+    certificate, _, diagram = payloads
+    assert certificate["members"][1]["refinements"]
     # split:B3 has edges without an arrow (null) and both kinds of vertex
     assert any(e["arrow"] is None for e in diagram["edges"])
     assert {v["hyperspecial"] for v in diagram["vertices"]} == {True, False}

@@ -185,14 +185,18 @@ def test_found_pairs_are_sound():
 
 def test_pairs_json_shape():
     d = build_local_index("split:B3")
-    payload = pairs_to_json(d, find_equal_volume_pairs(d), q=2)
-    assert payload["diagram"] == "split:B3"
-    assert payload["q"] == 2
-    first = payload["pairs"][0]
-    assert first["t1"] == [0] and first["t2"] == [2]
-    assert first["dim"] == 5
-    assert first["order_at_q"] == 6 * 1  # q(q^2-1)(q-1)^2 at q=2
-    assert first["order_coeffs"][first["dim"]] == 1
+    pairs = find_equal_volume_pairs(d)
+    rows = pairs_to_json(d, pairs, q=2)
+    t1, dim, coeffs, value, t2s = rows[0]
+    assert t1 == [0] and t2s[0] == [2]
+    assert dim == 5
+    assert value == 6 * 1  # q(q^2-1)(q-1)^2 at q=2
+    assert coeffs[dim] == 1
+    # one row per run of pairs with one t1, the t2 in pair order
+    assert [(tuple(t1), tuple(t2)) for t1, *_, t2s in rows for t2 in t2s] == [
+        (t1.vertices, t2.vertices) for t1, t2 in pairs]
+    assert len({tuple(row[0]) for row in rows}) == len(rows)
+    assert pairs_to_json(d, pairs)[0][3] is None
 
 
 def test_pairs_compute_each_quotient_once(monkeypatch):
@@ -208,8 +212,9 @@ def test_pairs_compute_each_quotient_once(monkeypatch):
     descriptor = parahoric.quotient_descriptor
     monkeypatch.setattr(parahoric, "quotient_descriptor",
                         lambda d, t: looked_up.append(t) or descriptor(d, t))
-    pairs_to_json(d, pairs, q=7)
+    rows = pairs_to_json(d, pairs, q=7)
     assert len(looked_up) == len(first_types) and set(looked_up) == first_types
+    assert len(rows) == len(first_types)
     monkeypatch.undo()
 
     # the orders are memoized by quotient type, not by diagram object
