@@ -3,11 +3,13 @@
 For each label the script times `python -m paravol pairs <label> --q 1009`
 as a separate process, so each time includes interpreter start-up and
 import, as a user of the command pays it.  The process's peak resident
-set size comes from the rusage that `os.wait4` returns for it.  Each time
-and peak is the median of 3 runs; the size and SHA-256 of the JSON output
-are recorded too, so a record with two columns shows whether both trees
-wrote the same bytes.  The default labels are those of perfbench's
-pairs_sweep workload.
+set size comes from the rusage that `os.wait4` returns for it.  Linux
+counts in that peak the pages of the process that started it, up to its
+exec, so a small launcher (`LAUNCHER`), not this script, starts and times
+each process.  Each time and peak is the median of 3 runs; the size and
+SHA-256 of the JSON output are recorded too, so a record with two columns
+shows whether both trees wrote the same bytes.  The default labels are
+those of perfbench's pairs_sweep workload.
 
     python3 bench/pairs.py --output bench/BENCH_10.json
     python3 bench/pairs.py --output bench/BENCH_10.json --baseline-src OTHER/src
@@ -30,7 +32,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 from scale import RUNS, SRC
@@ -41,21 +42,30 @@ LABELS = ("split:E8", "split:E7", "split:E6", "split:F4", "split:G2",
 Q = 1009
 
 
+# Forks and execs `python <args>` with stdout to /dev/null, then prints its
+# exit code, wall seconds and peak RSS in kilobytes (the unit of Linux).
+LAUNCHER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
+"""
+
+
 def timed_peak(src, argv):
     """Wall seconds and peak RSS in MB of one `python -m paravol` process; exits on failure."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "paravol", *argv], env=env,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    err = proc.stderr.read()  # to end of file, so the pipe never fills
-    proc.stderr.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    elapsed = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        sys.exit(f"paravol {' '.join(argv)} with {src} exited {proc.returncode}: "
-                 f"{err.strip()}")
-    return elapsed, usage.ru_maxrss / 1024  # Linux reports kilobytes
+    done = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, "-m", "paravol", *argv],
+                          env=env, capture_output=True, text=True)
+    fields = done.stdout.split()
+    if done.returncode != 0 or len(fields) != 3 or fields[0] != "0":
+        sys.exit(f"paravol {' '.join(argv)} with {src} failed: {done.stdout.strip()} "
+                 f"{done.stderr.strip()}")
+    return float(fields[1]), int(fields[2]) / 1024
 
 
 def measure(label, trees, workdir):

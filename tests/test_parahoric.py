@@ -193,8 +193,8 @@ def test_pairs_json_shape():
     assert value == 6 * 1  # q(q^2-1)(q-1)^2 at q=2
     assert coeffs[dim] == 1
     # one row per run of pairs with one t1, the t2 in pair order
-    assert [(tuple(t1), tuple(t2)) for t1, *_, t2s in rows for t2 in t2s] == [
-        (t1.vertices, t2.vertices) for t1, t2 in pairs]
+    assert [(tuple(row[0]), tuple(t2)) for row in rows for t2 in row[4]] == [
+        (a.vertices, b.vertices) for a, b in pairs]
     assert len({tuple(row[0]) for row in rows}) == len(rows)
     assert pairs_to_json(d, pairs)[0][3] is None
 
