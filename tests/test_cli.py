@@ -122,7 +122,7 @@ def test_pairs_hands_the_writer_no_chunk_longer_than_one_entry(monkeypatch):
     longest = max(len(",\n    " + json.dumps(entry, indent=2).replace("\n", "\n    "))
                   for entry in flat["pairs"])
     chunks = []
-    monkeypatch.setattr(cli, "_write", lambda output, text: chunks.extend(text))
+    monkeypatch.setattr(cli, "_write", lambda output, parts: chunks.extend(parts))
     assert run_quietly(["pairs", "split:C10", "--q", "1009"])[0] == 0
     assert "".join(chunks) == json.dumps(flat, indent=2) + "\n"
     assert len(chunks) > len(flat["pairs"]) > 10_000
