@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from .construction import (
@@ -25,7 +26,7 @@ from .construction import (
 )
 from .diagram import GroupSpec, build_local_index
 from .errors import CertificateError, DomainError, InvalidResidueError, SchemaError
-from .parahoric import find_equal_volume_pairs, pairs_to_json
+from .parahoric import pairs_to_json
 from .reductive import prime_power_base
 
 # Input integers may have at most this many digits: the interpreter's
@@ -132,14 +133,15 @@ def _pairs_chunks(label, rows, q):
     The text is `json.dumps(payload, indent=2) + "\\n"` byte for byte, where
     the payload is {"diagram": label, "pairs": [entry, ...]} with "q": q
     last when q is given, and each entry holds "t1", "t2", "dim",
-    "order_coeffs" and, when q is given, "order_at_q".  `rows` are those of
-    `parahoric.pairs_to_json`.  The entries of a row differ only in "t2",
-    so the text before it (the head) and after it (the tail) is built once
-    per row, and each t2 list's text once per list object.  An entry is
-    then one chunk: a separator, the head, the t2 text and the tail.
+    "order_coeffs" and, when q is given, "order_at_q".  `rows` iterates
+    over those of `parahoric.pairs_to_json`.  The entries of a row differ
+    only in "t2", so the text before it (the head) and after it (the tail)
+    is built once per row, and each t2 list's text once per list object.
+    An entry is then one chunk: a separator, the head, the t2 text and the
+    tail.
     """
     shared = {}
-    t2_texts = {}  # id of a t2 list -> its text; `rows` keeps every list alive
+    t2_texts = {}  # id of a t2 list -> its text; `pairs_to_json` keeps every list alive
 
     def text(value):
         parts = []
@@ -147,7 +149,7 @@ def _pairs_chunks(label, rows, q):
         return "".join(parts)
 
     yield '{\n  "diagram": ' + _quote(label) + ',\n  "pairs": '
-    sep = "[" + _ENTRY
+    first = sep = "[" + _ENTRY
     for t1, dim, coeffs, value, t2s in rows:
         head = "{" + _KEY + '"t1": ' + text(t1) + "," + _KEY + '"t2": '
         tail = "," + _KEY + '"dim": ' + text(dim) + "," + _KEY + '"order_coeffs": ' + text(coeffs)
@@ -160,7 +162,7 @@ def _pairs_chunks(label, rows, q):
                 t2_text = t2_texts[id(t2)] = text(t2)
             yield sep + head + t2_text + tail
             sep = "," + _ENTRY
-    end = "\n  ]" if rows else "[]"
+    end = "[]" if sep == first else "\n  ]"
     if q is not None:
         end += ',\n  "q": ' + text(q)
     yield end + "\n}\n"
@@ -260,15 +262,17 @@ def cmd_pairs(args):
     d = build_local_index(GroupSpec.parse(args.group))
     if args.q is not None and prime_power_base(args.q) is None:
         raise InvalidResidueError(f"invalid residue size: {args.q} is not a prime power")
-    pairs = find_equal_volume_pairs(d)
-    if not pairs:
+    rows = pairs_to_json(d, args.q)
+    head = next(rows, None)
+    if head is None:
         note = ""
         if d.group.form == "split" and d.group.family == "A":
             note = ("; the cycle rotations identify every candidate, "
                     "use the family command with --fallback-swap")
         print(f"warning: no single-place equal-volume pair of non-conjugate "
               f"types for {d.group.label}{note}", file=sys.stderr)
-    rows = pairs_to_json(d, pairs, args.q)
+    else:
+        rows = chain((head,), rows)
     _write(args.output, _pairs_chunks(d.group.label, rows, args.q))
     return 0
 

@@ -33,8 +33,8 @@ from .parahoric import (
     ONE,
     HalfPowerRational,
     conjugate_types,
+    equal_volume_rows,
     factor_ratio,
-    find_equal_volume_pairs,
 )
 from .reductive import prime_power_base, quotient_descriptor
 
@@ -340,18 +340,22 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
             t1, t2 = IWAHORI, pa.local_index.default_type()
             variations.append([{a: t1, b: t2}, {a: t2, b: t1}])
     else:
+        first_rows = {}  # local index -> the first row of its pair search, or None
         for pid in family_ids:
             pl = by_id[pid]
+            d = pl.local_index
             if pid in pairs:
-                t1, t2 = (pl.local_index.check_proper(t) for t in pairs[pid])
-                _check_family_pair(pl.local_index, t1, t2)
+                t1, t2 = (d.check_proper(t) for t in pairs[pid])
+                _check_family_pair(d, t1, t2)
             else:
-                found = find_equal_volume_pairs(pl.local_index)
-                if not found:
+                if d not in first_rows:
+                    first_rows[d] = next(equal_volume_rows(d), None)
+                if first_rows[d] is None:
                     raise DomainError(
                         f"no equal-volume pair of non-conjugate types at place {pid} "
-                        f"({pl.local_index.group.label}); try the two-place swap fallback")
-                t1, t2 = found[0]
+                        f"({d.group.label}); try the two-place swap fallback")
+                t1, _, t2s = first_rows[d]
+                t2 = t2s[0]
             variations.append([{pid: t1}, {pid: t2}])
 
     base = make_collection(group, places, refinements=refine)

@@ -48,8 +48,10 @@ class GroupSpec:
         if form == "split":
             # str.isdigit also accepts digits int() refuses (superscripts) or
             # reads as ASCII ones (Arabic-Indic), so only ASCII digits pass
+            # and a leading zero would make a second spelling of one label
             rank = name[1:]
-            if name[:1] in roots.RANK_BOUNDS and rank.isascii() and rank.isdigit():
+            if (name[:1] in roots.RANK_BOUNDS and rank.isascii() and rank.isdigit()
+                    and rank[0] != "0"):
                 return cls("split", name[0], int(rank))
             raise UnsupportedTypeError(f"unsupported type: {text!r}")
         if form == "twisted":
@@ -133,6 +135,16 @@ class ParahoricTypeSpec:
     def __repr__(self):
         return f"ParahoricTypeSpec({list(self.vertices)})"
 
+    @classmethod
+    def from_mask(cls, mask):
+        """The type whose vertices are the set bits of mask."""
+        return cls(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+    @property
+    def mask(self):
+        """The vertex set as a bitmask: bit v is set when v is in the type."""
+        return sum(1 << v for v in self.vertices)
+
 
 IWAHORI = ParahoricTypeSpec(())
 
@@ -147,9 +159,21 @@ class LocalIndex:
     marks: tuple
     hyperspecial: tuple
     realized_auts: tuple
+    # bitmask of the neighbours of each vertex
+    neighbours: tuple = field(init=False, repr=False)
     # sorted vertex tuple of a proper type -> its induced component labels,
-    # filled by reductive.quotient_descriptor; it dies with the index
+    # filled by reductive.quotient_descriptor and the pair search
     component_labels: dict = field(default_factory=dict, init=False, repr=False)
+    # mask of a connected induced subdiagram -> its label(s), filled by
+    # classify_mask; like component_labels, it dies with the index
+    component_classes: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        neighbours = [0] * len(self.vertices)
+        for e in self.edges:
+            neighbours[e.u] |= 1 << e.v
+            neighbours[e.v] |= 1 << e.u
+        object.__setattr__(self, "neighbours", tuple(neighbours))
 
     @property
     def relative_rank(self):
@@ -171,15 +195,30 @@ class LocalIndex:
         t = self.check_proper(t)
         return sorted({tuple(sorted(g[v] for v in t.vertices)) for g in self.realized_auts})
 
-    def proper_vertex_tuples(self):
-        """Vertex tuples of all proper types, in lexicographic order."""
+    def proper_masks(self):
+        """Masks of all proper types, in lexicographic order of their vertex tuples.
+
+        The vertices are 0..n-1.  A tuple is followed by itself with the
+        next vertex after its last appended or, when its last is n-1, by
+        itself without n-1 and with its new last vertex moved up by one.
+        """
         n = len(self.vertices)
-        return sorted(tuple(v for v in self.vertices if mask >> v & 1)
-                      for mask in range(2 ** n - 1))
+        full, top = (1 << n) - 1, 1 << (n - 1)
+        mask = 0
+        while True:
+            if mask != full:
+                yield mask
+            if mask & top:
+                mask ^= top
+                if not mask:
+                    return
+                mask += 1 << (mask.bit_length() - 1)
+            else:
+                mask |= 1 << mask.bit_length()
 
     def proper_types(self):
         """All proper types in lexicographic vertex-tuple order."""
-        return [ParahoricTypeSpec(t) for t in self.proper_vertex_tuples()]
+        return [ParahoricTypeSpec.from_mask(mask) for mask in self.proper_masks()]
 
     def default_type(self):
         """Type {0} if split, else the smallest maximal type.
@@ -397,27 +436,38 @@ def _arm_lengths(center, comp, edges):
     return arms
 
 
+def classify_mask(d, mask):
+    """Sorted component labels of the subdiagram induced on a proper type's vertex mask.
+
+    The caller vouches that the mask is proper.  The mask is split into
+    connected components along `d.neighbours`, and each component is
+    classified once per index: `d.component_classes` holds its label(s) by
+    its mask, and a few dozen components make up every type of a diagram.
+    """
+    neighbours = d.neighbours
+    classes = d.component_classes
+    labels = []
+    while mask:
+        comp = grown = mask & -mask
+        while grown:
+            reach = 0
+            while grown:
+                low = grown & -grown
+                reach |= neighbours[low.bit_length() - 1]
+                grown ^= low
+            grown = reach & mask & ~comp
+            comp |= grown
+        mask ^= comp
+        found = classes.get(comp)
+        if found is None:
+            vertices = {v for v in d.vertices if comp >> v & 1}
+            edges = [e for e in d.edges if e.u in vertices and e.v in vertices]
+            found = classes[comp] = _classify_component(vertices, edges)
+        labels += found
+    labels.sort()
+    return tuple(labels)
+
+
 def induced_subdiagram(d, t):
     """Component labels of the decorated subgraph induced on the type."""
-    t = d.check_proper(t)
-    adj = {v: [] for v in t.vertices}
-    edges = [e for e in d.edges if e.u in adj and e.v in adj]
-    for e in edges:
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    seen = set()
-    labels = []
-    for v in t.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            for b in adj[stack.pop()]:
-                if b not in comp:
-                    comp.add(b)
-                    stack.append(b)
-        seen |= comp
-        comp_edges = [e for e in edges if e.u in comp]
-        labels.extend(_classify_component(comp, comp_edges))
-    return tuple(sorted(labels))
+    return classify_mask(d, d.check_proper(t).mask)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagram import ParahoricTypeSpec
-from .reductive import quotient_descriptor
+from .diagram import ParahoricTypeSpec, classify_mask
+from .reductive import components_descriptor, quotient_descriptor
 
 
 class HalfPowerRational:
@@ -72,70 +72,82 @@ def factor_ratio(d, t1, t2, place):
 
 
 def orbit_representatives(d):
-    """Canonical representative per realized-automorphism orbit of proper types.
+    """The least type of each realized-automorphism orbit of proper types, in order.
 
-    Orbits are sets of vertex tuples, met in lexicographic order, so the
-    first tuple of each orbit is its smallest; one type is built per orbit.
+    Types are met as vertex masks in lexicographic order of their vertex
+    tuples, so the first type met of an orbit is its least.  Each new
+    representative marks its images under every realized automorphism in a
+    bytearray with one byte per mask.
     """
-    seen = set()
+    images = [[1 << w for w in g] for g in d.realized_auts]
+    seen = bytearray(1 << len(d.vertices))
     reps = []
-    for t in d.proper_vertex_tuples():
-        if t in seen:
+    for mask in d.proper_masks():
+        if seen[mask]:
             continue
-        rep = ParahoricTypeSpec(t)
-        seen.update(d.orbit(rep))
-        reps.append(rep)
+        for bits in images:
+            image, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                image |= bits[low.bit_length() - 1]
+                rest ^= low
+            seen[image] = 1
+        reps.append(ParahoricTypeSpec.from_mask(mask))
     return reps
 
 
-def find_equal_volume_pairs(d):
-    """Pairs of non-conjugate types whose volume factors agree identically in q.
+def equal_volume_rows(d):
+    """Pairs of non-conjugate types whose volume factors agree identically in q, by first type.
 
-    Returned pairs are orbit representatives bucketed by (dim, order
-    polynomial); any two types in distinct buckets differ in volume, any two
-    in distinct orbits are non-conjugate.  Sorted for determinism.
+    Orbit representatives are bucketed by (dim, order polynomial); any two
+    types in distinct buckets differ in volume, any two in distinct orbits
+    are non-conjugate.  Each representative is classified once, on the
+    mask it came from.  Yields (t1, its descriptor, the t2 paired with it)
+    for each representative with a later member in its bucket: the t2 are
+    those later members, a slice of the bucket.  Representatives come in
+    lexicographic order, so the rows' pairs are sorted by (t1, t2).
     """
     buckets = {}
-    for rep in orbit_representatives(d):
-        desc = quotient_descriptor(d, rep)
-        buckets.setdefault((desc.dim, desc.order.coeffs), []).append(rep)
-    pairs = []
-    for _, reps in sorted(buckets.items()):
-        reps = sorted(reps, key=lambda t: t.vertices)
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                pairs.append((reps[i], reps[j]))
-    return sorted(pairs, key=lambda p: (p[0].vertices, p[1].vertices))
+    placed = []  # (representative, descriptor, its bucket, its place there)
+    for t in orbit_representatives(d):
+        components = d.component_labels[t.vertices] = classify_mask(d, t.mask)
+        desc = components_descriptor(d, components)
+        bucket = buckets.setdefault((desc.dim, desc.order.coeffs), [])
+        placed.append((t, desc, bucket, len(bucket)))
+        bucket.append(t)
+    for t, desc, bucket, k in placed:
+        if k + 1 < len(bucket):
+            yield t, desc, bucket[k + 1:]
 
 
-def pairs_to_json(d, pairs, q=None):
-    """The rows of the `pairs` command's output: one per run of pairs with one t1.
+def find_equal_volume_pairs(d):
+    """The pairs of `equal_volume_rows` as (t1, t2) tuples, sorted by (t1, t2)."""
+    return [(t1, t2) for t1, _, t2s in equal_volume_rows(d) for t2 in t2s]
+
+
+def pairs_to_json(d, q=None):
+    """The rows of the `pairs` command's output, one per row of `equal_volume_rows`.
 
     Each row is (t1's vertex list, dim, order coefficient list, order at q
-    or None, the vertex lists of the t2 paired with it, in order).  Pairs
-    arrive sorted by (t1, t2), as `find_equal_volume_pairs` returns them, so
-    each t1's pairs are consecutive: it gets one row, and its descriptor
-    is looked up once.  Thousands of pairs share a few hundred types and
-    fewer volume factors (both types of a pair share one).  So each
-    distinct t2's vertex list and each distinct order's coefficient list
-    and value at q are built once, in dicts that live for this call only.
-    Rows share those list objects, so the writer formats each once.
+    or None, the vertex lists of its t2, in order).  Thousands of pairs
+    share a few hundred types and fewer volume factors (both types of a
+    pair share one).  So each type's vertex list and each distinct order's
+    coefficient list and value at q are built once, in dicts that live as
+    long as this generator.  Rows share those list objects, so the writer
+    formats each once; the dicts keep every list alive, so the writer may
+    know a list by its id while it runs.
     """
-    rows = []
-    lists = {}  # t2's vertex tuple -> its list
-    orders = {}  # order polynomial -> (order_coeffs, order_at_q)
-    last = None
-    for t1, t2 in pairs:
-        a, b = t1.vertices, t2.vertices
-        if a != last:
-            desc = quotient_descriptor(d, t1)
-            if desc.order not in orders:
-                orders[desc.order] = (desc.order.to_json(),
-                                      None if q is None else desc.order(q))
-            t2s = []
-            rows.append((list(a), desc.dim, *orders[desc.order], t2s))
-            last = a
-        if b not in lists:
-            lists[b] = list(b)
-        t2s.append(lists[b])
-    return rows
+    lists = {}  # vertex tuple -> its list
+    orders = {}  # order coefficients -> (order_coeffs, order_at_q)
+
+    def vertex_list(t):
+        found = lists.get(t.vertices)
+        if found is None:
+            found = lists[t.vertices] = list(t.vertices)
+        return found
+
+    for t1, desc, t2s in equal_volume_rows(d):
+        coeffs = desc.order.coeffs
+        if coeffs not in orders:
+            orders[coeffs] = (desc.order.to_json(), None if q is None else desc.order(q))
+        yield (vertex_list(t1), desc.dim, *orders[coeffs], [vertex_list(t2) for t2 in t2s])

@@ -41,10 +41,13 @@ class OrderPolynomial:
         return len(self.coeffs) - 1
 
     def __mul__(self, other):
+        # a group order q^N * prod(q^d - 1) has N leading zeros and more
+        # inside, so only the nonzero terms of either factor are visited
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in terms:
                     out[i + j] += a * b
         return OrderPolynomial(out)
 
@@ -111,8 +114,9 @@ def quotient_descriptor(d, t):
     induced component labels, so each (index, type) is classified once and
     the dict dies with the index; an entry is stored only after
     `induced_subdiagram` has checked the type proper, so an improper type
-    still raises on every call.  The descriptor itself is memoized by its
-    value, (components, torus_rank), so each quotient's order is
+    still raises on every call.  The pair search stores the labels of the
+    types it classifies there too.  The descriptor itself is memoized by
+    its value, (components, torus_rank), so each quotient's order is
     multiplied out once per process; that memo holds at most the finitely
     many quotient types of the ranks in use.
     """
@@ -120,6 +124,11 @@ def quotient_descriptor(d, t):
     components = d.component_labels.get(t.vertices)
     if components is None:
         components = d.component_labels[t.vertices] = dg.induced_subdiagram(d, t)
+    return components_descriptor(d, components)
+
+
+def components_descriptor(d, components):
+    """The descriptor of a type of `d` whose induced subdiagram has these component labels."""
     return _descriptor(components, d.relative_rank - sum(c.rank for c in components))
 
 

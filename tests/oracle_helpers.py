@@ -1,13 +1,22 @@
 """Independent brute-force oracles used to freeze expected values.
 
-Nothing here touches the engine's order formulas, subdiagram
+Nothing in the oracles touches the engine's order formulas, subdiagram
 classification or automorphism search; counts come from enumerating
 matrices over small fields, permutations over small vertex sets and Weyl
 group elements directly.
+
+The references at the end are the pair search as it was written on vertex
+tuples: orbits from a set of every type seen, components by breadth-first
+search over vertex sets, and the sorted list of every pair.  They check
+the engine's bitmask search.  They reuse the engine's classifier of one
+connected component and its order formula, which the oracles above check.
 """
 
 import itertools
 from functools import lru_cache
+
+from paravol.diagram import _classify_component
+from paravol.reductive import components_descriptor
 
 
 def det2(m, q):
@@ -161,3 +170,55 @@ def parabolic_length_counts(d, t):
 def poincare_value(counts, q):
     """W(q) = sum over w of q^length(w), from the counts per length."""
     return sum(c * q ** k for k, c in enumerate(counts))
+
+
+def reference_orbit_representatives(d):
+    """Least vertex tuple of each realized-automorphism orbit of proper types, in order.
+
+    Every proper type is a sorted tuple, met in lexicographic order; the
+    images of each new representative go into a set of the tuples seen.
+    """
+    n = len(d.vertices)
+    types = sorted(tuple(v for v in d.vertices if mask >> v & 1) for mask in range(2 ** n - 1))
+    seen = set()
+    reps = []
+    for t in types:
+        if t in seen:
+            continue
+        seen.update(tuple(sorted(g[v] for v in t)) for g in d.realized_auts)
+        reps.append(t)
+    return reps
+
+
+def reference_component_labels(d, t):
+    """Sorted component labels of the subdiagram induced on the vertex tuple t, by BFS."""
+    adj = {v: [] for v in t}
+    edges = [e for e in d.edges if e.u in adj and e.v in adj]
+    for e in edges:
+        adj[e.u].append(e.v)
+        adj[e.v].append(e.u)
+    seen = set()
+    labels = []
+    for v in t:
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            for b in adj[stack.pop()]:
+                if b not in comp:
+                    comp.add(b)
+                    stack.append(b)
+        seen |= comp
+        labels.extend(_classify_component(comp, [e for e in edges if e.u in comp]))
+    return tuple(sorted(labels))
+
+
+def reference_pairs(d):
+    """Every pair of representatives with equal (dim, order polynomial), sorted, as tuples."""
+    buckets = {}
+    for t in reference_orbit_representatives(d):
+        desc = components_descriptor(d, reference_component_labels(d, t))
+        buckets.setdefault((desc.dim, desc.order.coeffs), []).append(t)
+    return sorted(pair for reps in buckets.values()
+                  for pair in itertools.combinations(sorted(reps), 2))

@@ -672,6 +672,28 @@ def test_rank_with_non_ascii_digits_exits_1(tmp_path, capsys, label):
         assert err == f"error: unsupported type: {label!r}\n"
 
 
+def test_rank_with_a_leading_zero_exits_1_where_the_place_index_repeats_it(tmp_path, capsys):
+    places = [{"id": "v2", "q": 2, "p": 2, "index": "split:B3"},
+              {"id": "v3", "q": 3, "p": 3, "index": "split:B3"}]
+    family = write_json(tmp_path / "family.json", family_request(places=places))
+    code, certificate, _ = invoke(capsys, "family", "--input", family)
+    assert code == 0
+    (tmp_path / "certificate.json").write_text(certificate)
+    ratio = write_json(tmp_path / "ratio.json", {
+        "group": "split:B3", "places": places,
+        "collections": [{"assignment": {}}, {"assignment": {"v2": [0]}}],
+    })
+    for name in ("ratio", "family", "certificate"):
+        path = tmp_path / f"{name}.json"
+        text = path.read_text()
+        assert '"split:B3"' in text
+        path.write_text(text.replace('"split:B3"', '"split:B03"'))
+    for command, name in (("ratio", "ratio"), ("family", "family"), ("certify", "certificate")):
+        code, out, err = invoke(capsys, command, "--input", str(tmp_path / f"{name}.json"))
+        assert (code, out) == (1, ""), command
+        assert err == "error: unsupported type: 'split:B03'\n"
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text()
     | st.builds(lambda digits, sign: sign * (10 ** digits - 1),  # past 4,300 digits

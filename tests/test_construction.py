@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from test_acceptance import random_collections
 
-from paravol import construction, diagram
+from paravol import construction, diagram, parahoric
 from paravol.construction import (
     CITATIONS,
     Place,
@@ -410,13 +410,16 @@ def test_certify_family_local_work_is_linear(monkeypatch):
 def test_family_and_certify_classify_each_type_once(monkeypatch):
     g, d, places = setup_group("split:B3", 2, 3, 5, 7, 4, 9)
     classified = []
-    induced = diagram.induced_subdiagram
+    classify = diagram.classify_mask
 
-    def counted_induced(d, t):
-        classified.append(ParahoricTypeSpec.coerce(t).vertices)
-        return induced(d, t)
+    def counted_classify(d, mask):
+        classified.append(ParahoricTypeSpec.from_mask(mask).vertices)
+        return classify(d, mask)
 
-    monkeypatch.setattr(diagram, "induced_subdiagram", counted_induced)
+    # the search calls it directly, `quotient_descriptor` through
+    # `induced_subdiagram`
+    monkeypatch.setattr(diagram, "classify_mask", counted_classify)
+    monkeypatch.setattr(parahoric, "classify_mask", counted_classify)
     members = build_family(g, places, ["v0", "v1", "v2", "v3"], refine=("v4", "v5"))
     certify_family(members)
     # the pair search reads every orbit representative, the certificate

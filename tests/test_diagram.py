@@ -30,6 +30,23 @@ def test_group_spec_parse_and_label():
     assert GroupSpec.parse("twisted:C-B2").dimension() == 15
 
 
+def test_group_spec_label_is_the_spelling_it_accepts():
+    ranks = [str(r) for r in range(21)] + ["00", "01", "03", "003", "010", "+3", " 3", "3 "]
+    names = [f + r for f in "ABCDEFGHX" for r in ranks] + ["C-BC1", "C-B2", "C-BC01", "c-b2"]
+    accepted = []
+    for text in (f"{form}:{name}" for form in ("split", "twisted") for name in names):
+        try:
+            g = GroupSpec.parse(text)
+        except UnsupportedTypeError:
+            continue
+        assert g.label == text
+        accepted.append(text)
+    assert "split:B3" in accepted and "twisted:C-BC1" in accepted
+    for bad in ("split:B03", "split:A01", "split:E008", "split:C010"):
+        with pytest.raises(UnsupportedTypeError):
+            GroupSpec.parse(bad)
+
+
 def test_group_spec_rejects_bad_labels():
     for bad in ("split:B2", "split:D3", "split:E9", "split:X4", "split:A0",
                 "twisted:C-BC2", "twisted:B3", "ramified:C-BC1", "A3"):

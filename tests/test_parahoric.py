@@ -6,9 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_golden import LABELS
 
-from paravol.diagram import build_local_index
+from oracle_helpers import (
+    reference_component_labels,
+    reference_orbit_representatives,
+    reference_pairs,
+)
+from test_golden import LABELS, LARGE_PAIRS_LABELS
+
+from paravol.diagram import build_local_index, induced_subdiagram
 from paravol.errors import ImproperTypeError
 from paravol.parahoric import (
     ONE,
@@ -16,6 +22,7 @@ from paravol.parahoric import (
     conjugate_types,
     factor_ratio,
     find_equal_volume_pairs,
+    orbit_representatives,
     pairs_to_json,
 )
 from paravol.construction import Place
@@ -183,10 +190,34 @@ def test_found_pairs_are_sound():
             assert d1.dim == d2.dim and d1.order == d2.order
 
 
+def pair_tuples(pairs):
+    return [(t1.vertices, t2.vertices) for t1, t2 in pairs]
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_search_matches_the_tuple_references(label):
+    d = build_local_index(label)
+    pairs = find_equal_volume_pairs(d)
+    reps = reference_orbit_representatives(d)
+    assert [t.vertices for t in orbit_representatives(d)] == reps
+    # the labels the search stored for its representatives
+    assert d.component_labels == {t: reference_component_labels(d, t) for t in reps}
+    for t in build_local_index(label).proper_types():
+        assert induced_subdiagram(d, t) == reference_component_labels(d, t.vertices)
+    assert pair_tuples(pairs) == reference_pairs(d)
+
+
+@pytest.mark.parametrize("label", LARGE_PAIRS_LABELS)
+def test_large_search_matches_the_tuple_references(label):
+    d = build_local_index(label)
+    assert [t.vertices for t in orbit_representatives(d)] == reference_orbit_representatives(d)
+    assert pair_tuples(find_equal_volume_pairs(d)) == reference_pairs(d)
+
+
 def test_pairs_json_shape():
     d = build_local_index("split:B3")
     pairs = find_equal_volume_pairs(d)
-    rows = pairs_to_json(d, pairs, q=2)
+    rows = list(pairs_to_json(d, q=2))
     t1, dim, coeffs, value, t2s = rows[0]
     assert t1 == [0] and t2s[0] == [2]
     assert dim == 5
@@ -196,7 +227,7 @@ def test_pairs_json_shape():
     assert [(tuple(row[0]), tuple(t2)) for row in rows for t2 in row[4]] == [
         (a.vertices, b.vertices) for a, b in pairs]
     assert len({tuple(row[0]) for row in rows}) == len(rows)
-    assert pairs_to_json(d, pairs)[0][3] is None
+    assert next(pairs_to_json(d))[3] is None
 
 
 def test_pairs_compute_each_quotient_once(monkeypatch):
@@ -208,13 +239,18 @@ def test_pairs_compute_each_quotient_once(monkeypatch):
     first_types = {t1 for t1, _ in pairs}
     assert len(first_types) < len(pairs)  # 19 distinct t1 over 32 pairs
 
+    # the search looks up one descriptor per orbit representative, the
+    # rows carry it, and nothing looks one up per pair
     looked_up = []
-    descriptor = parahoric.quotient_descriptor
-    monkeypatch.setattr(parahoric, "quotient_descriptor",
-                        lambda d, t: looked_up.append(t) or descriptor(d, t))
-    rows = pairs_to_json(d, pairs, q=7)
-    assert len(looked_up) == len(first_types) and set(looked_up) == first_types
+    descriptor = parahoric.components_descriptor
+    monkeypatch.setattr(parahoric, "components_descriptor",
+                        lambda d, c: looked_up.append(c) or descriptor(d, c))
+    monkeypatch.setattr(parahoric, "quotient_descriptor", None)
+    rows = list(pairs_to_json(d, q=7))
+    assert len(looked_up) == len(parahoric.orbit_representatives(d))
+    assert first_types <= set(parahoric.orbit_representatives(d))
     assert len(rows) == len(first_types)
+    assert {tuple(row[0]) for row in rows} == {t.vertices for t in first_types}
     monkeypatch.undo()
 
     # the orders are memoized by quotient type, not by diagram object
