@@ -11,8 +11,12 @@ SHA-256 of the JSON output are recorded too, so a record with two columns
 shows whether both trees wrote the same bytes.  The default labels are
 those of perfbench's pairs_sweep workload.
 
-    python3 bench/pairs.py --output bench/BENCH_10.json
-    python3 bench/pairs.py --output bench/BENCH_10.json --baseline-src OTHER/src
+The same is recorded for `paravol family` on one place (q = 2) of each
+group in FAMILY_LABELS.  Such a family takes the first pair of the pair
+search, so its cost shows whether the search builds more than it hands out.
+
+    python3 bench/pairs.py --output bench/BENCH_11.json
+    python3 bench/pairs.py --output bench/BENCH_11.json --baseline-src OTHER/src
     python3 bench/pairs.py --labels split:G2,twisted:C-B2 --output pairs.json
 
 The first times this tree (column "head").  The second also times the tree
@@ -40,6 +44,7 @@ LABELS = ("split:E8", "split:E7", "split:E6", "split:F4", "split:G2",
           "split:A11", "split:B8", "split:C10", "split:D10",
           "twisted:C-BC1", "twisted:C-B2")
 Q = 1009
+FAMILY_LABELS = ("split:C12", "split:C14")
 
 
 # Forks and execs `python <args>` with stdout to /dev/null, then prints its
@@ -68,20 +73,20 @@ def timed_peak(src, argv):
     return float(fields[1]), int(fields[2]) / 1024
 
 
-def measure(label, trees, workdir):
+def measure(label, argv, time_key, trees, workdir):
+    """The row of `paravol <argv> --output FILE`: medians per tree, output size and digest."""
     samples = {name: [] for name in trees}
     outputs = {}
     for _ in range(RUNS):
         for name, src in trees.items():
-            output = workdir / f"pairs-{name}.json"
-            samples[name].append(timed_peak(src, [
-                "pairs", label, "--q", str(Q), "--output", str(output)]))
+            output = workdir / f"out-{name}.json"
+            samples[name].append(timed_peak(src, [*argv, "--output", str(output)]))
             outputs[name] = output.read_bytes()
     return {
         "label": label,
         "columns": {
             name: {
-                "pairs_s": round(statistics.median(s for s, _ in samples[name]), 3),
+                time_key: round(statistics.median(s for s, _ in samples[name]), 3),
                 "peak_rss_mb": round(statistics.median(mb for _, mb in samples[name]), 1),
                 "output_bytes": len(outputs[name]),
                 "output_sha256": hashlib.sha256(outputs[name]).hexdigest(),
@@ -103,14 +108,25 @@ def main(argv=None):
     trees = {"head": SRC}
     if args.baseline_src is not None:
         trees["baseline"] = args.baseline_src.resolve()
-    rows = []
+    rows, family_rows = [], []
     with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
         for label in args.labels.split(","):
-            row = measure(label, trees, Path(tmp))
-            print(json.dumps(row), file=sys.stderr)
-            rows.append(row)
+            rows.append(measure(label, ["pairs", label, "--q", str(Q)], "pairs_s",
+                                trees, workdir))
+            print(json.dumps(rows[-1]), file=sys.stderr)
+        request = workdir / "family-request.json"
+        for label in FAMILY_LABELS:
+            request.write_text(json.dumps({
+                "group": label, "places": [{"id": "v2", "q": 2, "p": 2}],
+                "family_places": ["v2"]}))
+            family_rows.append(measure(label, ["family", "--input", str(request)], "family_s",
+                                       trees, workdir))
+            print(json.dumps(family_rows[-1]), file=sys.stderr)
     record = {
         "command": f"paravol pairs <label> --q {Q}",
+        "family_command": "paravol family --input <label, one place v2 with q = p = 2, "
+                          "family place v2>",
         "runs": RUNS,
         "statistic": "median wall seconds and peak RSS MB per process, start-up included",
         "host": {
@@ -119,6 +135,7 @@ def main(argv=None):
             "python": platform.python_version(),
         },
         "rows": rows,
+        "family_rows": family_rows,
     }
     args.output.write_text(json.dumps(record, indent=2) + "\n")
     return 0
