@@ -5,8 +5,10 @@ split label of rank at most 8 and both twisted indices, `pairs --q 1009`
 for three labels above rank 8 (thousands of pairs each), `pairs` without
 `--q` for four labels (no `order_at_q` and no `"q"`; split:A4 has no
 pair), `family` and `certify` round trips (with a refinement, with the
-two-place swap and on a twisted group), and fixed `ratio` requests.  `tests/golden.json` holds the
-SHA-256 of each stdout, not the output itself.
+two-place swap and on a twisted group), fixed `ratio` requests, and, last,
+`family` and `certify` on the 64-member request shape the benchmark's
+family workload sends.  `tests/golden.json` holds the SHA-256 of each
+stdout, not the output itself.
 
 A refactor must leave every digest unchanged.  A change that alters output
 on purpose rewrites the file with
@@ -59,6 +61,20 @@ FAMILIES = {
         "family_places": ["v2", "v3"],
     },
 }
+
+# Requests recorded after every other entry, so adding them moved none.
+# split:B3 with six family places q = 2..13 refined at w4 and w9, its
+# places and family places in no sorted order: 64 members, 2,016 witnesses.
+LATER_FAMILIES = (
+    ("split:B3 six places refined", {
+        "group": "split:B3",
+        "places": [_place("v7", 7, 7), _place("w9", 9, 3), _place("v2", 2, 2),
+                   _place("v13", 13, 13), _place("w4", 4, 2), _place("v5", 5, 5),
+                   _place("v11", 11, 11), _place("v3", 3, 3)],
+        "family_places": ["v11", "v3", "v13", "v2", "v7", "v5"],
+        "refine": ["w4", "w9"],
+    }),
+)
 
 SWAP_FAMILY = {
     "group": "split:A4",
@@ -141,6 +157,11 @@ def corpus(workdir):
         record(f"pairs {label} --q 1009", ["pairs", label, "--q", "1009"])
     for label in PLAIN_PAIRS_LABELS:
         record(f"pairs {label}", ["pairs", label])
+    for k, (name, req) in enumerate(LATER_FAMILIES):
+        cert = record(f"family {name}",
+                      ["family", "--input", write(f"later-family-{k}.json", req)])
+        record(f"certify {name}",
+               ["certify", "--input", write(f"later-certificate-{k}.json", cert)])
     return entries
 
 
