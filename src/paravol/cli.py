@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from contextlib import contextmanager
@@ -52,20 +53,22 @@ def _encode(value):
     """The text of `json.dumps(value, indent=2)`, byte for byte, built in one pass.
 
     With `indent` set, the standard library encodes in pure Python, one
-    generator per container.  Here dicts and lists append fragments to one
-    list that is joined once, a list of plain ints is one join over
+    generator per container.  Here a dict appends fragments to one list
+    that is joined once, a list of plain ints is one join over
     `int.__repr__`, and strings and keys go through the C
     `encode_basestring_ascii`.  A value made of dicts with str keys,
     lists, str, int, bool and None yields exactly the bytes of `json.dumps`;
     any other type raises TypeError, so the output never differs.  Values
     must be acyclic, as every payload the engine builds is.
 
-    A payload may hold one int list in many places (a `family` certificate
-    shares each type's list among its members).  `shared` maps an
-    int-only list's `id` and indent to its text, so a list object met again
-    at the same indent is written without joining its ints again.  The
-    dict lives for this call only, while `value` keeps every list alive,
-    so no id is reused within it.
+    A payload may hold one list in many places: a `family` certificate
+    shares each type's list among its members, and its ratio matrix is one
+    row list N times over.  So every list is built into its own text, and
+    `shared` maps the list's `id` and indent to that text: a list object
+    met again at the same indent is written without encoding it again.
+    The dict lives for this call only, while `value` keeps every list
+    alive, so no id is reused within it.  Dicts are not cached: a payload
+    repeats few of them, and joining each would cost more than it saves.
     """
     parts = []
     _encode_into(parts.append, value, "\n", {})
@@ -86,22 +89,22 @@ def _encode_into(append, value, newline, shared):
             return
         key = (id(value), newline)
         text = shared.get(key)
-        if text is not None:
-            append(text)
-            return
-        inner = newline + "  "
-        # type(v) is int, not isinstance: a bool in the list prints true
-        if _INT_ONLY.issuperset(map(type, value)):
-            text = shared[key] = (
-                "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
-            append(text)
-            return
-        sep = "[" + inner
-        for item in value:
-            append(sep)
-            sep = "," + inner
-            _encode_into(append, item, inner, shared)
-        append(newline + "]")
+        if text is None:
+            inner = newline + "  "
+            # type(v) is int, not isinstance: a bool in the list prints true
+            if _INT_ONLY.issuperset(map(type, value)):
+                text = "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
+            else:
+                parts = []
+                sep = "[" + inner
+                for item in value:
+                    parts.append(sep)
+                    sep = "," + inner
+                    _encode_into(parts.append, item, inner, shared)
+                parts.append(newline + "]")
+                text = "".join(parts)
+            shared[key] = text
+        append(text)
     elif kind is dict:
         if not value:
             append("{}")
@@ -186,6 +189,7 @@ def _int_digit_limit(n):
 
 
 def _load_json(path):
+    """(the text of the file, its decoded JSON), refusing floats and huge integers."""
     if not os.path.exists(path):
         raise SchemaError(f"no such file: {path}")
     try:
@@ -196,7 +200,7 @@ def _load_json(path):
     try:
         # the C scanner builds each int and refuses one past the limit
         with _int_digit_limit(MAX_INPUT_DIGITS):
-            return json.loads(text, parse_float=_input_float, parse_constant=_input_float)
+            return text, json.loads(text, parse_float=_input_float, parse_constant=_input_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     except RecursionError as exc:
@@ -286,7 +290,7 @@ def _collection_from_json(entry, group, places, ctx):
 
 
 def cmd_ratio(args):
-    data = _load_json(args.input)
+    _, data = _load_json(args.input)
     group = GroupSpec.parse(_get(data, "group", "input", str))
     places = _places_from_json(_get(data, "places", "input"), group.label)
     colls = _get(data, "collections", "input", list)
@@ -299,7 +303,7 @@ def cmd_ratio(args):
 
 
 def cmd_family(args):
-    data = _load_json(args.input)
+    _, data = _load_json(args.input)
     group = GroupSpec.parse(_get(data, "group", "input", str))
     places = _places_from_json(_get(data, "places", "input"), group.label)
     family_ids = _get(data, "family_places", "input", list)
@@ -377,7 +381,7 @@ def _first_difference(expected, found, path):
 
 
 def cmd_certify(args):
-    data = _load_json(args.input)
+    text, data = _load_json(args.input)
     group = GroupSpec.parse(_get(data, "group", "certificate", str))
     places = _places_from_json(_get(data, "places", "certificate"), group.label)
     member_entries = _get(data, "members", "certificate", list)
@@ -390,8 +394,11 @@ def cmd_certify(args):
     for key in ("ratios", "witnesses", "citations"):
         _get(data, key, "certificate", list)
     recomputed = certify_family(members).to_json()
+    # JSON spells a bool only as true or false, so without either word in
+    # the text (a C substring search) == cannot confuse a bool with 1 or 0
+    differs = _differs if "true" in text or "false" in text else operator.ne
     for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
-        if _differs(recomputed[key], data[key]):
+        if differs(recomputed[key], data[key]):
             entry = _first_difference(recomputed[key], data[key], key)
             raise CertificateError(f"certificate mismatch: {entry} does not match recomputation")
     result = {

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .diagram import IWAHORI, ParahoricTypeSpec
 from .errors import (
@@ -34,7 +35,7 @@ from .parahoric import (
     HalfPowerRational,
     conjugate_types,
     equal_volume_rows,
-    factor_ratio,
+    factor_terms,
 )
 from .reductive import prime_power_base, quotient_descriptor
 
@@ -150,17 +151,31 @@ def _check_comparable(a, b):
 
 
 def relative_covolume(a, b):
-    """Exact covolume ratio covol(a)/covol(b) over the shared places."""
+    """Exact covolume ratio covol(a)/covol(b) over the shared places.
+
+    The ratio is the product of the local factor ratios at the places
+    where the types differ, times the index of each refinement of a,
+    over the index of each refinement of b.  A place refined on both
+    sides with the same type contributes its index above and below, so it
+    is skipped.  The integer numerator and denominator are accumulated
+    and reduced once, at the end.
+    """
     _check_comparable(a, b)
-    ratio = ONE
+    num = den = 1
     for pl, ta, tb in zip(a.places, a.types, b.types):
         if ta != tb:
-            ratio = ratio * factor_ratio(pl.local_index, ta, tb, pl)
+            n, d = factor_terms(pl.local_index, ta, tb, pl.q)
+            num *= n
+            den *= d
     for pid in a.refinements:
-        ratio = ratio * HalfPowerRational(refinement_index(a.place(pid), a.type_at(pid)))
+        t = a.type_at(pid)
+        if pid not in b.refinements or b.type_at(pid) != t:
+            num *= refinement_index(a.place(pid), t)
     for pid in b.refinements:
-        ratio = ratio * HalfPowerRational(refinement_index(b.place(pid), b.type_at(pid))).inverse()
-    return ratio
+        t = b.type_at(pid)
+        if pid not in a.refinements or a.type_at(pid) != t:
+            den *= refinement_index(b.place(pid), t)
+    return HalfPowerRational(Fraction(num, den))
 
 
 @dataclass(frozen=True)
@@ -175,16 +190,32 @@ class FamilyCertificate:
     def to_json(self):
         """The v1 certificate.
 
-        Each distinct type's vertex list is built once and shared by every
-        assignment and witness naming the type, so the encoder writes it once.
+        Each distinct type's vertex list, each distinct ratio object's dict
+        and each distinct row tuple's list of ratios is built once and
+        shared wherever it recurs, so the encoder writes each list once.
+        `certify_family` makes every row the one tuple of N `ONE`s, so the
+        ratio matrix is N references to one list, itself N references to
+        one dict.
         """
         first = self.members[0]
         lists = {}
+        ratio_dicts = {}  # id of a ratio -> its dict; self.ratios keeps each alive
+        rows = {}  # id of a row tuple -> its list
 
         def vertices(t):
             if t.vertices not in lists:
                 lists[t.vertices] = list(t.vertices)
             return lists[t.vertices]
+
+        def ratio(r):
+            if id(r) not in ratio_dicts:
+                ratio_dicts[id(r)] = r.to_json()
+            return ratio_dicts[id(r)]
+
+        def row_list(row):
+            if id(row) not in rows:
+                rows[id(row)] = [ratio(r) for r in row]
+            return rows[id(row)]
 
         return {
             "group": first.group.label,
@@ -199,7 +230,7 @@ class FamilyCertificate:
                 }
                 for m in self.members
             ],
-            "ratios": [[r.to_json() for r in row] for row in self.ratios],
+            "ratios": [row_list(row) for row in self.ratios],
             "witnesses": [
                 {
                     "pair": [i, j],
@@ -258,8 +289,9 @@ def certify_family(members):
     covolume.  A failure names members 0 and j for the first j whose ratio
     is not one; on success every matrix entry is one.  The
     witness for a pair is the first place where the two types differ and
-    are not conjugate; conjugacy is decided once per place and ordered type
-    pair.
+    are not conjugate.  Each member is read as a tuple of per-place type
+    codes, numbered by first use, so the N²/2 pairs compare small ints,
+    and conjugacy is decided once per place and ordered pair of codes.
     """
     members = tuple(members)
     if len(members) < 2:
@@ -269,23 +301,29 @@ def certify_family(members):
         if not ratio.is_one:
             raise _unequal_covolume(0, j, members[0], members[j], ratio)
     ratios = ((ONE,) * len(members),) * len(members)
-    conjugate = {}  # (place id, t_i, t_j) -> conjugate_types
+    # each member as a tuple of per-place type codes, the order of first use
+    codes = [{} for _ in members[0].places]
+    rows = [tuple(code.setdefault(t, len(code)) for code, t in zip(codes, m.types))
+            for m in members]
+    indices = [pl.local_index for pl in members[0].places]
+    conjugate = {}  # (place index, code_i, code_j) -> conjugate_types
     witnesses = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            witness = None
-            for pl, ti, tj in zip(members[i].places, members[i].types, members[j].types):
-                if ti == tj:
+    for i, row_i in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            for k, (ci, cj) in enumerate(zip(row_i, rows[j])):
+                if ci == cj:
                     continue
-                key = (pl.id, ti, tj)
-                if key not in conjugate:
-                    conjugate[key] = conjugate_types(pl.local_index, ti, tj)
-                if not conjugate[key]:
-                    witness = (i, j, pl.id, ti, tj)
+                key = (k, ci, cj)
+                found = conjugate.get(key)
+                if found is None:
+                    found = conjugate[key] = conjugate_types(
+                        indices[k], members[i].types[k], members[j].types[k])
+                if not found:
+                    witnesses.append(
+                        (i, j, members[i].places[k].id, members[i].types[k], members[j].types[k]))
                     break
-            if witness is None:
+            else:
                 raise CertificateError(f"no witness separating members {i} and {j}")
-            witnesses.append(witness)
     return FamilyCertificate(members, ratios, tuple(witnesses))
 
 

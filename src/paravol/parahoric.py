@@ -58,17 +58,26 @@ def conjugate_types(d, t1, t2):
     return any(d.apply(g, t1) == t2 for g in d.realized_auts)
 
 
-def factor_ratio(d, t1, t2, place):
-    """Exact ratio of the local volume factors of t1 and t2 at the place.
+def factor_terms(d, t1, t2, q):
+    """Integers (num, den), not reduced, whose quotient is `factor_ratio` at residue size q.
 
-    Each dim is the relative rank plus twice a root count: the power of q is whole.
+    The ratio is q^((dim1-dim2)/2) * order2(q) / order1(q).  Each dim is
+    the relative rank plus twice a root count, so the power of q is whole
+    and goes to num or den by its sign.
     """
-    q = place.q
     f1 = quotient_descriptor(d, t1)
     f2 = quotient_descriptor(d, t2)
     assert (f1.dim - f2.dim) % 2 == 0
-    return HalfPowerRational(
-        Fraction(f2.order(q), f1.order(q)) * Fraction(q) ** ((f1.dim - f2.dim) // 2))
+    num, den = f2.order(q), f1.order(q)
+    half = (f1.dim - f2.dim) // 2
+    if half >= 0:
+        return num * q ** half, den
+    return num, den * q ** -half
+
+
+def factor_ratio(d, t1, t2, place):
+    """Exact ratio of the local volume factors of t1 and t2 at the place."""
+    return HalfPowerRational(Fraction(*factor_terms(d, t1, t2, place.q)))
 
 
 def orbit_representatives(d):

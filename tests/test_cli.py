@@ -6,6 +6,7 @@ import json
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from test_golden import LABELS
 
-from paravol import cli
+from paravol import cli, construction
 from paravol.cli import _encode, _int_digit_limit, run
 from paravol.diagram import build_local_index
 from paravol.parahoric import find_equal_volume_pairs
@@ -331,6 +332,38 @@ def test_certify_names_the_first_tampered_entry(tmp_path, capsys, tamper, entry)
                             write_json(tmp_path / "bad.json", cert))
     assert code == 1 and out == ""
     assert f"certificate mismatch: {entry} does not match" in err
+
+
+@dataclass(frozen=True)
+class _TrueCitationCertificate(construction.FamilyCertificate):
+    citations: tuple = construction.CITATIONS + ("a true and not false citation",)
+
+
+@pytest.mark.parametrize("where", ["place-id", "citation"])
+def test_certify_accepts_true_and_false_inside_strings(tmp_path, capsys, monkeypatch, where):
+    # `certify` checks for bools only when the text holds true or false;
+    # here the words sit in strings, the check runs and finds no bool
+    places = [{"id": "v2", "q": 2, "p": 2}, {"id": "v3", "q": 3, "p": 3}]
+    if where == "place-id":
+        places = [{"id": "true", "q": 2, "p": 2}, {"id": "falsehood", "q": 3, "p": 3}]
+    else:
+        monkeypatch.setattr(construction, "FamilyCertificate", _TrueCitationCertificate)
+    req = write_json(tmp_path / "req.json", family_request(
+        places=places, family_places=[pl["id"] for pl in places]))
+    code, out, _ = invoke(capsys, "family", "--input", req)
+    assert code == 0 and "true" in out and "false" in out
+    path = tmp_path / "cert.json"
+    path.write_text(out)
+    code, out, err = invoke(capsys, "certify", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"valid": True, "members": 4, "witnesses": 6}
+
+    cert = json.loads(path.read_text())
+    cert["ratios"][0][1]["num"] = True  # == 1 in Python, not in JSON
+    code, out, err = invoke(capsys, "certify", "--input",
+                            write_json(tmp_path / "bad.json", cert))
+    assert (code, out) == (1, "")
+    assert "certificate mismatch: ratios[0][1].num does not match" in err
 
 
 def test_certify_refuses_a_json_float(tmp_path, capsys):

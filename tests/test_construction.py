@@ -5,6 +5,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_acceptance import random_collections
 
 from paravol import construction, diagram, parahoric
@@ -133,6 +135,57 @@ def test_refinement_changes_covolume_by_exact_index():
     assert relative_covolume(refined, plain) == HalfPowerRational(expected)
     assert relative_covolume(plain, refined) == HalfPowerRational(
         Fraction(1, expected))
+
+
+def _covolume_by_factors(a, b):
+    """covol(a)/covol(b) as a product of `HalfPowerRational` factors, one per term.
+
+    A factor ratio per place where the types differ, the index of every
+    refinement of a, and the inverse index of every refinement of b,
+    nothing cancelled before it is multiplied in.
+    """
+    ratio = HalfPowerRational(1)
+    for pl, ta, tb in zip(a.places, a.types, b.types):
+        if ta != tb:
+            ratio = ratio * factor_ratio(pl.local_index, ta, tb, pl)
+    for pid in a.refinements:
+        ratio = ratio * HalfPowerRational(refinement_index(a.place(pid), a.type_at(pid)))
+    for pid in b.refinements:
+        ratio = ratio * HalfPowerRational(refinement_index(b.place(pid), b.type_at(pid))).inverse()
+    return ratio
+
+
+# Where a place is refined: on neither side, on one, or on both with the
+# same type (the indices cancel) or with another type.
+REFINED_ON = ("neither", "a", "b", "both, same type", "both, other type")
+
+
+@settings(max_examples=80, deadline=None)
+@given(label=st.sampled_from(("split:B3", "split:A4", "split:G2", "split:D4",
+                              "twisted:C-BC1", "twisted:C-B2")),
+       kinds=st.lists(st.sampled_from(REFINED_ON), min_size=4, max_size=4),
+       picks=st.lists(st.tuples(st.integers(0, 999), st.integers(0, 999)),
+                      min_size=4, max_size=4))
+@example(label="split:B3", kinds=["a", "b", "both, same type", "both, other type"],
+         picks=[(0, 1), (2, 3), (4, 5), (6, 7)])
+def test_relative_covolume_is_the_product_of_its_factors(label, kinds, picks):
+    g, d, places = setup_group(label, 2, 3, 25, 7)  # four characteristics
+    types = d.proper_types()
+    over_a, over_b, refined_a, refined_b = {}, {}, [], []
+    for pl, kind, (i, j) in zip(places, kinds, picks):
+        ta = types[i % len(types)]
+        tb = ta if kind == "both, same type" else types[j % len(types)]
+        if kind == "both, other type" and tb == ta:
+            tb = types[(i + 1) % len(types)]
+        over_a[pl.id], over_b[pl.id] = ta, tb
+        if kind in ("a", "both, same type", "both, other type"):
+            refined_a.append(pl.id)
+        if kind in ("b", "both, same type", "both, other type"):
+            refined_b.append(pl.id)
+    a = make_collection(g, places, over_a, tuple(refined_a))
+    b = make_collection(g, places, over_b, tuple(refined_b))
+    assert relative_covolume(a, b) == _covolume_by_factors(a, b)
+    assert relative_covolume(b, a) == _covolume_by_factors(b, a)
 
 
 def test_refinement_requires_distinct_characteristics():
