@@ -8,7 +8,6 @@ a proper subset of the vertex set; the empty type is the Iwahori.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import roots, twisted
@@ -52,6 +51,10 @@ class GroupSpec:
             rank = name[1:]
             if (name[:1] in roots.RANK_BOUNDS and rank.isascii() and rank.isdigit()
                     and rank[0] != "0"):
+                # int() is quadratic in the digits, and `cli.run` lifts its
+                # digit limit, so a rank longer than every bound stops here
+                if len(rank) > len(str(max(hi for _, hi in roots.RANK_BOUNDS.values()))):
+                    raise UnsupportedTypeError(f"unsupported type: {name}")
                 return cls("split", name[0], int(rank))
             raise UnsupportedTypeError(f"unsupported type: {text!r}")
         if form == "twisted":
@@ -276,7 +279,14 @@ def _edge(u, v, auv, avu):
 
 
 def _split_affine_data(family, rank):
-    """Vertices, decorated edges and marks of the split affine diagram."""
+    """Vertices, decorated edges and marks of the split affine diagram.
+
+    Vertex 0 is the root -theta, theta the highest root.  Its pairing
+    against coroot j is -<theta, alpha_j^vee>, one sum over column j of the
+    Cartan matrix.  theta is long and dominant, so where that is nonzero the
+    pairing of alpha_j against the coroot of -theta is -1, or -2 in rank 1,
+    where alpha_1 is theta.
+    """
     A = roots.cartan_matrix(family, rank)
     theta = roots.highest_root(family, rank)
     n = rank
@@ -285,15 +295,11 @@ def _split_affine_data(family, rank):
         for j in range(i + 1, n):
             if A[i][j] != 0:
                 edges.append(_edge(i + 1, j + 1, A[i][j], A[j][i]))
-    theta_norm = roots.bilinear(theta, theta, family, rank)
+    aj0 = -2 if n == 1 else -1
     for j in range(n):
         a0j = -sum(theta[i] * A[i][j] for i in range(n))
-        if a0j == 0:
-            continue
-        alpha_j = tuple(1 if i == j else 0 for i in range(n))
-        aj0 = Fraction(-2 * roots.bilinear(alpha_j, theta, family, rank), theta_norm)
-        assert aj0.denominator == 1
-        edges.append(_edge(0, j + 1, a0j, int(aj0)))
+        if a0j != 0:
+            edges.append(_edge(0, j + 1, a0j, aj0))
     marks = (1,) + theta
     return tuple(range(n + 1)), tuple(sorted(edges)), marks
 

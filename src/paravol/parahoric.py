@@ -22,12 +22,6 @@ class HalfPowerRational:
     def __init__(self, rational):
         self.rational = Fraction(rational)
 
-    def __mul__(self, other):
-        return HalfPowerRational(self.rational * other.rational)
-
-    def inverse(self):
-        return HalfPowerRational(1 / self.rational)
-
     @property
     def is_one(self):
         return self.rational == 1

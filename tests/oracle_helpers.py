@@ -5,6 +5,12 @@ classification or automorphism search; counts come from enumerating
 matrices over small fields, permutations over small vertex sets and Weyl
 group elements directly.
 
+The root references, `length_factors`, `bilinear` and the two reference_*
+functions after them, compute the highest root and the affine pairings the
+long way: the highest-height root of the closed root system, and each
+pairing with the highest root from the invariant bilinear form.  They
+check the engine's closed forms.
+
 The references at the end are the pair search as it was written on vertex
 tuples: orbits from a set of every type seen, components by breadth-first
 search over vertex sets, and the sorted list of every pair.  They check
@@ -13,10 +19,13 @@ connected component and its order formula, which the oracles above check.
 """
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
-from paravol.diagram import _classify_component
+from paravol.diagram import _classify_component, _edge
 from paravol.reductive import components_descriptor
+from paravol.roots import cartan_matrix, positive_roots
 
 
 def det2(m, q):
@@ -61,6 +70,67 @@ def brute_force_decorated_autos(d):
         if ok:
             found.append(perm)
     return sorted(found)
+
+
+@lru_cache(maxsize=None)
+def length_factors(family, rank):
+    """Half squared lengths c_j (smallest integers) with A[i][j]*c[j] symmetric."""
+    A = cartan_matrix(family, rank)
+    n = rank
+    c = [None] * n
+    c[0] = Fraction(1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(n):
+            if i != j and A[i][j] != 0 and c[j] is None:
+                c[j] = c[i] * A[j][i] / A[i][j]
+                queue.append(j)
+    assert all(x is not None for x in c), "diagram must be connected"
+    scale = lcm(*(x.denominator for x in c))
+    ints = [int(x * scale) for x in c]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def bilinear(x, y, family, rank):
+    """Invariant pairing (x, y) with short roots of squared length 2*min(c)."""
+    A = cartan_matrix(family, rank)
+    c = length_factors(family, rank)
+    n = rank
+    return sum(x[i] * y[j] * A[i][j] * c[j] for i in range(n) for j in range(n))
+
+
+def reference_highest_root(family, rank):
+    """The positive root of greatest height, which must be unique."""
+    roots = positive_roots(family, rank)
+    top = max(roots, key=sum)
+    assert [sum(r) for r in roots].count(sum(top)) == 1, "highest root must be unique"
+    return top
+
+
+def reference_split_affine_edges(family, rank):
+    """Sorted decorated edges of the split affine diagram, pairings from `bilinear`.
+
+    Vertex 0 is -theta: it pairs against coroot j as -2(theta, alpha_j)/(alpha_j, alpha_j),
+    and alpha_j against its coroot as -2(alpha_j, theta)/(theta, theta).
+    """
+    A = cartan_matrix(family, rank)
+    theta = reference_highest_root(family, rank)
+    n = rank
+    simple = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    edges = [_edge(i + 1, j + 1, A[i][j], A[j][i])
+             for i in range(n) for j in range(i + 1, n) if A[i][j] != 0]
+    theta_norm = bilinear(theta, theta, family, rank)
+    for j, alpha in enumerate(simple):
+        form = bilinear(alpha, theta, family, rank)
+        a0j = Fraction(-2 * form, bilinear(alpha, alpha, family, rank))
+        if a0j == 0:
+            continue
+        aj0 = Fraction(-2 * form, theta_norm)
+        assert a0j.denominator == aj0.denominator == 1
+        edges.append(_edge(0, j + 1, int(a0j), int(aj0)))
+    return tuple(sorted(edges))
 
 
 WEYL_CAP = 60_000

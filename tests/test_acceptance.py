@@ -204,6 +204,6 @@ def test_acceptance_7_cocycle_identity_random_triples():
         for trial in range(100):
             pick = random_collections(rng, trial)
             a, b, c = pick(), pick(), pick()
-            left = relative_covolume(a, b) * relative_covolume(b, c)
-            assert left == relative_covolume(a, c)
+            left = relative_covolume(a, b).rational * relative_covolume(b, c).rational
+            assert left == relative_covolume(a, c).rational
             assert relative_covolume(a, a).is_one

@@ -3,8 +3,10 @@
 import functools
 import io
 import json
+import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from decimal import Decimal
@@ -65,6 +67,15 @@ def test_diagram_bad_group_exits_1(capsys):
     code, out, err = invoke(capsys, "diagram", "split:Q7")
     assert code == 1
     assert "unsupported type" in err and out == ""
+
+
+@pytest.mark.parametrize("family, cap", [("A", 150), ("B", 100), ("C", 100), ("D", 100)])
+def test_diagram_at_the_rank_cap_and_past_it(capsys, family, cap):
+    code, out, err = invoke(capsys, "diagram", f"split:{family}{cap}")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["vertices"]) == cap + 1
+    code, out, err = invoke(capsys, "diagram", f"split:{family}{cap + 1}")
+    assert (code, out, err) == (1, "", f"error: unsupported type: {family}{cap + 1}\n")
 
 
 def test_pairs_command(tmp_path, capsys):
@@ -498,10 +509,14 @@ def mutated_inputs(draw):
     """A seed input with one key dropped, one value retyped or wrapped, or cut short."""
     command = draw(st.sampled_from(("ratio", "family", "certify")))
     text = fuzz_seed(command)
-    mutation = draw(st.sampled_from(("drop", "swap", "wrap", "truncate")))
+    mutation = draw(st.sampled_from(("drop", "swap", "wrap", "truncate", "rank")))
     if mutation == "truncate":
         return command, text[:draw(st.integers(0, len(text) - 1))]
     data = json.loads(text)
+    if mutation == "rank":  # a rank string past every bound, up to a million digits
+        digits = draw(st.sampled_from((4, 4301, 10 ** 6)))
+        data["group"] = "split:" + draw(st.sampled_from("ABCD")) + "9" * digits
+        return command, json.dumps(data)
     if mutation == "drop":
         path = draw(st.sampled_from([
             p for p in json_paths(data) if p and isinstance(at_path(data, p[:-1]), dict)]))
@@ -681,9 +696,6 @@ def test_output_flag_writes_file(tmp_path, capsys):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "paravol", "diagram", "split:A1"],
         capture_output=True, text=True)
@@ -703,6 +715,24 @@ def test_rank_with_non_ascii_digits_exits_1(tmp_path, capsys, label):
         assert (code, out) == (1, ""), argv
         assert "Traceback" not in err
         assert err == f"error: unsupported type: {label!r}\n"
+
+
+def test_rank_of_a_million_digits_exits_1_within_a_second(tmp_path):
+    # int() of a digit string is quadratic and `run` lifts the digit limit,
+    # so the rank must be refused by its length before it is converted
+    rank = "9" * 10 ** 6
+    ratio = write_json(tmp_path / "r.json", {
+        "group": "split:A" + rank,
+        "places": [{"id": "v", "q": 2, "p": 2}],
+        "collections": [{"assignment": {}}, {"assignment": {}}],
+    })
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "paravol", "ratio", "--input", ratio],
+                          capture_output=True, text=True, timeout=30)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: unsupported type: A{rank}\n"
+    assert elapsed < 1.0
 
 
 def test_rank_with_a_leading_zero_exits_1_where_the_place_index_repeats_it(tmp_path, capsys):

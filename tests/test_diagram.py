@@ -3,7 +3,9 @@
 import pytest
 
 from oracle_helpers import brute_force_decorated_autos
+from test_golden import LABELS
 
+from paravol import roots
 from paravol.diagram import (
     FiniteTypeLabel,
     GroupSpec,
@@ -49,6 +51,7 @@ def test_group_spec_label_is_the_spelling_it_accepts():
 
 def test_group_spec_rejects_bad_labels():
     for bad in ("split:B2", "split:D3", "split:E9", "split:X4", "split:A0",
+                "split:A151", "split:B101", "split:C101", "split:D101", "split:A1000",
                 "twisted:C-BC2", "twisted:B3", "ramified:C-BC1", "A3"):
         with pytest.raises(UnsupportedTypeError):
             GroupSpec.parse(bad)
@@ -56,6 +59,15 @@ def test_group_spec_rejects_bad_labels():
         GroupSpec("twisted", "A", 3, "C-BC1")  # wrong absolute type
     with pytest.raises(UnsupportedTypeError):
         GroupSpec("split", "A", 3, "C-BC1")
+
+
+def test_diagrams_build_without_the_root_closure(monkeypatch):
+    def closure(family, rank):
+        raise AssertionError(f"root closure of {family}{rank}")
+
+    monkeypatch.setattr(roots, "positive_roots", closure)
+    for label in [*LABELS, "split:A150", "split:B100", "split:C100", "split:D100"]:
+        build_local_index(label)
 
 
 def test_marks_and_hyperspecial():

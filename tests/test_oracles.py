@@ -1,22 +1,31 @@
-"""Brute-force oracle values, frozen, against the order polynomial formulas."""
+"""Brute-force oracle values, frozen, against the order polynomial formulas.
+
+Also the closed-form highest roots and affine pairings against the closed
+root system and the invariant bilinear form.
+"""
 
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from oracle_helpers import (
+    bilinear,
     brute_sl_count,
     cartan_from_edges,
+    length_factors,
     parabolic_length_counts,
     poincare_value,
+    reference_highest_root,
+    reference_split_affine_edges,
     weyl_length_counts,
 )
 from test_golden import LABELS
 
 from paravol.construction import Place
-from paravol.diagram import IWAHORI, FiniteTypeLabel, build_local_index
+from paravol.diagram import IWAHORI, FiniteTypeLabel, GroupSpec, build_local_index
 from paravol.parahoric import factor_ratio
 from paravol.reductive import order_polynomial
+from paravol.roots import cartan_matrix, check_rank, highest_root, positive_roots
 
 # determinant-1 matrix counts over prime fields, computed by brute_sl_count
 FROZEN_SL_COUNTS = {
@@ -107,3 +116,37 @@ def test_factor_ratio_over_the_iwahori_is_the_weyl_poincare_value(label):
         v = Place("v", q, p, d)
         for t, c in counts.items():
             assert factor_ratio(d, IWAHORI, t, v).rational == poincare_value(c, q), t
+
+
+# every supported split (family, rank) up to rank 12
+ROOT_RANKS = [(fam, rank) for fam in "ABCDEFG" for rank in range(1, 13) if check_rank(fam, rank)]
+
+
+def test_highest_root_closed_form_is_the_highest_root_of_the_closure():
+    for fam, rank in ROOT_RANKS:
+        assert highest_root(fam, rank) == reference_highest_root(fam, rank), (fam, rank)
+
+
+def test_affine_edges_match_the_bilinear_form():
+    for fam, rank in ROOT_RANKS:
+        d = build_local_index(GroupSpec("split", fam, rank))
+        assert d.edges == reference_split_affine_edges(fam, rank), (fam, rank)
+
+
+def test_highest_root_is_a_long_root():
+    for fam, rank in ROOT_RANKS:
+        theta = highest_root(fam, rank)
+        norms = {bilinear(r, r, fam, rank) for r in positive_roots(fam, rank)}
+        assert bilinear(theta, theta, fam, rank) == max(norms)
+
+
+def test_length_factors_symmetrize():
+    for fam, rank in ROOT_RANKS:
+        A = cartan_matrix(fam, rank)
+        c = length_factors(fam, rank)
+        for i in range(rank):
+            for j in range(rank):
+                assert A[i][j] * c[j] == A[j][i] * c[i]
+    assert length_factors("B", 3) == (2, 2, 1)
+    assert length_factors("C", 3) == (1, 1, 2)
+    assert length_factors("G", 2) == (1, 3)
