@@ -5,9 +5,9 @@ split label of rank at most 8 and both twisted indices, `pairs --q 1009`
 for three labels above rank 8 (thousands of pairs each), `pairs` without
 `--q` for four labels (no `order_at_q` and no `"q"`; split:A4 has no
 pair), `family` and `certify` round trips (with a refinement, with the
-two-place swap and on a twisted group), fixed `ratio` requests, and, last,
-`family` and `certify` on the 64-member request shape the benchmark's
-family workload sends.  `tests/golden.json` holds the SHA-256 of each
+two-place swap and on a twisted group), fixed `ratio` requests, `family`
+and `certify` on the 64-member request shape the benchmark's family
+workload sends, and, last, a `ratio` at each A-D rank cap.  `tests/golden.json` holds the SHA-256 of each
 stdout, not the output itself.
 
 A refactor must leave every digest unchanged.  A change that alters output
@@ -75,6 +75,15 @@ LATER_FAMILIES = (
         "refine": ["w4", "w9"],
     }),
 )
+
+# Recorded after LATER_FAMILIES: at each A-D rank cap, the hyperspecial type
+# {1..n} against {0} at q = 1009, the largest orders the engine produces.
+CAP_RATIOS = tuple(
+    (label, {"group": label, "places": [_place("v", 1009, 1009)],
+             "collections": [{"assignment": {"v": list(range(1, rank + 1))}},
+                             {"assignment": {"v": [0]}}]})
+    for label, rank in (("split:A150", 150), ("split:B100", 100),
+                        ("split:C100", 100), ("split:D100", 100)))
 
 SWAP_FAMILY = {
     "group": "split:A4",
@@ -162,6 +171,8 @@ def corpus(workdir):
                       ["family", "--input", write(f"later-family-{k}.json", req)])
         record(f"certify {name}",
                ["certify", "--input", write(f"later-certificate-{k}.json", cert)])
+    for k, (name, req) in enumerate(CAP_RATIOS):
+        record(f"ratio {name} cap", ["ratio", "--input", write(f"cap-ratio-{k}.json", req)])
     return entries
 
 
