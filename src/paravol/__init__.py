@@ -46,12 +46,7 @@ from .parahoric import (
     factor_ratio,
     find_equal_volume_pairs,
 )
-from .reductive import (
-    OrderPolynomial,
-    ReductiveQuotientDescriptor,
-    order_polynomial,
-    quotient_descriptor,
-)
+from .reductive import ReductiveQuotientDescriptor, quotient_descriptor
 from .roots import group_dimension
 
 __all__ = [name for name in dir() if not name.startswith("_")]

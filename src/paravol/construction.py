@@ -139,7 +139,7 @@ def refinement_index(place, t):
     d = place.local_index
     desc = quotient_descriptor(d, t)
     codim = d.group.dimension() - desc.dim
-    return place.q ** codim * desc.order(place.q)
+    return place.q ** codim * desc.order_at(place.q)
 
 
 def _check_comparable(a, b):
@@ -410,7 +410,5 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
 def _check_family_pair(d, t1, t2):
     if conjugate_types(d, t1, t2):
         raise DomainError(f"family pair {t1!r}, {t2!r} is conjugate")
-    d1 = quotient_descriptor(d, t1)
-    d2 = quotient_descriptor(d, t2)
-    if d1.dim != d2.dim or d1.order != d2.order:
+    if quotient_descriptor(d, t1).volume_key != quotient_descriptor(d, t2).volume_key:
         raise DomainError(f"family pair {t1!r}, {t2!r} has unequal volume factors")

@@ -14,6 +14,10 @@ from . import roots, twisted
 from .errors import ImproperTypeError, UnsupportedTypeError
 
 
+# Longest group label an error message repeats in full.
+LABEL_ECHO_LIMIT = 64
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Absolute type of the group, plus the local form at the place."""
@@ -42,7 +46,11 @@ class GroupSpec:
 
     @classmethod
     def parse(cls, text):
-        """Parse 'split:B3' or 'twisted:C-BC1'."""
+        """Parse 'split:B3' or 'twisted:C-BC1'.
+
+        An unsupported label of up to LABEL_ECHO_LIMIT characters is echoed
+        in the error; a longer one is named by its form and its length.
+        """
         form, _, name = text.partition(":")
         if form == "split":
             # str.isdigit also accepts digits int() refuses (superscripts) or
@@ -53,17 +61,19 @@ class GroupSpec:
                     and rank[0] != "0"):
                 # int() is quadratic in the digits, and `cli.run` lifts its
                 # digit limit, so a rank longer than every bound stops here
-                if len(rank) > len(str(max(hi for _, hi in roots.RANK_BOUNDS.values()))):
+                if len(rank) <= len(str(max(hi for _, hi in roots.RANK_BOUNDS.values()))):
+                    return cls("split", name[0], int(rank))
+                if len(text) <= LABEL_ECHO_LIMIT:
                     raise UnsupportedTypeError(f"unsupported type: {name}")
-                return cls("split", name[0], int(rank))
-            raise UnsupportedTypeError(f"unsupported type: {text!r}")
-        if form == "twisted":
-            data = twisted.TWISTED_INDICES.get(name)
-            if data is None:
-                raise UnsupportedTypeError(f"unsupported type: {text!r}")
-            fam, rank = data["absolute"]
+                raise UnsupportedTypeError(
+                    f"unsupported type: {name[0]} with a rank of {len(rank)} digits")
+        elif form == "twisted" and name in twisted.TWISTED_INDICES:
+            fam, rank = twisted.TWISTED_INDICES[name]["absolute"]
             return cls("twisted", fam, rank, name)
-        raise UnsupportedTypeError(f"unsupported type: {text!r}")
+        if len(text) <= LABEL_ECHO_LIMIT:
+            raise UnsupportedTypeError(f"unsupported type: {text!r}")
+        kind = f"{form} label" if form in ("split", "twisted") else "label"
+        raise UnsupportedTypeError(f"unsupported type: a {kind} of {len(text)} characters")
 
     @property
     def label(self):

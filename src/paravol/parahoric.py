@@ -62,7 +62,7 @@ def factor_terms(d, t1, t2, q):
     f1 = quotient_descriptor(d, t1)
     f2 = quotient_descriptor(d, t2)
     assert (f1.dim - f2.dim) % 2 == 0
-    num, den = f2.order(q), f1.order(q)
+    num, den = f2.order_at(q), f1.order_at(q)
     half = (f1.dim - f2.dim) // 2
     if half >= 0:
         return num * q ** half, den
@@ -102,7 +102,7 @@ def orbit_representatives(d):
 def equal_volume_rows(d):
     """Pairs of non-conjugate types whose volume factors agree identically in q, by first type.
 
-    Orbit representatives are bucketed by (dim, order polynomial); any two
+    Orbit representatives are bucketed by their `volume_key`; any two
     types in distinct buckets differ in volume, any two in distinct orbits
     are non-conjugate.  Each representative is classified once, on the
     mask it came from.  Yields (t1, its descriptor, the t2 paired with it)
@@ -115,7 +115,7 @@ def equal_volume_rows(d):
     for t in orbit_representatives(d):
         components = d.component_labels[t.vertices] = classify_mask(d, t.mask)
         desc = components_descriptor(d, components)
-        bucket = buckets.setdefault((desc.dim, desc.order.coeffs), [])
+        bucket = buckets.setdefault(desc.volume_key, [])
         placed.append((t, desc, bucket, len(bucket)))
         bucket.append(t)
     for t, desc, bucket, k in placed:
@@ -134,14 +134,14 @@ def pairs_to_json(d, q=None):
     Each row is (t1's vertex list, dim, order coefficient list, order at q
     or None, the vertex lists of its t2, in order).  Thousands of pairs
     share a few hundred types and fewer volume factors (both types of a
-    pair share one).  So each type's vertex list and each distinct order's
-    coefficient list and value at q are built once, in dicts that live as
-    long as this generator.  Rows share those list objects, so the writer
-    formats each once; the dicts keep every list alive, so the writer may
-    know a list by its id while it runs.
+    pair share one).  So each type's vertex list and each distinct volume
+    key's coefficient list and order at q are built once, in dicts that
+    live as long as this generator.  Rows share those list objects, so the
+    writer formats each once; the dicts keep every list alive, so the
+    writer may know a list by its id while it runs.
     """
     lists = {}  # vertex tuple -> its list
-    orders = {}  # order coefficients -> (order_coeffs, order_at_q)
+    orders = {}  # volume key -> (order_coeffs, order_at_q)
 
     def vertex_list(t):
         found = lists.get(t.vertices)
@@ -150,7 +150,7 @@ def pairs_to_json(d, q=None):
         return found
 
     for t1, desc, t2s in equal_volume_rows(d):
-        coeffs = desc.order.coeffs
-        if coeffs not in orders:
-            orders[coeffs] = (desc.order.to_json(), None if q is None else desc.order(q))
-        yield (vertex_list(t1), desc.dim, *orders[coeffs], [vertex_list(t2) for t2 in t2s])
+        key = desc.volume_key
+        if key not in orders:
+            orders[key] = (desc.order_coeffs(), None if q is None else desc.order_at(q))
+        yield (vertex_list(t1), desc.dim, *orders[key], [vertex_list(t2) for t2 in t2s])

@@ -1,7 +1,13 @@
 """Orders of finite reductive groups and reductive quotients of parahorics.
 
-Orders are kept as exact integer polynomials in the residue size q, stored
-lowest coefficient first, so equal covolume can be certified symbolically.
+Over F_q a reductive quotient has order q^N * prod(q^d - 1), one factor per
+fundamental degree d of each component and a d = 1 for each rank of its
+central torus, where N = dim - sum(d) (Steinberg; Carter, Finite Groups of
+Lie Type, 2.9).  A descriptor keeps the sorted degrees and evaluates that
+product at q.  Two (dim, degrees) agree exactly when the order polynomials
+do: Phi_e(0) is not 0, so the product fixes N, and the cyclotomic Phi_e
+divides it once per degree that e divides, so Moebius inversion recovers
+each degree's count.
 """
 
 from __future__ import annotations
@@ -13,86 +19,6 @@ from . import diagram as dg
 from . import roots
 
 
-class OrderPolynomial:
-    """Integer polynomial in q, coefficients lowest first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, degree, coeff=1):
-        return cls((0,) * degree + (coeff,))
-
-    @classmethod
-    def q_power_minus_one(cls, d):
-        return cls((-1,) + (0,) * (d - 1) + (1,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other):
-        # a group order q^N * prod(q^d - 1) has N leading zeros and more
-        # inside, so only the nonzero terms of either factor are visited
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in terms:
-                    out[i + j] += a * b
-        return OrderPolynomial(out)
-
-    def __pow__(self, n):
-        result = OrderPolynomial.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __call__(self, q):
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * q + c
-        return value
-
-    def __eq__(self, other):
-        return isinstance(other, OrderPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"OrderPolynomial({list(self.coeffs)})"
-
-    def to_json(self):
-        return list(self.coeffs)
-
-
-def label_dimension(label):
-    return roots.group_dimension(label.family, label.rank)
-
-
-@lru_cache(maxsize=None)
-def order_polynomial(label):
-    """Order of the finite group of Lie type with this label, as a polynomial."""
-    n_pos = roots.num_positive_roots(label.family, label.rank)
-    poly = OrderPolynomial.monomial(n_pos)
-    degrees = roots.fundamental_degrees(label.family, label.rank)
-    assert sum(d - 1 for d in degrees) == n_pos
-    for d in degrees:
-        poly = poly * OrderPolynomial.q_power_minus_one(d)
-    assert poly.degree == label_dimension(label)
-    return poly
-
-
 @dataclass(frozen=True)
 class ReductiveQuotientDescriptor:
     """Reductive quotient of a parahoric over the residue field."""
@@ -100,14 +26,33 @@ class ReductiveQuotientDescriptor:
     components: tuple  # FiniteTypeLabel, sorted
     torus_rank: int
     dim: int
-    order: OrderPolynomial
+    degrees: tuple  # sorted; one d per factor q^d - 1 of the order
 
+    @property
+    def volume_key(self):
+        """(dim, degrees): equal exactly when two volume factors agree identically in q."""
+        return self.dim, self.degrees
 
-Q_MINUS_ONE = OrderPolynomial.q_power_minus_one(1)
+    def order_at(self, q):
+        """The order q^N * prod(q^d - 1) at residue size q."""
+        value = q ** (self.dim - sum(self.degrees))
+        for d in self.degrees:
+            value *= q ** d - 1
+        return value
+
+    def order_coeffs(self):
+        """The order as a polynomial in q, coefficients lowest first."""
+        coeffs = [1]
+        for d in self.degrees:
+            # times q^d - 1: shift up by d, then subtract the unshifted terms
+            coeffs = [0] * d + coeffs
+            for i in range(len(coeffs) - d):
+                coeffs[i] -= coeffs[i + d]
+        return [0] * (self.dim - sum(self.degrees)) + coeffs
 
 
 def quotient_descriptor(d, t):
-    """Components, central torus rank, dimension and order for a type.
+    """Components, central torus rank, dimension and degrees for a type.
 
     Two memos, each with the lifetime of what it is keyed by.  The index
     `d` owns `component_labels`, from the type's sorted vertex tuple to its
@@ -116,9 +61,9 @@ def quotient_descriptor(d, t):
     `induced_subdiagram` has checked the type proper, so an improper type
     still raises on every call.  The pair search stores the labels of the
     types it classifies there too.  The descriptor itself is memoized by
-    its value, (components, torus_rank), so each quotient's order is
-    multiplied out once per process; that memo holds at most the finitely
-    many quotient types of the ranks in use.
+    its value, (components, torus_rank), so each quotient's degrees are
+    gathered once per process; that memo holds at most the finitely many
+    quotient types of the ranks in use.
     """
     t = dg.ParahoricTypeSpec.coerce(t)
     components = d.component_labels.get(t.vertices)
@@ -134,13 +79,12 @@ def components_descriptor(d, components):
 
 @lru_cache(maxsize=None)
 def _descriptor(components, torus_rank):
-    order = Q_MINUS_ONE ** torus_rank
+    degrees = [1] * torus_rank
     dim = torus_rank
     for c in components:
-        order = order * order_polynomial(c)
-        dim += label_dimension(c)
-    assert order.degree == dim
-    return ReductiveQuotientDescriptor(components, torus_rank, dim, order)
+        degrees += roots.fundamental_degrees(c.family, c.rank)
+        dim += roots.group_dimension(c.family, c.rank)
+    return ReductiveQuotientDescriptor(components, torus_rank, dim, tuple(sorted(degrees)))
 
 
 def prime_power_base(q):

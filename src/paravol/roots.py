@@ -11,8 +11,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 # Least and greatest supported rank per family.  The A-D caps hold about
-# 10,000 positive roots each, so a ratio against the hyperspecial type, the
-# largest order polynomial of the diagram, takes under half a second.
+# 10,000 positive roots each; a ratio against the hyperspecial type, the
+# largest order of the diagram, takes about 0.3 s (bench/BENCH_14.json).
 RANK_BOUNDS = {
     "A": (1, 150),
     "B": (3, 100),
@@ -23,8 +23,9 @@ RANK_BOUNDS = {
     "G": (2, 2),
 }
 
-# Degrees of the fundamental invariants, used for order polynomials.
-# The cross-check sum(d_i - 1) == number of positive roots is asserted below.
+# Degrees of the fundamental invariants: the group's order over F_q is
+# q^N * prod(q^d - 1), with N = sum(d - 1) positive roots.  tests/test_roots.py
+# checks that count against the closure `positive_roots`.
 def fundamental_degrees(family, rank):
     if family == "A":
         return tuple(range(2, rank + 2))

@@ -11,11 +11,16 @@ long way: the highest-height root of the closed root system, and each
 pairing with the highest root from the invariant bilinear form.  They
 check the engine's closed forms.
 
+`reference_order_coeffs` multiplies an order q^N * prod(q^d - 1) out as
+an integer polynomial, N from the root closure: it checks the engine's
+factored orders and the key they are compared by.
+
 The references at the end are the pair search as it was written on vertex
 tuples: orbits from a set of every type seen, components by breadth-first
-search over vertex sets, and the sorted list of every pair.  They check
-the engine's bitmask search.  They reuse the engine's classifier of one
-connected component and its order formula, which the oracles above check.
+search over vertex sets, and the sorted list of every pair, bucketed by
+reference orders.  They check the engine's bitmask search.  They reuse the
+engine's classifier of one connected component and its degree table,
+which the oracles above check.
 """
 
 import itertools
@@ -24,8 +29,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from paravol.diagram import _classify_component, _edge
-from paravol.reductive import components_descriptor
-from paravol.roots import cartan_matrix, positive_roots
+from paravol.roots import cartan_matrix, fundamental_degrees, positive_roots
 
 
 def det2(m, q):
@@ -47,6 +51,45 @@ def brute_sl_count(n, q):
         if det(m, q) == 1:
             count += 1
     return count
+
+
+def poly_mul(a, b):
+    """Product of two integer polynomials, coefficients lowest first."""
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
+
+
+def horner(coeffs, q):
+    """The polynomial with these coefficients, lowest first, at q."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * q + c
+    return value
+
+
+@lru_cache(maxsize=None)
+def reference_order_coeffs(components, torus_rank):
+    """Order of a reductive quotient over F_q multiplied out, lowest coefficient first.
+
+    q^N for the positive roots of the components' closures, times q^d - 1
+    for each of their fundamental degrees and q - 1 per torus rank.  B2
+    has the roots of C2 with their lengths swapped; the Cartan matrices
+    start B at rank 3.
+    """
+    coeffs = [1]
+    degrees = [1] * torus_rank
+    for c in components:
+        family = "C" if (c.family, c.rank) == ("B", 2) else c.family
+        coeffs = poly_mul(coeffs, [0] * len(positive_roots(family, c.rank)) + [1])
+        degrees += fundamental_degrees(c.family, c.rank)
+    for d in degrees:
+        coeffs = poly_mul(coeffs, [-1] + [0] * (d - 1) + [1])
+    return tuple(coeffs)
 
 
 def brute_force_decorated_autos(d):
@@ -285,10 +328,15 @@ def reference_component_labels(d, t):
 
 
 def reference_pairs(d):
-    """Every pair of representatives with equal (dim, order polynomial), sorted, as tuples."""
+    """Every pair of representatives with equal reference orders, sorted, as tuples.
+
+    An order polynomial is monic of the quotient's dimension, so equal
+    orders are equal volume factors.
+    """
     buckets = {}
     for t in reference_orbit_representatives(d):
-        desc = components_descriptor(d, reference_component_labels(d, t))
-        buckets.setdefault((desc.dim, desc.order.coeffs), []).append(t)
+        labels = reference_component_labels(d, t)
+        torus_rank = d.relative_rank - sum(c.rank for c in labels)
+        buckets.setdefault(reference_order_coeffs(labels, torus_rank), []).append(t)
     return sorted(pair for reps in buckets.values()
                   for pair in itertools.combinations(sorted(reps), 2))

@@ -102,9 +102,9 @@ def pairs_payload(label, q=None):
     for t1, t2 in find_equal_volume_pairs(d):
         desc = quotient_descriptor(d, t1)
         entry = {"t1": list(t1.vertices), "t2": list(t2.vertices),
-                 "dim": desc.dim, "order_coeffs": desc.order.to_json()}
+                 "dim": desc.dim, "order_coeffs": desc.order_coeffs()}
         if q is not None:
-            entry["order_at_q"] = desc.order(q)
+            entry["order_at_q"] = desc.order_at(q)
         entries.append(entry)
     payload = {"diagram": d.group.label, "pairs": entries}
     if q is not None:
@@ -731,8 +731,27 @@ def test_rank_of_a_million_digits_exits_1_within_a_second(tmp_path):
                           capture_output=True, text=True, timeout=30)
     elapsed = time.perf_counter() - start
     assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == f"error: unsupported type: A{rank}\n"
+    # a label past the echo limit is named by its length, not repeated
+    assert proc.stderr == "error: unsupported type: A with a rank of 1000000 digits\n"
+    assert len(proc.stderr.encode()) < 200
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("label, named", [
+    ("split:A" + "x" * 10 ** 6, "a split label of 1000007 characters"),
+    ("twisted:" + "y" * 10 ** 6, "a twisted label of 1000008 characters"),
+    ("z" * 10 ** 6, "a label of 1000000 characters"),
+])
+def test_label_of_a_million_characters_is_named_by_its_length(tmp_path, capsys, label, named):
+    ratio = write_json(tmp_path / "r.json", {
+        "group": label,
+        "places": [{"id": "v", "q": 2, "p": 2}],
+        "collections": [{"assignment": {}}, {"assignment": {}}],
+    })
+    code, out, err = invoke(capsys, "ratio", "--input", ratio)
+    assert (code, out) == (1, "")
+    assert err == f"error: unsupported type: {named}\n"
+    assert len(err.encode()) < 200
 
 
 def test_rank_with_a_leading_zero_exits_1_where_the_place_index_repeats_it(tmp_path, capsys):

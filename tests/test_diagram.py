@@ -7,6 +7,7 @@ from test_golden import LABELS
 
 from paravol import roots
 from paravol.diagram import (
+    LABEL_ECHO_LIMIT,
     FiniteTypeLabel,
     GroupSpec,
     ParahoricTypeSpec,
@@ -59,6 +60,21 @@ def test_group_spec_rejects_bad_labels():
         GroupSpec("twisted", "A", 3, "C-BC1")  # wrong absolute type
     with pytest.raises(UnsupportedTypeError):
         GroupSpec("split", "A", 3, "C-BC1")
+
+
+@pytest.mark.parametrize("prefix, fill, named", [
+    ("split:A", "9", "A with a rank of 58 digits"),
+    ("split:A", "x", "a split label of 65 characters"),
+    ("twisted:", "y", "a twisted label of 65 characters"),
+])
+def test_group_spec_names_a_label_past_the_echo_limit_by_its_length(prefix, fill, named):
+    at_limit = prefix + fill * (LABEL_ECHO_LIMIT - len(prefix))
+    with pytest.raises(UnsupportedTypeError) as raised:
+        GroupSpec.parse(at_limit)
+    assert at_limit[len(prefix):] in str(raised.value)
+    with pytest.raises(UnsupportedTypeError) as raised:
+        GroupSpec.parse(at_limit + fill)
+    assert str(raised.value) == f"unsupported type: {named}"
 
 
 def test_diagrams_build_without_the_root_closure(monkeypatch):

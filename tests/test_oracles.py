@@ -1,7 +1,8 @@
-"""Brute-force oracle values, frozen, against the order polynomial formulas.
+"""Brute-force oracle values, frozen, against the factored order formulas.
 
-Also the closed-form highest roots and affine pairings against the closed
-root system and the invariant bilinear form.
+Also the factored orders against their multiplied-out reference, and the
+closed-form highest roots and affine pairings against the closed root
+system and the invariant bilinear form.
 """
 
 from fractions import Fraction
@@ -12,19 +13,22 @@ from oracle_helpers import (
     bilinear,
     brute_sl_count,
     cartan_from_edges,
+    horner,
     length_factors,
     parabolic_length_counts,
     poincare_value,
     reference_highest_root,
+    reference_order_coeffs,
     reference_split_affine_edges,
     weyl_length_counts,
 )
-from test_golden import LABELS
+from test_golden import LABELS, LARGE_PAIRS_LABELS
+from test_reductive import finite_group
 
 from paravol.construction import Place
-from paravol.diagram import IWAHORI, FiniteTypeLabel, GroupSpec, build_local_index
-from paravol.parahoric import factor_ratio
-from paravol.reductive import order_polynomial
+from paravol.diagram import IWAHORI, GroupSpec, build_local_index
+from paravol.parahoric import factor_ratio, orbit_representatives
+from paravol.reductive import quotient_descriptor
 from paravol.roots import cartan_matrix, check_rank, highest_root, positive_roots
 
 # determinant-1 matrix counts over prime fields, computed by brute_sl_count
@@ -42,25 +46,44 @@ def test_brute_force_sl_counts_are_frozen_values():
 
 
 def test_order_polynomials_match_sl_brute_force():
-    a1 = order_polynomial(FiniteTypeLabel("A", 1))
-    a2 = order_polynomial(FiniteTypeLabel("A", 2))
+    a1 = finite_group("split:A1")
+    a2 = finite_group("split:A2")
     for q in (2, 3):
-        assert a1(q) == FROZEN_SL_COUNTS[(2, q)]
-        assert a2(q) == FROZEN_SL_COUNTS[(3, q)]
+        assert a1.order_at(q) == FROZEN_SL_COUNTS[(2, q)]
+        assert a2.order_at(q) == FROZEN_SL_COUNTS[(3, q)]
 
 
 def test_split_orders_match_known_group_orders():
     cases = {
-        ("A", 1): {4: 60, 5: 120, 7: 336, 8: 504, 9: 720},
-        ("A", 2): {4: 60480},
-        ("B", 2): {2: 720, 3: 51840},
-        ("G", 2): {2: 12096},
-        ("D", 4): {2: 174182400},
+        "split:A1": {4: 60, 5: 120, 7: 336, 8: 504, 9: 720},
+        "split:A2": {4: 60480},
+        "split:C2": {2: 720, 3: 51840},  # B2 = C2
+        "split:G2": {2: 12096},
+        "split:D4": {2: 174182400},
     }
-    for (fam, rank), values in cases.items():
-        poly = order_polynomial(FiniteTypeLabel(fam, rank))
+    for label, values in cases.items():
+        desc = finite_group(label)
         for q, expected in values.items():
-            assert poly(q) == expected
+            assert desc.order_at(q) == expected
+
+
+def test_volume_keys_partition_quotients_as_multiplied_out_orders_do():
+    # every quotient of an orbit representative of the golden pair searches
+    descs = set()
+    for label in [*LABELS, *LARGE_PAIRS_LABELS]:
+        d = build_local_index(label)
+        descs.update(quotient_descriptor(d, t) for t in orbit_representatives(d))
+    keys = {}  # reference coefficients -> the volume keys with them
+    for desc in descs:
+        coeffs = reference_order_coeffs(desc.components, desc.torus_rank)
+        expanded = desc.order_coeffs()
+        assert expanded == list(coeffs), desc
+        for q in (2, 3, 7, 1009):
+            assert desc.order_at(q) == horner(expanded, q), (desc, q)
+        keys.setdefault(coeffs, set()).add(desc.volume_key)
+    # one key per order, and as many keys as orders: the partitions agree
+    assert all(len(found) == 1 for found in keys.values())
+    assert len({desc.volume_key for desc in descs}) == len(keys)
 
 
 # |W| and the number of reflections (the longest length) of finite Weyl groups

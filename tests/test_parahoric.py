@@ -181,7 +181,7 @@ def test_found_pairs_are_sound():
             assert not conjugate_types(d, t1, t2)
             d1 = quotient_descriptor(d, t1)
             d2 = quotient_descriptor(d, t2)
-            assert d1.dim == d2.dim and d1.order == d2.order
+            assert d1.dim == d2.dim and d1.order_coeffs() == d2.order_coeffs()
 
 
 def pair_tuples(pairs):
@@ -226,7 +226,7 @@ def test_pairs_json_shape():
 
 def test_pairs_compute_each_quotient_once(monkeypatch):
     import paravol.parahoric as parahoric
-    from paravol.reductive import OrderPolynomial
+    from paravol import roots
 
     d = build_local_index("split:D6")
     pairs = find_equal_volume_pairs(d)
@@ -247,10 +247,11 @@ def test_pairs_compute_each_quotient_once(monkeypatch):
     assert {tuple(row[0]) for row in rows} == {t.vertices for t in first_types}
     monkeypatch.undo()
 
-    # the orders are memoized by quotient type, not by diagram object
-    products = []
-    mul = OrderPolynomial.__mul__
-    monkeypatch.setattr(OrderPolynomial, "__mul__",
-                        lambda a, b: products.append(1) or mul(a, b))
+    # the descriptors are memoized by quotient type, not by diagram object:
+    # no degree table is read again
+    read = []
+    degrees = roots.fundamental_degrees
+    monkeypatch.setattr(roots, "fundamental_degrees",
+                        lambda family, rank: read.append(1) or degrees(family, rank))
     again = find_equal_volume_pairs(build_local_index("split:D6"))
-    assert again == pairs and products == []
+    assert again == pairs and read == []

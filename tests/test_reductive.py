@@ -1,4 +1,4 @@
-"""Order polynomials and reductive quotient descriptors."""
+"""Orders in factored form and reductive quotient descriptors."""
 
 import pytest
 from test_golden import LABELS
@@ -6,50 +6,53 @@ from test_golden import LABELS
 from paravol import diagram as dg
 from paravol.diagram import FiniteTypeLabel, build_local_index
 from paravol.errors import ImproperTypeError
-from paravol.reductive import (
-    OrderPolynomial,
-    is_prime,
-    label_dimension,
-    order_polynomial,
-    prime_power_base,
-    quotient_descriptor,
-)
+from paravol.reductive import is_prime, prime_power_base, quotient_descriptor
+from paravol.roots import group_dimension
+
+
+def finite_group(label):
+    """The descriptor of the split label's hyperspecial type {1..n}: the finite group itself."""
+    d = build_local_index(label)
+    return quotient_descriptor(d, d.vertices[1:])
 
 
 def test_polynomial_arithmetic():
-    p = OrderPolynomial([1, 2])  # 1 + 2q
-    q = OrderPolynomial([0, 1])  # q
-    assert (p * q).coeffs == (0, 1, 2)
-    assert (p ** 2).coeffs == (1, 4, 4)
-    assert OrderPolynomial([1, 0, 0]).coeffs == (1,)  # trailing zeros stripped
-    assert p(3) == 7
-    assert p.degree == 1
-    assert OrderPolynomial.q_power_minus_one(3).coeffs == (-1, 0, 0, 1)
-    assert p.to_json() == [1, 2]
+    # q^3 (q^2 - 1)(q^3 - 1) = q^8 - q^6 - q^5 + q^3
+    a2 = finite_group("split:A2")
+    assert a2.degrees == (2, 3)
+    assert a2.order_coeffs() == [0, 0, 0, 1, 0, -1, -1, 0, 1]
+    assert [a2.order_at(q) for q in (2, 3)] == [168, 5616]
+    assert isinstance(a2.order_coeffs(), list)  # the printed order_coeffs
+    iwahori = quotient_descriptor(build_local_index("split:A3"), ())
+    assert iwahori.degrees == (1, 1, 1)
+    assert iwahori.order_coeffs() == [-1, 3, -3, 1]  # (q-1)^3, no power of q
+    assert iwahori.order_at(3) == 8
 
 
 def test_order_polynomial_known_coefficients():
-    a1 = order_polynomial(FiniteTypeLabel("A", 1))
-    assert a1.coeffs == (0, -1, 0, 1)  # q^3 - q
-    b2 = order_polynomial(FiniteTypeLabel("B", 2))
-    assert b2.degree == 10
-    assert b2(2) == 720
+    a1 = finite_group("split:A1")
+    assert a1.order_coeffs() == [0, -1, 0, 1]  # q^3 - q
+    c2 = finite_group("split:C2")  # B2 = C2
+    assert (c2.dim, c2.degrees) == (10, (2, 4))
+    assert len(c2.order_coeffs()) == 11
+    assert c2.order_at(2) == 720
 
 
 def test_b_and_c_orders_coincide():
     for rank in (4, 5):
-        assert order_polynomial(FiniteTypeLabel("B", rank)) == order_polynomial(
-            FiniteTypeLabel("C", rank))
+        b, c = finite_group(f"split:B{rank}"), finite_group(f"split:C{rank}")
+        assert b.components != c.components
+        assert b.volume_key == c.volume_key
+        assert b.order_coeffs() == c.order_coeffs()
 
 
 def test_order_degree_equals_dimension():
-    for label in (
-        FiniteTypeLabel("A", 5),
-        FiniteTypeLabel("D", 6),
-        FiniteTypeLabel("E", 7),
-        FiniteTypeLabel("F", 4),
-    ):
-        assert order_polynomial(label).degree == label_dimension(label)
+    for label, (fam, rank) in (("split:A5", ("A", 5)), ("split:D6", ("D", 6)),
+                               ("split:E7", ("E", 7)), ("split:F4", ("F", 4))):
+        desc = finite_group(label)
+        coeffs = desc.order_coeffs()
+        assert len(coeffs) - 1 == desc.dim == group_dimension(fam, rank)
+        assert coeffs[-1] == 1
 
 
 def test_quotient_descriptor_singletons():
@@ -60,7 +63,7 @@ def test_quotient_descriptor_singletons():
         assert [str(c) for c in desc.components] == ["A1"]
         assert desc.torus_rank == torus
         assert desc.dim == torus + 3
-        assert desc.order.degree == desc.dim
+        assert len(desc.order_coeffs()) - 1 == desc.dim
 
 
 def test_quotient_descriptor_spec_cases():
@@ -69,24 +72,26 @@ def test_quotient_descriptor_spec_cases():
     assert [str(c) for c in two.components] == ["A1", "A1"]
     assert (two.torus_rank, two.dim) == (1, 7)
     # q^2 (q^2-1)^2 (q-1)
-    assert two.order.coeffs == (0, 0, -1, 1, 2, -2, -1, 1)
+    assert two.degrees == (1, 2, 2)
+    assert two.order_coeffs() == [0, 0, -1, 1, 2, -2, -1, 1]
     adj = quotient_descriptor(a3, (0, 3))
     assert [str(c) for c in adj.components] == ["A2"]
     assert (adj.torus_rank, adj.dim) == (1, 9)
     iwahori = quotient_descriptor(a3, ())
     assert iwahori.components == ()
     assert (iwahori.torus_rank, iwahori.dim) == (3, 3)
-    assert iwahori.order(2) == 1  # (q-1)^3 at q=2
+    assert iwahori.order_at(2) == 1  # (q-1)^3 at q=2
     wall = quotient_descriptor(build_local_index("split:B3"), (2, 3))
     assert wall.dim == 11  # rank-2 component of dimension 10 plus a 1-torus
-    assert wall.order(2) == 720  # (q-1) * the rank-2 symplectic order, at q=2
-    assert wall.order(3) == 2 * 51840
+    assert wall.order_at(2) == 720  # (q-1) * the rank-2 symplectic order, at q=2
+    assert wall.order_at(3) == 2 * 51840
 
 
 def test_quotient_descriptor_b3_singletons_agree():
     b3 = build_local_index("split:B3")
     descs = [quotient_descriptor(b3, (v,)) for v in range(4)]
-    assert len({(d.dim, d.order.coeffs) for d in descs}) == 1
+    assert len({d.volume_key for d in descs}) == 1
+    assert len({tuple(d.order_coeffs()) for d in descs}) == 1
     assert descs[0].dim == 5
 
 
@@ -125,12 +130,13 @@ def test_twisted_descriptor_values():
     bc1 = build_local_index("twisted:C-BC1")
     for v in (0, 1):
         desc = quotient_descriptor(bc1, (v,))
-        assert desc.dim == 3 and desc.order(2) == 6
+        assert desc.dim == 3 and desc.order_at(2) == 6
     b2 = build_local_index("twisted:C-B2")
     middle = quotient_descriptor(b2, (1,))
     end = quotient_descriptor(b2, (0,))
     assert middle.dim == end.dim == 4
-    assert middle.order == end.order
+    assert middle.volume_key == end.volume_key
+    assert middle.order_coeffs() == end.order_coeffs()
     corner = quotient_descriptor(b2, (0, 2))
     assert corner.dim == 6 and [str(c) for c in corner.components] == ["A1", "A1"]
     wall = quotient_descriptor(b2, (0, 1))
@@ -144,7 +150,7 @@ def test_descriptor_invariant_under_realized_automorphisms():
             desc = quotient_descriptor(d, t)
             for g in d.realized_auts:
                 image = quotient_descriptor(d, d.apply(g, t))
-                assert (image.dim, image.order) == (desc.dim, desc.order)
+                assert image.volume_key == desc.volume_key
 
 
 def test_quotient_descriptor_rejects_improper():
