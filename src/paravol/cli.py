@@ -18,14 +18,13 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from .construction import (
-    FamilyCertificate,
     Place,
     build_family,
     certify_family,
     make_collection,
     relative_covolume,
 )
-from .diagram import GroupSpec, build_local_index
+from .diagram import GroupSpec, build_local_index, echo
 from .errors import CertificateError, DomainError, InvalidResidueError, SchemaError
 from .parahoric import pairs_to_json
 from .reductive import prime_power_base
@@ -239,7 +238,7 @@ def _places_from_json(items, group_label, ctx="places"):
         q = _get(entry, "q", f"{ctx}[{k}]", int)
         p = _get(entry, "p", f"{ctx}[{k}]", int)
         if "index" in entry and entry["index"] != group_label:
-            raise SchemaError(f"{ctx}[{k}]: place index {entry['index']!r} "
+            raise SchemaError(f"{ctx}[{k}]: place index {echo(entry['index'], 'place index')} "
                               f"does not match group {group_label!r}")
         places.append(Place(pid, q, p, index))
     return places

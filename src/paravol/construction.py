@@ -18,10 +18,10 @@ entry by entry, because nothing in a certificate file is trusted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
-from .diagram import IWAHORI, ParahoricTypeSpec
+from .diagram import IWAHORI, ParahoricTypeSpec, echo
 from .errors import (
     CertificateError,
     DomainError,
@@ -54,42 +54,42 @@ CITATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class Place:
+def _id(pid):
+    """A place id as an error message shows it: unquoted, or named by its length."""
+    return echo(pid, "place id", str)
+
+
+class Place(namedtuple("Place", "id q p local_index")):
     """A finite place: id, residue size q = p^k, characteristic p, local index."""
 
-    id: str
-    q: int
-    p: int
-    local_index: object
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
 
-    def __post_init__(self):
-        base = prime_power_base(self.q)  # a prime, so base == p proves p prime
+    def __new__(cls, id, q, p, local_index):
+        base = prime_power_base(q)  # a prime, so base == p proves p prime
         if base is None:
             raise InvalidResidueError(
-                f"invalid residue size at place {self.id}: {self.q} is not a prime power")
-        if base != self.p:
+                f"invalid residue size at place {_id(id)}: {q} is not a prime power")
+        if base != p:
             raise InvalidResidueError(
-                f"invalid residue size at place {self.id}: {self.q} is not a power of {self.p}")
+                f"invalid residue size at place {_id(id)}: {q} is not a power of {p}")
+        return tuple.__new__(cls, (id, q, p, local_index))
 
     def key(self):
         return (self.id, self.q, self.p, self.local_index.group.label)
 
 
-@dataclass(frozen=True)
-class CoherentCollection:
-    """One parahoric type per place, plus places refined to congruence kernels."""
+class CoherentCollection(namedtuple("CoherentCollection", "group places types refinements",
+                                    defaults=((),))):
+    """One parahoric type per place, plus the sorted ids of places refined to congruence kernels."""
 
-    group: object  # GroupSpec
-    places: tuple
-    types: tuple  # ParahoricTypeSpec per place, aligned with places
-    refinements: tuple = ()  # sorted place ids
+    __slots__ = ()
 
     def index_of(self, pid):
         for i, pl in enumerate(self.places):
             if pl.id == pid:
                 return i
-        raise UnknownPlaceError(f"unknown place id: {pid}")
+        raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
 
     def place(self, pid):
         return self.places[self.index_of(pid)]
@@ -110,27 +110,24 @@ def make_collection(group, places, overrides=None, refinements=()):
     overrides = dict(overrides or {})
     for pid in overrides:
         if pid not in ids:
-            raise UnknownPlaceError(f"unknown place id: {pid}")
+            raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
     types = []
     for pl in places:
         t = overrides.get(pl.id)
         t = pl.local_index.default_type() if t is None else ParahoricTypeSpec.coerce(t)
         types.append(pl.local_index.check_proper(t))
-    coll = CoherentCollection(group, places, tuple(types))
-    if refinements:
-        refinements = tuple(sorted(refinements))
-        _check_refinements(coll, refinements)
-        coll = replace(coll, refinements=refinements)
+    coll = CoherentCollection(group, places, tuple(types), tuple(sorted(refinements or ())))
+    _check_refinements(coll)
     return coll
 
 
-def _check_refinements(coll, refinements):
+def _check_refinements(coll):
     chars = {}
-    for pid in refinements:
+    for pid in coll.refinements:
         p = coll.place(pid).p
         if p in chars:
             raise EqualCharacteristicError(
-                f"equal residue characteristic: places {chars[p]} and {pid} share p={p}")
+                f"equal residue characteristic: places {_id(chars[p])} and {_id(pid)} share p={p}")
         chars[p] = pid
 
 
@@ -146,7 +143,7 @@ def _check_comparable(a, b):
     if a.group.label != b.group.label or len(a.places) != len(b.places):
         raise IncomparableError("incomparable collections")
     for pa, pb in zip(a.places, b.places):
-        if pa.key() != pb.key():
+        if pa is not pb and pa.key() != pb.key():
             raise IncomparableError("incomparable collections")
 
 
@@ -178,14 +175,11 @@ def relative_covolume(a, b):
     return HalfPowerRational(Fraction(num, den))
 
 
-@dataclass(frozen=True)
-class FamilyCertificate:
-    """Members with pairwise exact covolume ratios and non-conjugacy witnesses."""
+class FamilyCertificate(namedtuple("FamilyCertificate", "members ratios witnesses citations",
+                                   defaults=(CITATIONS,))):
+    """Members, their ratio matrix, a non-conjugacy witness (i, j, place_id, t_i, t_j) per i < j."""
 
-    members: tuple
-    ratios: tuple  # full matrix of HalfPowerRational
-    witnesses: tuple  # (i, j, place_id, t_i, t_j) per member pair i < j
-    citations: tuple = CITATIONS
+    __slots__ = ()
 
     def to_json(self):
         """The v1 certificate.
@@ -270,7 +264,7 @@ def _unequal_covolume(i, j, a, b, ratio):
         if (pl.id in a.refinements) != (pl.id in b.refinements):
             what.append("refinement")
         if what:
-            differ.append(f"{pl.id} ({', '.join(what)})")
+            differ.append(f"{_id(pl.id)} ({', '.join(what)})")
     num, den = _digits(ratio.rational.numerator), _digits(ratio.rational.denominator)
     if num + den <= SHORT_RATIO_DIGITS:
         shown = f"ratio {ratio!r}"
@@ -346,7 +340,7 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
     by_id = {pl.id: pl for pl in places}
     for pid in family_ids:
         if pid not in by_id:
-            raise UnknownPlaceError(f"unknown place id: {pid}")
+            raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
     if len(set(family_ids)) != len(family_ids):
         raise DomainError("duplicate family place ids")
     if refine:
@@ -354,17 +348,18 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
             raise DomainError(f"refine must name exactly two places, got {len(refine)}")
         for pid in refine:
             if pid not in by_id:
-                raise UnknownPlaceError(f"unknown place id: {pid}")
+                raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
             if pid in family_ids:
-                raise DomainError(f"refinement place {pid} may not be a family place")
+                raise DomainError(f"refinement place {_id(pid)} may not be a family place")
     pairs = dict(pairs or {})
     for pid in pairs:
         if pid not in by_id:
-            raise UnknownPlaceError(f"unknown place id in pairs: {pid}")
+            raise UnknownPlaceError(f"unknown place id in pairs: {_id(pid)}")
         if pid not in family_ids:
-            raise DomainError(f"pairs names place {pid}, which is not a family place")
+            raise DomainError(f"pairs names place {_id(pid)}, which is not a family place")
         if fallback_swap:
-            raise DomainError(f"pairs names place {pid}, but the fallback swap fixes its types")
+            raise DomainError(
+                f"pairs names place {_id(pid)}, but the fallback swap fixes its types")
 
     variations = []  # per factor of choices, its two {place id: type} dicts
     if fallback_swap:
@@ -374,7 +369,8 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
             pa, pb = by_id[a], by_id[b]
             if pa.q != pb.q:
                 raise DomainError(
-                    f"fallback swap needs equal residue sizes, got {pa.q} at {a} and {pb.q} at {b}")
+                    f"fallback swap needs equal residue sizes, "
+                    f"got {pa.q} at {_id(a)} and {pb.q} at {_id(b)}")
             t1, t2 = IWAHORI, pa.local_index.default_type()
             variations.append([{a: t1, b: t2}, {a: t2, b: t1}])
     else:
@@ -390,7 +386,7 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
                     first_rows[d] = next(equal_volume_rows(d), None)
                 if first_rows[d] is None:
                     raise DomainError(
-                        f"no equal-volume pair of non-conjugate types at place {pid} "
+                        f"no equal-volume pair of non-conjugate types at place {_id(pid)} "
                         f"({d.group.label}); try the two-place swap fallback")
                 t1, _, t2s = first_rows[d]
                 t2 = t2s[0]
@@ -403,7 +399,7 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
         for k, choices in enumerate(variations):
             for pid, t in choices[bits >> k & 1].items():
                 types[base.index_of(pid)] = t
-        members.append(replace(base, types=tuple(types)))
+        members.append(base._replace(types=tuple(types)))
     return members
 
 

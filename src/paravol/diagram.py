@@ -7,42 +7,49 @@ a proper subset of the vertex set; the empty type is the Iwahori.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import roots, twisted
 from .errors import ImproperTypeError, UnsupportedTypeError
 
 
-# Longest group label an error message repeats in full.
+# Longest outside text (a group label, a place id) an error message repeats in full.
 LABEL_ECHO_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Absolute type of the group, plus the local form at the place."""
+def echo(value, noun, shown=repr):
+    """`shown(value)`, or past LABEL_ECHO_LIMIT characters `a <noun> of <n> characters`."""
+    n = len(str(value))
+    return shown(value) if n <= LABEL_ECHO_LIMIT else f"a {noun} of {n} characters"
 
-    form: str  # "split" or "twisted"
-    family: str
-    rank: int
-    twisted_index: str | None = None
 
-    def __post_init__(self):
-        if self.form == "split":
-            if self.twisted_index is not None:
+def _immutable(self, name, *value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class GroupSpec(namedtuple("GroupSpec", "form family rank twisted_index")):
+    """Absolute type of the group, plus the local form ("split" or "twisted") at the place."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
+
+    def __new__(cls, form, family, rank, twisted_index=None):
+        if form == "split":
+            if twisted_index is not None:
                 raise UnsupportedTypeError("unsupported type: split form takes no twisted index")
-            if not roots.check_rank(self.family, self.rank):
-                raise UnsupportedTypeError(f"unsupported type: {self.family}{self.rank}")
-        elif self.form == "twisted":
-            data = twisted.TWISTED_INDICES.get(self.twisted_index or "")
+            if not roots.check_rank(family, rank):
+                raise UnsupportedTypeError(f"unsupported type: {family}{rank}")
+        elif form == "twisted":
+            data = twisted.TWISTED_INDICES.get(twisted_index or "")
             if data is None:
-                raise UnsupportedTypeError(f"unsupported type: twisted index {self.twisted_index!r}")
-            if (self.family, self.rank) != data["absolute"]:
+                raise UnsupportedTypeError(f"unsupported type: twisted index {twisted_index!r}")
+            if (family, rank) != data["absolute"]:
                 raise UnsupportedTypeError(
-                    f"unsupported type: {self.twisted_index} has absolute type "
+                    f"unsupported type: {twisted_index} has absolute type "
                     f"{data['absolute'][0]}{data['absolute'][1]}")
         else:
-            raise UnsupportedTypeError(f"unsupported type: form {self.form!r}")
+            raise UnsupportedTypeError(f"unsupported type: form {form!r}")
+        return tuple.__new__(cls, (form, family, rank, twisted_index))
 
     @classmethod
     def parse(cls, text):
@@ -70,10 +77,8 @@ class GroupSpec:
         elif form == "twisted" and name in twisted.TWISTED_INDICES:
             fam, rank = twisted.TWISTED_INDICES[name]["absolute"]
             return cls("twisted", fam, rank, name)
-        if len(text) <= LABEL_ECHO_LIMIT:
-            raise UnsupportedTypeError(f"unsupported type: {text!r}")
         kind = f"{form} label" if form in ("split", "twisted") else "label"
-        raise UnsupportedTypeError(f"unsupported type: a {kind} of {len(text)} characters")
+        raise UnsupportedTypeError(f"unsupported type: {echo(text, kind)}")
 
     @property
     def label(self):
@@ -85,16 +90,16 @@ class GroupSpec:
         return roots.group_dimension(self.family, self.rank)
 
 
-@dataclass(frozen=True, order=True)
-class FiniteTypeLabel:
+class FiniteTypeLabel(namedtuple("FiniteTypeLabel", "family rank")):
     """Isogeny-free label of a split finite reductive group: family, rank."""
 
-    family: str
-    rank: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
 
-    def __post_init__(self):
-        if self.family not in "ABCDEFG" or self.rank < 1:
-            raise UnsupportedTypeError(f"unsupported type: {self.family}{self.rank}")
+    def __new__(cls, family, rank):
+        if family not in "ABCDEFG" or rank < 1:
+            raise UnsupportedTypeError(f"unsupported type: {family}{rank}")
+        return tuple.__new__(cls, (family, rank))
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -111,21 +116,20 @@ def canonical_labels(family, rank):
     return (FiniteTypeLabel(family, rank),)
 
 
-class Edge(NamedTuple):
-    u: int
-    v: int
-    mult: int  # product of the two Cartan pairings: 1, 2, 3 or 4
-    arrow: int | None  # vertex on the short side, None for equal lengths
+Edge = namedtuple("Edge", "u v mult arrow")  # arrow: the short vertex, None for equal lengths
 
 
-@dataclass(frozen=True, eq=False)
 class ParahoricTypeSpec:
     """A parahoric type: sorted tuple of diagram vertex ids."""
 
-    vertices: tuple
+    __slots__ = ("vertices",)
+    __setattr__ = __delattr__ = _immutable
 
     def __init__(self, vertices):
         object.__setattr__(self, "vertices", tuple(sorted(set(vertices))))
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return ParahoricTypeSpec, (self.vertices,)
 
     @classmethod
     def coerce(cls, t):
@@ -162,31 +166,32 @@ class ParahoricTypeSpec:
 IWAHORI = ParahoricTypeSpec(())
 
 
-@dataclass(frozen=True, eq=False)
 class LocalIndex:
-    """Decorated local Dynkin diagram of the group at one place."""
+    """Decorated local Dynkin diagram of the group at one place, equal only to itself.
 
-    group: GroupSpec
-    vertices: tuple
-    edges: tuple
-    marks: tuple
-    hyperspecial: tuple
-    realized_auts: tuple
-    # bitmask of the neighbours of each vertex
-    neighbours: tuple = field(init=False, repr=False)
-    # sorted vertex tuple of a proper type -> its induced component labels,
-    # filled by reductive.quotient_descriptor and the pair search
-    component_labels: dict = field(default_factory=dict, init=False, repr=False)
-    # mask of a connected induced subdiagram -> its label(s), filled by
-    # classify_mask; like component_labels, it dies with the index
-    component_classes: dict = field(default_factory=dict, init=False, repr=False)
+    `neighbours` is each vertex's neighbour bitmask; the memos `component_labels`
+    and `component_classes` die with the index and stay out of its repr and copies.
+    """
 
-    def __post_init__(self):
-        neighbours = [0] * len(self.vertices)
-        for e in self.edges:
+    __slots__ = ("group", "vertices", "edges", "marks", "hyperspecial", "realized_auts",
+                 "neighbours", "component_labels", "component_classes")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, group, vertices, edges, marks, hyperspecial, realized_auts):
+        neighbours = [0] * len(vertices)
+        for e in edges:
             neighbours[e.u] |= 1 << e.v
             neighbours[e.v] |= 1 << e.u
-        object.__setattr__(self, "neighbours", tuple(neighbours))
+        for name, value in zip(self.__slots__, (group, vertices, edges, marks, hyperspecial,
+                                                realized_auts, tuple(neighbours), {}, {})):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return LocalIndex, tuple(getattr(self, name) for name in self.__slots__[:6])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__[:6])
+        return f"LocalIndex({fields})"
 
     @property
     def relative_rank(self):

@@ -12,21 +12,18 @@ each degree's count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import diagram as dg
 from . import roots
 
 
-@dataclass(frozen=True)
-class ReductiveQuotientDescriptor:
-    """Reductive quotient of a parahoric over the residue field."""
+class ReductiveQuotientDescriptor(
+        namedtuple("ReductiveQuotientDescriptor", "components torus_rank dim degrees")):
+    """Reductive quotient of a parahoric over the residue field; components and degrees sorted."""
 
-    components: tuple  # FiniteTypeLabel, sorted
-    torus_rank: int
-    dim: int
-    degrees: tuple  # sorted; one d per factor q^d - 1 of the order
+    __slots__ = ()
 
     @property
     def volume_key(self):

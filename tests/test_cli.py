@@ -3,12 +3,12 @@
 import functools
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 
@@ -345,9 +345,10 @@ def test_certify_names_the_first_tampered_entry(tmp_path, capsys, tamper, entry)
     assert f"certificate mismatch: {entry} does not match" in err
 
 
-@dataclass(frozen=True)
-class _TrueCitationCertificate(construction.FamilyCertificate):
-    citations: tuple = construction.CITATIONS + ("a true and not false citation",)
+# builds the certificate `certify_family` returns, with one more citation
+_TrueCitationCertificate = functools.partial(
+    construction.FamilyCertificate,
+    citations=construction.CITATIONS + ("a true and not false citation",))
 
 
 @pytest.mark.parametrize("where", ["place-id", "citation"])
@@ -752,6 +753,51 @@ def test_label_of_a_million_characters_is_named_by_its_length(tmp_path, capsys, 
     assert (code, out) == (1, "")
     assert err == f"error: unsupported type: {named}\n"
     assert len(err.encode()) < 200
+
+
+def _long_text_request(kind, text):
+    """A ratio request on split:B3 that echoes `text` back in its error."""
+    place = {"id": "v", "q": 2, "p": 2}
+    assignment = {}
+    if kind == "index":
+        place["index"] = text
+    elif kind == "assignment":
+        assignment = {text: [0]}
+    else:
+        place = {"id": text, "q": 6, "p": 2}
+    return {"group": "split:B3", "places": [place],
+            "collections": [{"assignment": assignment}, {"assignment": {}}]}
+
+
+@pytest.mark.parametrize("kind, text, code, err", [
+    ("index", "split:B3" + "x" * 10 ** 6, 2,
+     "input error: places[0]: place index a place index of 1000008 characters "
+     "does not match group 'split:B3'\n"),
+    ("index", "split:B3x", 2,
+     "input error: places[0]: place index 'split:B3x' does not match group 'split:B3'\n"),
+    ("assignment", "w" * 10 ** 6, 1,
+     "error: unknown place id: a place id of 1000000 characters\n"),
+    ("assignment", "w" * 64, 1, "error: unknown place id: " + "w" * 64 + "\n"),
+    ("residue", "u" * 10 ** 6, 1,
+     "error: invalid residue size at place a place id of 1000000 characters: "
+     "6 is not a prime power\n"),
+    ("residue", "u", 1, "error: invalid residue size at place u: 6 is not a prime power\n"),
+], ids=["index-long", "index", "assignment-long", "assignment", "residue-long", "residue"])
+def test_place_text_past_the_echo_limit_is_named_by_its_length(tmp_path, capsys,
+                                                               kind, text, code, err):
+    ratio = write_json(tmp_path / "r.json", _long_text_request(kind, text))
+    assert invoke(capsys, "ratio", "--input", ratio) == (code, "", err)
+    assert len(err.encode()) < 200
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect_nor_typing():
+    # each is a cost of every command's start-up that no command needs
+    probe = ("import sys; import paravol.cli as c; c.build_parser(); "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_rank_with_a_leading_zero_exits_1_where_the_place_index_repeats_it(tmp_path, capsys):

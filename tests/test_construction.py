@@ -12,6 +12,8 @@ from test_acceptance import random_collections
 from paravol import construction, diagram, parahoric
 from paravol.construction import (
     CITATIONS,
+    CoherentCollection,
+    FamilyCertificate,
     Place,
     build_family,
     certify_family,
@@ -67,6 +69,40 @@ def test_place_validation():
         assert str(info.value) == f"invalid residue size at place {pid}: {message}"
 
 
+def test_place_is_an_immutable_validated_value():
+    d = build_local_index("split:A1")
+    v = Place("v", 9, 3, d)
+    assert v == Place("v", 9, 3, d) == ("v", 9, 3, d)
+    assert hash(v) == hash(Place("v", 9, 3, d))
+    assert v != Place("v", 9, 3, build_local_index("split:A1"))  # another index object
+    assert v._replace(id="w") == Place("w", 9, 3, d)
+    with pytest.raises(AttributeError):
+        v.q = 27
+    # every way of building one validates it
+    for build in (lambda: v._replace(q=6), lambda: v._replace(p=2),
+                  lambda: Place._make(("w", 4, 3, d))):
+        with pytest.raises(InvalidResidueError):
+            build()
+
+
+def test_collection_and_certificate_are_immutable_values():
+    g, d, places = setup_group("split:B3", 2, 3)
+    a = make_collection(g, places, {"v0": (1,)}, refinements=("v1", "v0"))
+    assert a == make_collection(g, places, {"v0": (1,)}, refinements=("v0", "v1"))
+    assert hash(a) == hash(CoherentCollection(g, tuple(places), a.types, ("v0", "v1")))
+    assert a.refinements == ("v0", "v1")
+    assert make_collection(g, places).refinements == ()
+    assert a != make_collection(g, places, {"v0": (1,)})
+    with pytest.raises(AttributeError):
+        a.types = ()
+    members = build_family(g, places, ["v0", "v1"])
+    cert = certify_family(members)
+    assert cert.citations == CITATIONS
+    assert cert == FamilyCertificate(tuple(members), cert.ratios, cert.witnesses)
+    with pytest.raises(AttributeError):
+        cert.citations = ()
+
+
 def test_make_collection_defaults_and_overrides():
     g, d, places = setup_group("split:B3", 2, 3)
     coll = make_collection(g, places, {"v1": (2,)})
@@ -101,6 +137,18 @@ def test_relative_covolume_requires_comparable():
     other_q = make_collection(g, [Place("v0", 4, 2, d), places[1]])
     with pytest.raises(IncomparableError):
         relative_covolume(a, other_q)
+    # equal places over a second index object of the same group compare
+    rebuilt = [Place(pl.id, pl.q, pl.p, build_local_index("split:B3")) for pl in places]
+    assert relative_covolume(a, make_collection(g, rebuilt)).is_one
+
+
+def test_certify_compares_shared_places_by_identity(monkeypatch):
+    g, d, places = setup_group("split:B3", 2, 3, 5)
+    members = build_family(g, places, ["v0", "v1", "v2"])
+    keys = []
+    monkeypatch.setattr(Place, "key", lambda pl: keys.append(pl) or ())
+    certify_family(members)
+    assert keys == []
 
 
 def test_relative_covolume_matches_single_place_ratio():

@@ -1,5 +1,8 @@
 """Affine diagram construction, automorphisms, induced subdiagram labels."""
 
+import copy
+import pickle
+
 import pytest
 
 from oracle_helpers import brute_force_decorated_autos
@@ -8,8 +11,10 @@ from test_golden import LABELS
 from paravol import roots
 from paravol.diagram import (
     LABEL_ECHO_LIMIT,
+    Edge,
     FiniteTypeLabel,
     GroupSpec,
+    LocalIndex,
     ParahoricTypeSpec,
     build_local_index,
     canonical_labels,
@@ -75,6 +80,84 @@ def test_group_spec_names_a_label_past_the_echo_limit_by_its_length(prefix, fill
     with pytest.raises(UnsupportedTypeError) as raised:
         GroupSpec.parse(at_limit + fill)
     assert str(raised.value) == f"unsupported type: {named}"
+
+
+def test_group_spec_is_an_immutable_validated_value():
+    g = GroupSpec.parse("twisted:C-B2")
+    assert g == GroupSpec("twisted", "A", 3, "C-B2") == ("twisted", "A", 3, "C-B2")
+    assert hash(g) == hash(GroupSpec("twisted", "A", 3, "C-B2"))
+    assert GroupSpec("split", "B", 3) == GroupSpec.parse("split:B3")
+    assert GroupSpec("split", "B", 3) != GroupSpec("split", "C", 3)
+    assert repr(GroupSpec("split", "B", 3)) == (
+        "GroupSpec(form='split', family='B', rank=3, twisted_index=None)")
+    with pytest.raises(AttributeError):
+        g.rank = 4
+    # every way of building one validates it
+    with pytest.raises(UnsupportedTypeError):
+        GroupSpec("split", "B", 2)
+    with pytest.raises(UnsupportedTypeError):
+        GroupSpec.parse("split:B3")._replace(rank=2)
+    with pytest.raises(UnsupportedTypeError):
+        GroupSpec._make(("twisted", "A", 2, "C-B2"))
+
+
+def test_finite_type_label_is_an_immutable_validated_value():
+    a1 = FiniteTypeLabel("A", 1)
+    assert a1 == FiniteTypeLabel("A", 1) == ("A", 1)
+    assert hash(a1) == hash(FiniteTypeLabel("A", 1))
+    assert sorted([FiniteTypeLabel("B", 3), FiniteTypeLabel("A", 2), a1]) == [
+        a1, FiniteTypeLabel("A", 2), FiniteTypeLabel("B", 3)]
+    assert (str(a1), repr(a1)) == ("A1", "FiniteTypeLabel(family='A', rank=1)")
+    with pytest.raises(AttributeError):
+        a1.rank = 2
+    for build in (lambda: FiniteTypeLabel("X", 1), lambda: FiniteTypeLabel("A", 0),
+                  lambda: a1._replace(rank=0), lambda: FiniteTypeLabel._make(("H", 3))):
+        with pytest.raises(UnsupportedTypeError):
+            build()
+
+
+def test_edge_is_a_named_tuple():
+    e = Edge(0, 1, 4, 1)
+    assert e == Edge(u=0, v=1, mult=4, arrow=1) == (0, 1, 4, 1)
+    assert hash(e) == hash((0, 1, 4, 1))
+    assert (e.u, e.v, e.mult, e.arrow) == (0, 1, 4, 1)
+    with pytest.raises(AttributeError):
+        e.mult = 2
+
+
+def test_parahoric_type_spec_is_an_immutable_set_of_vertices():
+    t = ParahoricTypeSpec([2, 0, 2])
+    assert t.vertices == (0, 2) and list(t) == [0, 2] and len(t) == 2
+    assert t == ParahoricTypeSpec((0, 2)) and hash(t) == hash(ParahoricTypeSpec([2, 0]))
+    assert t != ParahoricTypeSpec((0,)) and t != (0, 2)
+    assert repr(t) == "ParahoricTypeSpec([0, 2])"
+    for change in (lambda: setattr(t, "vertices", (1,)), lambda: delattr(t, "vertices"),
+                   lambda: setattr(t, "other", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert t.vertices == (0, 2)
+    assert copy.deepcopy(t) == pickle.loads(pickle.dumps(t)) == t
+
+
+def test_local_index_is_equal_and_hashed_by_identity():
+    d, e = build_local_index("split:B3"), build_local_index("split:B3")
+    assert d == d and d != e and len({d, e, d}) == 2
+    rebuilt = LocalIndex(d.group, d.vertices, d.edges, d.marks, d.hyperspecial, d.realized_auts)
+    assert rebuilt != d and rebuilt.neighbours == d.neighbours
+    induced_subdiagram(d, (0,))
+    assert d.component_classes
+    # the memo stays out of the repr
+    assert repr(d) == repr(e) == (
+        f"LocalIndex(group={d.group!r}, vertices={d.vertices!r}, edges={d.edges!r}, "
+        f"marks={d.marks!r}, hyperspecial={d.hyperspecial!r}, "
+        f"realized_auts={d.realized_auts!r})")
+    for name in ("group", "neighbours", "component_labels", "other"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, None)
+    # a copy is a new index with the same fields and fresh memos
+    for twin in (copy.copy(d), pickle.loads(pickle.dumps(d))):
+        assert twin != d and repr(twin) == repr(d) and twin.neighbours == d.neighbours
+        assert twin.component_classes == {}
 
 
 def test_diagrams_build_without_the_root_closure(monkeypatch):

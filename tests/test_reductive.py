@@ -153,6 +153,19 @@ def test_descriptor_invariant_under_realized_automorphisms():
                 assert image.volume_key == desc.volume_key
 
 
+def test_descriptor_is_an_immutable_value():
+    d = build_local_index("split:B3")
+    desc = quotient_descriptor(d, (0,))
+    assert desc == quotient_descriptor(build_local_index("split:B3"), (0,))
+    assert desc == ((FiniteTypeLabel("A", 1),), 2, 5, (1, 1, 2))
+    assert hash(desc) == hash(((FiniteTypeLabel("A", 1),), 2, 5, (1, 1, 2)))
+    assert desc != quotient_descriptor(d, (1, 2, 3)) and desc.volume_key == (5, (1, 1, 2))
+    assert repr(desc) == ("ReductiveQuotientDescriptor(components=(FiniteTypeLabel("
+                          "family='A', rank=1),), torus_rank=2, dim=5, degrees=(1, 1, 2))")
+    with pytest.raises(AttributeError):
+        desc.dim = 6
+
+
 def test_quotient_descriptor_rejects_improper():
     d = build_local_index("split:A2")
     with pytest.raises(ImproperTypeError):
