@@ -5,8 +5,8 @@ as a separate process, so each time includes interpreter start-up and
 import, as a user of the command pays it.  The process's peak resident
 set size comes from the rusage that `os.wait4` returns for it.  Linux
 counts in that peak the pages of the process that started it, up to its
-exec, so a small launcher (`LAUNCHER`), not this script, starts and times
-each process.  Each time and peak is the median of 3 runs; the size and
+exec, so a small launcher (`scale.LAUNCHER`), not this script, starts and
+times each process.  Each time and peak is the median of 3 runs; the size and
 SHA-256 of the JSON output are recorded too, so a record with two columns
 shows whether both trees wrote the same bytes.  The default labels are
 those of perfbench's pairs_sweep workload.
@@ -33,44 +33,17 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from scale import RUNS, SRC
+from scale import RUNS, SRC, timed_peak
 
 LABELS = ("split:E8", "split:E7", "split:E6", "split:F4", "split:G2",
           "split:A11", "split:B8", "split:C10", "split:D10",
           "twisted:C-BC1", "twisted:C-B2")
 Q = 1009
 FAMILY_LABELS = ("split:C12", "split:C14")
-
-
-# Forks and execs `python <args>` with stdout to /dev/null, then prints its
-# exit code, wall seconds and peak RSS in kilobytes (the unit of Linux).
-LAUNCHER = """
-import os, sys, time
-start = time.perf_counter()
-pid = os.fork()
-if pid == 0:
-    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
-    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
-_, status, usage = os.wait4(pid, 0)
-print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
-"""
-
-
-def timed_peak(src, argv):
-    """Wall seconds and peak RSS in MB of one `python -m paravol` process; exits on failure."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, "-m", "paravol", *argv],
-                          env=env, capture_output=True, text=True)
-    fields = done.stdout.split()
-    if done.returncode != 0 or len(fields) != 3 or fields[0] != "0":
-        sys.exit(f"paravol {' '.join(argv)} with {src} failed: {done.stdout.strip()} "
-                 f"{done.stderr.strip()}")
-    return float(fields[1]), int(fields[2]) / 1024
 
 
 def measure(label, argv, time_key, trees, workdir):

@@ -3,8 +3,13 @@
 For split:B3 with m family places (2^m members), refined at two further
 places, the script times `family` and then `certify` on its certificate as
 separate `python -m paravol` processes, so each time includes interpreter
-start-up and import, as a user of the command pays it.  Each time is the
-median of 3 runs.  The certificate size is recorded too.
+start-up and import, as a user of the command pays it.  Each process's
+peak resident set size comes from the rusage that `os.wait4` returns for
+it.  Linux counts in that peak the pages of the process that started it,
+up to its exec, so a small launcher (`LAUNCHER`), not this script, starts
+and times each process.  Each time and peak is the median of 3 runs.  The
+certificate's size and SHA-256 are recorded too, so a record with two
+columns shows whether both trees wrote the same bytes.
 
     python3 bench/scale.py --output bench/BENCH_3.json
     python3 bench/scale.py --output bench/BENCH_3.json --baseline-src OTHER/src
@@ -18,6 +23,7 @@ run, so a drift in host speed hits both columns alike.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -25,7 +31,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -46,44 +51,55 @@ def family_request(m):
     }
 
 
-def timed(src, argv):
-    """Wall seconds of one `python -m paravol` process; exits on failure."""
+# Forks and execs `python <args>` with stdout to /dev/null, then prints its
+# exit code, wall seconds and peak RSS in kilobytes (the unit of Linux).
+LAUNCHER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - start, usage.ru_maxrss)
+"""
+
+
+def timed_peak(src, argv):
+    """Wall seconds and peak RSS in MB of one `python -m paravol` process; exits on failure."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "paravol", *argv], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    elapsed = time.perf_counter() - start
-    if done.returncode != 0:
-        sys.exit(f"paravol {' '.join(argv)} with {src} exited {done.returncode}: "
+    done = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, "-m", "paravol", *argv],
+                          env=env, capture_output=True, text=True)
+    fields = done.stdout.split()
+    if done.returncode != 0 or len(fields) != 3 or fields[0] != "0":
+        sys.exit(f"paravol {' '.join(argv)} with {src} failed: {done.stdout.strip()} "
                  f"{done.stderr.strip()}")
-    return elapsed
+    return float(fields[1]), int(fields[2]) / 1024
 
 
 def measure(m, trees, workdir):
     request = workdir / f"request-{m}.json"
     request.write_text(json.dumps(family_request(m)))
-    samples = {name: {"family_s": [], "certify_s": []} for name in trees}
-    sizes = {}
+    samples = {name: {"family": [], "certify": []} for name in trees}
+    certificates = {}
     for _ in range(RUNS):
         for name, src in trees.items():
             certificate = workdir / f"certificate-{m}-{name}.json"
-            samples[name]["family_s"].append(timed(src, [
+            samples[name]["family"].append(timed_peak(src, [
                 "family", "--input", str(request), "--output", str(certificate)]))
-            samples[name]["certify_s"].append(timed(src, [
+            samples[name]["certify"].append(timed_peak(src, [
                 "certify", "--input", str(certificate)]))
-            sizes[name] = certificate.stat().st_size
-    return {
-        "m": m,
-        "members": 2 ** m,
-        "columns": {
-            name: {
-                "family_s": round(statistics.median(samples[name]["family_s"]), 3),
-                "certify_s": round(statistics.median(samples[name]["certify_s"]), 3),
-                "certificate_bytes": sizes[name],
-            }
-            for name in trees
-        },
-    }
+            certificates[name] = certificate.read_bytes()
+    columns = {}
+    for name in trees:
+        column = {}
+        for command, runs in samples[name].items():
+            column[f"{command}_s"] = round(statistics.median(s for s, _ in runs), 3)
+            column[f"{command}_peak_rss_mb"] = round(statistics.median(mb for _, mb in runs), 1)
+        column["certificate_bytes"] = len(certificates[name])
+        column["certificate_sha256"] = hashlib.sha256(certificates[name]).hexdigest()
+        columns[name] = column
+    return {"m": m, "members": 2 ** m, "columns": columns}
 
 
 def main(argv=None):
@@ -109,7 +125,7 @@ def main(argv=None):
         "group": GROUP,
         "refine": [pl["id"] for pl in REFINE_PLACES],
         "runs": RUNS,
-        "statistic": "median wall seconds per process, start-up included",
+        "statistic": "median wall seconds and peak RSS MB per process, start-up included",
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),

@@ -19,6 +19,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .construction import (
     Place,
+    _id,
     build_family,
     certify_family,
     make_collection,
@@ -60,9 +61,9 @@ def _encode(value):
     any other type raises TypeError, so the output never differs.  Values
     must be acyclic, as every payload the engine builds is.
 
-    A payload may hold one list in many places: a `family` certificate
-    shares each type's list among its members, and its ratio matrix is one
-    row list N times over.  So every list is built into its own text, and
+    A payload may hold one list in many places, as the rows of `pairs`
+    share each type's list (`_pairs_chunks` keeps one `shared` dict for
+    all its entries).  So every list is built into its own text, and
     `shared` maps the list's `id` and indent to that text: a list object
     met again at the same indent is written without encoding it again.
     The dict lives for this call only, while `value` keeps every list
@@ -170,6 +171,103 @@ def _pairs_chunks(label, rows, q):
     yield end + "\n}\n"
 
 
+# A certificate list's items and their keys sit where a `pairs` entry and
+# its keys do; this newline comes before an entry of a member's assignment
+# or of a witness's pair.
+_NESTED = "\n        "
+
+
+def _text(value, newline):
+    """The text of `value` encoded at the indent that follows `newline`."""
+    parts = []
+    _encode_into(parts.append, value, newline, {})
+    return "".join(parts)
+
+
+def _list_chunks(texts):
+    """A list valued certificate key, one chunk per item, from the items' texts."""
+    sep = "[" + _ENTRY
+    for text in texts:
+        yield sep + text
+        sep = "," + _ENTRY
+    yield "[]" if sep[0] == "[" else "\n  ]"
+
+
+def _certificate_chunks(cert):
+    """The `family` output, in chunks of at most one member, ratio row or witness.
+
+    The text is `json.dumps(cert.to_json(), indent=2) + "\\n"` byte for
+    byte.  Its N² part is built from pieces made once and reused: an
+    assignment line per (place id, type), a text per ratio row object and
+    per ratio object, and per distinct (place, t1, t2) the tail of a
+    witness, so each witness formats only its two indices.  The whole
+    text, the witness dicts and their "pair" lists never exist at once.
+    """
+    first = cert.members[0]
+    yield '{\n  "group": ' + _quote(first.group.label) + ',\n  "places": '
+    yield from _list_chunks(
+        _text({"id": pl.id, "q": pl.q, "p": pl.p, "index": pl.local_index.group.label}, _ENTRY)
+        for pl in first.places)
+
+    lines = {}  # (place id, vertex tuple) -> its assignment line
+    refinement_texts = {}  # refinement tuple -> its text
+
+    def member(m):
+        parts = []
+        for pl, t in zip(m.places, m.types):
+            key = (pl.id, t.vertices)
+            line = lines.get(key)
+            if line is None:
+                line = lines[key] = _quote(pl.id) + ": " + _text(list(t.vertices), _NESTED)
+            parts.append(line)
+        assignment = "{" + _NESTED + ("," + _NESTED).join(parts) + _KEY + "}" if parts else "{}"
+        refined = refinement_texts.get(m.refinements)
+        if refined is None:
+            refined = refinement_texts[m.refinements] = _text(list(m.refinements), _KEY)
+        return ("{" + _KEY + '"assignment": ' + assignment + "," + _KEY
+                + '"refinements": ' + refined + _ENTRY + "}")
+
+    yield ',\n  "members": '
+    yield from _list_chunks(map(member, cert.members))
+
+    ratio_texts = {}  # id of a ratio or row -> its text; cert.ratios keeps each alive
+
+    def ratio(r):
+        if id(r) not in ratio_texts:
+            ratio_texts[id(r)] = _text(r.to_json(), _KEY)
+        return ratio_texts[id(r)]
+
+    def row(ratios):
+        if id(ratios) not in ratio_texts:
+            ratio_texts[id(ratios)] = (
+                "[" + _KEY + ("," + _KEY).join(map(ratio, ratios)) + _ENTRY + "]"
+                if ratios else "[]")
+        return ratio_texts[id(ratios)]
+
+    yield ',\n  "ratios": '
+    yield from _list_chunks(map(row, cert.ratios))
+
+    yield ',\n  "witnesses": '
+    tails = {}  # (place id, t1 vertices, t2 vertices) -> the witness text after j
+    sep = "[" + _ENTRY + "{" + _KEY + '"pair": [' + _NESTED
+    later = "," + sep[1:]
+    for i, j, pid, t1, t2 in cert.witnesses:
+        key = (pid, t1.vertices, t2.vertices)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = (
+                _KEY + "]," + _KEY + '"place": ' + _quote(pid) + "," + _KEY + '"t1": '
+                + _text(list(t1.vertices), _KEY) + "," + _KEY + '"t2": '
+                + _text(list(t2.vertices), _KEY) + _ENTRY + "}")
+        yield f"{sep}{i},{_NESTED}{j}{tail}"
+        sep = later
+    yield "[]" if sep[0] == "[" else "\n  ]"
+
+    yield ',\n  "citations": '
+    yield from _list_chunks(map(_quote, cert.citations))
+    yield "\n}\n"
+
+
 # -- schema helpers ---------------------------------------------------------
 
 def _input_float(text):
@@ -247,7 +345,7 @@ def _places_from_json(items, group_label, ctx="places"):
 def _assignment_from_json(value, ctx):
     if not isinstance(value, dict):
         raise SchemaError(f"{ctx}: expected an object mapping place ids to types")
-    return {pid: tuple(_int_list(t, f"{ctx}[{pid}]")) for pid, t in value.items()}
+    return {pid: tuple(_int_list(t, f"{ctx}[{_id(pid)}]")) for pid, t in value.items()}
 
 
 # -- subcommands ------------------------------------------------------------
@@ -314,9 +412,9 @@ def cmd_family(args):
         pairs = {}
         for pid, duo in raw.items():
             if not isinstance(duo, list) or len(duo) != 2:
-                raise SchemaError(f"input: pairs[{pid}] must list two types")
-            pairs[pid] = (tuple(_int_list(duo[0], f"pairs[{pid}][0]")),
-                          tuple(_int_list(duo[1], f"pairs[{pid}][1]")))
+                raise SchemaError(f"input: pairs[{_id(pid)}] must list two types")
+            pairs[pid] = (tuple(_int_list(duo[0], f"pairs[{_id(pid)}][0]")),
+                          tuple(_int_list(duo[1], f"pairs[{_id(pid)}][1]")))
     fallback = data.get("fallback_swap", False)
     if not isinstance(fallback, bool):
         raise SchemaError("input: fallback_swap must be true or false")
@@ -331,8 +429,7 @@ def cmd_family(args):
             raise SchemaError("input: refine must list exactly two place ids")
         refine = tuple(refine)
     members = build_family(group, places, list(family_ids), pairs, fallback, refine)
-    certificate = certify_family(members)
-    _dump(args.output, certificate.to_json())
+    _write(args.output, _certificate_chunks(certify_family(members)))
     return 0
 
 

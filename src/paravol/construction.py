@@ -9,10 +9,14 @@ optionally times indices of torsion-free congruence refinements.
 Certifying N members over m places does O(N*m) local work.  Equal
 covolume is transitive, so a family needs only each member's covolume to
 equal member 0's: N-1 exact ratio evaluations, after which every pairwise
-ratio is one.  A witness pair of types is tested for conjugacy once per place,
-however many member pairs it separates.  `certify` on the command line
-still rebuilds the whole certificate from the members and compares it
-entry by entry, because nothing in a certificate file is trusted.
+ratio is one.  Each type's realized-automorphism orbit is found once per
+place, and the witnesses come from splitting the members by orbit at each
+place in turn, so only the witness list, one tuple per member pair, is
+N²-sized.  `family` streams the certificate text from those pieces
+(`cli._certificate_chunks`).  `certify` on the command line still rebuilds
+the whole certificate from the members and compares it entry by entry
+(`FamilyCertificate.to_json`), because nothing in a certificate file is
+trusted.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import repeat
+from operator import getitem
 
 from .diagram import IWAHORI, ParahoricTypeSpec, echo
 from .errors import (
@@ -182,11 +188,13 @@ class FamilyCertificate(namedtuple("FamilyCertificate", "members ratios witnesse
     __slots__ = ()
 
     def to_json(self):
-        """The v1 certificate.
+        """The v1 certificate as decoded JSON, for `certify` to compare a file with.
 
-        Each distinct type's vertex list, each distinct ratio object's dict
-        and each distinct row tuple's list of ratios is built once and
-        shared wherever it recurs, so the encoder writes each list once.
+        `family` does not build it: `cli._certificate_chunks` writes the
+        same text, `json.dumps(self.to_json(), indent=2)` plus a newline,
+        without holding the witness dicts.  Each distinct type's vertex
+        list, each distinct ratio object's dict and each distinct row
+        tuple's list of ratios is built once and shared wherever it recurs.
         `certify_family` makes every row the one tuple of N `ONE`s, so the
         ratio matrix is N references to one list, itself N references to
         one dict.
@@ -283,9 +291,17 @@ def certify_family(members):
     covolume.  A failure names members 0 and j for the first j whose ratio
     is not one; on success every matrix entry is one.  The
     witness for a pair is the first place where the two types differ and
-    are not conjugate.  Each member is read as a tuple of per-place type
-    codes, numbered by first use, so the N²/2 pairs compare small ints,
-    and conjugacy is decided once per place and ordered pair of codes.
+    are not conjugate.
+
+    The realized automorphisms form a group, so two types at a place are
+    conjugate exactly when their orbits are equal, and each type is known
+    by its orbit's least vertex tuple, computed once per place and type.
+    At each place the members are split into sets by orbit.  For member i
+    the later members start as one set and the places are walked in
+    order: those whose orbit differs from i's at place k get their witness
+    there and the rest go on, so the scan is O(N·m) set operations in C
+    and the only per-pair work is building the witness tuple.  A failure
+    names the first pair, in (i, j) order, that no place separates.
     """
     members = tuple(members)
     if len(members) < 2:
@@ -294,30 +310,41 @@ def certify_family(members):
     for j, ratio in enumerate(row, 1):
         if not ratio.is_one:
             raise _unequal_covolume(0, j, members[0], members[j], ratio)
-    ratios = ((ONE,) * len(members),) * len(members)
-    # each member as a tuple of per-place type codes, the order of first use
-    codes = [{} for _ in members[0].places]
-    rows = [tuple(code.setdefault(t, len(code)) for code, t in zip(codes, m.types))
-            for m in members]
-    indices = [pl.local_index for pl in members[0].places]
-    conjugate = {}  # (place index, code_i, code_j) -> conjugate_types
+    n = len(members)
+    ratios = ((ONE,) * n,) * n
+    types = [m.types for m in members]
+    ids = [pl.id for pl in members[0].places]
+    columns = []  # per place, each member's orbit there
+    groups = []  # per place, orbit -> the set of members in it
+    for k, pl in enumerate(members[0].places):
+        orbits = {}  # vertex tuple -> least vertex tuple of its orbit
+        column = []
+        for t in (ts[k] for ts in types):
+            orbit = orbits.get(t.vertices)
+            if orbit is None:
+                orbit = orbits[t.vertices] = pl.local_index.orbit(t)[0]
+            column.append(orbit)
+        by_orbit = {}
+        for i, orbit in enumerate(column):
+            by_orbit.setdefault(orbit, set()).add(i)
+        columns.append(column)
+        groups.append(by_orbit)
     witnesses = []
-    for i, row_i in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            for k, (ci, cj) in enumerate(zip(row_i, rows[j])):
-                if ci == cj:
-                    continue
-                key = (k, ci, cj)
-                found = conjugate.get(key)
-                if found is None:
-                    found = conjugate[key] = conjugate_types(
-                        indices[k], members[i].types[k], members[j].types[k])
-                if not found:
-                    witnesses.append(
-                        (i, j, members[i].places[k].id, members[i].types[k], members[j].types[k]))
+    for i in range(n - 1):
+        rest = set(range(i + 1, n))
+        place_of = {}  # later member -> index of its witness place
+        for k, (column, by_orbit) in enumerate(zip(columns, groups)):
+            differ = rest - by_orbit[column[i]]
+            if differ:
+                place_of.update(dict.fromkeys(differ, k))
+                rest -= differ
+                if not rest:
                     break
-            else:
-                raise CertificateError(f"no witness separating members {i} and {j}")
+        else:
+            raise CertificateError(f"no witness separating members {i} and {min(rest)}")
+        ks = list(map(place_of.__getitem__, range(i + 1, n)))
+        witnesses.extend(zip(repeat(i), range(i + 1, n), map(ids.__getitem__, ks),
+                             map(types[i].__getitem__, ks), map(getitem, types[i + 1:], ks)))
     return FamilyCertificate(members, ratios, tuple(witnesses))
 
 

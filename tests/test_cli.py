@@ -17,8 +17,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from test_golden import LABELS
 
+from test_construction import oracle_families
+
 from paravol import cli, construction
 from paravol.cli import _encode, _int_digit_limit, run
+from paravol.construction import Place, build_family, certify_family
 from paravol.diagram import build_local_index
 from paravol.parahoric import find_equal_volume_pairs
 from paravol.reductive import quotient_descriptor
@@ -790,6 +793,74 @@ def test_place_text_past_the_echo_limit_is_named_by_its_length(tmp_path, capsys,
     assert len(err.encode()) < 200
 
 
+@pytest.mark.parametrize("command, request_, err", [
+    ("ratio", _long_text_request("assignment", "w" * 10 ** 6) | {
+        "collections": [{"assignment": {"w" * 10 ** 6: "x"}}, {"assignment": {}}]},
+     "input error: collections[0].assignment[a place id of 1000000 characters]: "
+     "expected a list of integers\n"),
+    ("ratio", _long_text_request("assignment", "w") | {
+        "collections": [{"assignment": {"w": "x"}}, {"assignment": {}}]},
+     "input error: collections[0].assignment[w]: expected a list of integers\n"),
+    ("family", family_request(pairs={"p" * 10 ** 6: "x"}),
+     "input error: input: pairs[a place id of 1000000 characters] must list two types\n"),
+    ("family", family_request(pairs={"p": "x"}), "input error: input: pairs[p] must list two types\n"),
+    ("family", family_request(pairs={"p" * 10 ** 6: [[0], "x"]}),
+     "input error: pairs[a place id of 1000000 characters][1]: expected a list of integers\n"),
+    ("family", family_request(pairs={"v2": ["x", [0]]}),
+     "input error: pairs[v2][0]: expected a list of integers\n"),
+], ids=["assignment-long", "assignment", "pairs-long", "pairs", "pairs-type-long", "pairs-type"])
+def test_schema_error_names_a_long_place_id_by_its_length(tmp_path, capsys, command, request_,
+                                                          err):
+    path = write_json(tmp_path / "r.json", request_)
+    assert invoke(capsys, command, "--input", path) == (2, "", err)
+    assert len(err.encode()) < 200
+
+
+def _certificate_text(cert):
+    chunks = list(cli._certificate_chunks(cert))
+    assert "".join(chunks) == json.dumps(cert.to_json(), indent=2) + "\n"
+    return chunks
+
+
+def test_certificate_chunks_are_json_dumps_of_the_certificate():
+    for members in oracle_families():
+        _certificate_text(certify_family(members))
+
+
+def test_certificate_chunks_escape_place_ids_as_json_dumps_does():
+    ids = ['quote"d', "back\\slash", "tab\tbell\x07nul\x00", "\u00fcml\u00e4ut", "\u20ac\U0001d11e",
+           "</script>"]
+    d = build_local_index("split:B3")
+    places = [Place(pid, q, q, d) for pid, q in zip(ids, (2, 3, 5, 7, 11, 13))]
+    members = build_family(d.group, places, ids[:4], refine=ids[4:])
+    chunks = _certificate_text(certify_family(members))
+    assert any("\\u00fc" in chunk for chunk in chunks)
+
+
+def test_family_hands_the_writer_no_chunk_longer_than_one_member_row_or_witness(tmp_path,
+                                                                               monkeypatch):
+    qs = (2, 3, 5, 7, 11, 13)
+    text = refined_certificate(qs)
+    payload = json.loads(text)
+    n = len(payload["members"])
+    # an item's text at its indent in the output, after its separator
+    longest = max(len(",\n    " + json.dumps(item, indent=2).replace("\n", "\n    "))
+                  for key in ("members", "ratios", "witnesses") for item in payload[key])
+    places = [{"id": f"v{q}", "q": q, "p": q} for q in qs]
+    places += [{"id": "w4", "q": 4, "p": 2}, {"id": "w9", "q": 9, "p": 3}]
+    req = write_json(tmp_path / "req.json", family_request(
+        places=places, family_places=[f"v{q}" for q in qs], refine=["w4", "w9"]))
+    chunks = []
+    monkeypatch.setattr(cli, "_write", lambda output, parts: chunks.extend(parts))
+    assert run_quietly(["family", "--input", req])[0] == 0
+    assert "".join(chunks) == text
+    assert n == 64 and len(chunks) > len(payload["witnesses"]) == n * (n - 1) // 2
+    assert max(map(len, chunks)) <= longest
+    # one member, ratio row or witness per chunk at most
+    assert all(chunk.count('"assignment"') <= 1 and chunk.count('"pair"') <= 1
+               and chunk.count('"num"') <= n for chunk in chunks)
+
+
 def test_cli_imports_neither_dataclasses_nor_inspect_nor_typing():
     # each is a cost of every command's start-up that no command needs
     probe = ("import sys; import paravol.cli as c; c.build_parser(); "
@@ -875,6 +946,16 @@ def test_encode_is_json_dumps_on_command_payloads(tmp_path, monkeypatch):
         places=places, family_places=["v2", "v3"], refine=["w4", "w9"]))
     payloads = []
     monkeypatch.setattr(cli, "_dump", lambda output, obj: payloads.append(obj))
+    chunks = cli._certificate_chunks
+
+    def family_chunks(cert):
+        # `family` streams its certificate; its text must be the payload's
+        payloads.append(cert.to_json())
+        text = "".join(chunks(cert))
+        assert text == json.dumps(payloads[-1], indent=2) + "\n"
+        return [text]
+
+    monkeypatch.setattr(cli, "_certificate_chunks", family_chunks)
     # `pairs` writes its entries without `_dump`; its oracle is
     # test_pairs_stdout_is_json_dumps_of_one_dict_per_pair
     for argv in (["family", "--input", refined],

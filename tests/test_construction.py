@@ -22,7 +22,7 @@ from paravol.construction import (
     relative_covolume,
     _unequal_covolume,
 )
-from paravol.diagram import GroupSpec, ParahoricTypeSpec, build_local_index
+from paravol.diagram import IWAHORI, GroupSpec, ParahoricTypeSpec, build_local_index
 from paravol.errors import (
     CertificateError,
     DomainError,
@@ -34,6 +34,7 @@ from paravol.errors import (
 from paravol.parahoric import (
     HalfPowerRational,
     conjugate_types,
+    equal_volume_rows,
     factor_ratio,
     orbit_representatives,
 )
@@ -446,6 +447,87 @@ def test_certify_matches_pairwise_scan_on_random_collections():
             outcomes["valid"] += 1
     assert outcomes["not equal covolume"] >= 40  # random members rarely agree
 
+    # members of equal covolume, so the witness scan runs; a repeated
+    # member is the "no witness" failure
+    seen = Counter()
+    for trial in range(120):
+        members = equal_volume_members(rng, trial)
+        try:
+            expected = pairwise_certify(members)
+        except CertificateError as exc:
+            with pytest.raises(CertificateError) as got:
+                certify_family(members)
+            assert str(got.value) == str(exc)
+            assert str(exc).startswith("no witness separating members")
+            seen["no witness"] += 1
+            continue
+        cert = certify_family(members)
+        assert (cert.ratios, cert.witnesses) == expected
+        seen["valid"] += 1
+        d = members[0].places[0].local_index
+        seen[d.group.form] += 1
+        for i, j, pid, _, _ in cert.witnesses:
+            k = members[0].index_of(pid)
+            if members[i].types[:k] != members[j].types[:k]:
+                seen["conjugate unequal types before the witness"] += 1
+                if d.group.form == "split" and d.group.family == "A":
+                    seen["rotations before the witness"] += 1
+        if any(len(set(types)) >= 3 for types in zip(*(m.types for m in members))):
+            seen["three types at one place"] += 1
+    assert min(seen[key] for key in (
+        "valid", "no witness", "split", "twisted", "conjugate unequal types before the witness",
+        "rotations before the witness", "three types at one place")) >= 3, seen
+
+
+def equal_volume_members(rng, trial):
+    """2 to 9 members of one group with equal covolume, a member maybe repeated.
+
+    Place v0 comes first: there each member takes a random type of one
+    orbit, so members differ there only by conjugate types (rotations, for
+    split type A).  Each later factor holds one place with an equal-volume
+    pair of non-conjugate orbits or, for a group without one, two places
+    of equal q that swap the Iwahori and default types.  Members take
+    distinct choices of orbit per factor, and at each place a random type
+    in the chosen orbit.  A repeated member takes its own random types.
+    """
+    pool = ["split:A3", "split:A4", "split:B3", "split:C3", "split:D4",
+            "twisted:C-BC1", "twisted:C-B2"]
+    g = GroupSpec.parse(pool[trial % len(pool)])
+    d = build_local_index(g)
+
+    def orbit(t):
+        return [ParahoricTypeSpec(vs) for vs in d.orbit(t)]
+
+    row = next(equal_volume_rows(d), None)
+    bucket = None if row is None else [row[0], *row[2]]
+    places = [Place("v0", 2, 2, d)]
+    factors = []  # per factor, its places and per choice the orbit at each
+    qs = iter((3, 5, 7, 11, 13))
+    for _ in range(rng.randint(1, 3)):
+        q = next(qs)
+        if bucket is not None:
+            places.append(Place(f"v{len(places)}", q, q, d))
+            t1 = rng.choice(bucket)
+            t2 = rng.choice([t for t in bucket if not conjugate_types(d, t1, t)])
+            factors.append(([places[-1]], [[orbit(t1)], [orbit(t2)]]))
+        else:
+            pair = [Place(f"v{len(places) + k}", q, q, d) for k in range(2)]
+            places.extend(pair)
+            a, b = orbit(IWAHORI), orbit(d.default_type())
+            factors.append((pair, [[a, b], [b, a]]))
+    free = orbit(rng.choice(d.proper_types()))
+    patterns = rng.sample(range(2 ** len(factors)), min(2 ** len(factors), rng.randint(2, 8)))
+    if rng.random() < 0.3:
+        patterns.append(rng.choice(patterns))
+    members = []
+    for bits in patterns:
+        overrides = {"v0": rng.choice(free)}
+        for k, (where, choices) in enumerate(factors):
+            for pl, types in zip(where, choices[bits >> k & 1]):
+                overrides[pl.id] = rng.choice(types)
+        members.append(make_collection(g, places, overrides))
+    return members
+
 
 def test_unequal_covolume_message_names_pair_places_and_short_ratio():
     g, d, places = setup_group("split:B3", 2, 3, 4, 9)
@@ -480,32 +562,25 @@ def test_certify_family_local_work_is_linear(monkeypatch):
     # one validated base collection; members differ from it only in type
     assert len(made) == 1
     relative_calls = []
-    conjugate_calls = []
+    orbit_calls = []
+    orbit = diagram.LocalIndex.orbit
 
     def counted_relative(a, b):
         relative_calls.append((a, b))
         return relative_covolume(a, b)
 
-    def counted_conjugate(d, t1, t2):
-        conjugate_calls.append((t1, t2))
-        return conjugate_types(d, t1, t2)
+    def counted_orbit(d, t):
+        orbit_calls.append(t)
+        return orbit(d, t)
 
     monkeypatch.setattr(construction, "relative_covolume", counted_relative)
-    monkeypatch.setattr(construction, "conjugate_types", counted_conjugate)
+    monkeypatch.setattr(diagram.LocalIndex, "orbit", counted_orbit)
     cert = certify_family(members)
     assert len(cert.witnesses) == 64 * 63 // 2
     assert len(relative_calls) == 63  # member 0 against each other member
-    # at most one call per distinct (place, t_i, t_j) across all member pairs
-    keys = {
-        (pl.id, ti, tj)
-        for i, a in enumerate(members)
-        for b in members[i + 1:]
-        for pl, ti, tj in zip(a.places, a.types, b.types)
-        if ti != tj
-    }
-    per_types = Counter((ti, tj) for _, ti, tj in keys)
-    assert all(n <= per_types[t] for t, n in Counter(conjugate_calls).items())
-    assert len(conjugate_calls) <= 2 * len(family)
+    # one orbit per distinct (place, type): two types at each family place,
+    # one at each refinement place
+    assert len(orbit_calls) == 2 * len(family) + 2
 
 
 def test_family_and_certify_classify_each_type_once(monkeypatch):

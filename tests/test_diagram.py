@@ -252,6 +252,19 @@ def test_automorphisms_form_a_group():
                 assert tuple(g[h[v]] for v in d.vertices) in auts
 
 
+def test_realized_automorphisms_are_a_group_on_every_golden_label():
+    # a family's witness scan takes two types as conjugate exactly when
+    # their orbits are equal, which holds because these form a group
+    for label in LABELS:
+        d = build_local_index(label)
+        auts = set(d.realized_auts)
+        assert len(auts) == len(d.realized_auts)
+        assert tuple(d.vertices) in auts, label
+        for g in auts:
+            for h in auts:
+                assert tuple(g[h[v]] for v in d.vertices) in auts, (label, g, h)
+
+
 def test_parahoric_type_normalization():
     t = ParahoricTypeSpec([3, 1, 1, 0])
     assert t.vertices == (0, 1, 3)
