@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import os
 import sys
 from contextlib import contextmanager
@@ -20,6 +19,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .construction import (
     Place,
     _id,
+    _number,
     build_family,
     certify_family,
     make_collection,
@@ -49,33 +49,28 @@ _ATOMS = {True: "true", False: "false", None: "null"}
 _INT_ONLY = frozenset((int,))
 
 
-def _encode(value):
+def _encode(value, newline="\n"):
     """The text of `json.dumps(value, indent=2)`, byte for byte, built in one pass.
 
-    With `indent` set, the standard library encodes in pure Python, one
-    generator per container.  Here a dict appends fragments to one list
-    that is joined once, a list of plain ints is one join over
-    `int.__repr__`, and strings and keys go through the C
-    `encode_basestring_ascii`.  A value made of dicts with str keys,
-    lists, str, int, bool and None yields exactly the bytes of `json.dumps`;
-    any other type raises TypeError, so the output never differs.  Values
-    must be acyclic, as every payload the engine builds is.
-
-    A payload may hold one list in many places, as the rows of `pairs`
-    share each type's list (`_pairs_chunks` keeps one `shared` dict for
-    all its entries).  So every list is built into its own text, and
-    `shared` maps the list's `id` and indent to that text: a list object
-    met again at the same indent is written without encoding it again.
-    The dict lives for this call only, while `value` keeps every list
-    alive, so no id is reused within it.  Dicts are not cached: a payload
-    repeats few of them, and joining each would cost more than it saves.
+    `newline` is the newline and indent that come before the value's
+    closing bracket, so the text is the value's as it stands at that
+    indent inside a larger document.  With `indent` set, the standard
+    library encodes in pure Python, one generator per container.  Here
+    every fragment is appended to one list that is joined once, a list of
+    plain ints is one join over `int.__repr__`, and strings and keys go
+    through the C `encode_basestring_ascii`.  A value made of dicts with
+    str keys, lists, str, int, bool and None yields exactly the bytes of
+    `json.dumps`; any other type raises TypeError, so the output never
+    differs.  Values must be acyclic, as every payload the engine builds
+    is.  Nothing is cached: the writers `_pairs_chunks` and
+    `_certificate_chunks` encode each repeated piece once themselves.
     """
     parts = []
-    _encode_into(parts.append, value, "\n", {})
+    _encode_into(parts.append, value, newline)
     return "".join(parts)
 
 
-def _encode_into(append, value, newline, shared):
+def _encode_into(append, value, newline):
     kind = type(value)
     if kind is str:
         append(_quote(value))
@@ -87,24 +82,17 @@ def _encode_into(append, value, newline, shared):
         if not value:
             append("[]")
             return
-        key = (id(value), newline)
-        text = shared.get(key)
-        if text is None:
-            inner = newline + "  "
-            # type(v) is int, not isinstance: a bool in the list prints true
-            if _INT_ONLY.issuperset(map(type, value)):
-                text = "[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]"
-            else:
-                parts = []
-                sep = "[" + inner
-                for item in value:
-                    parts.append(sep)
-                    sep = "," + inner
-                    _encode_into(parts.append, item, inner, shared)
-                parts.append(newline + "]")
-                text = "".join(parts)
-            shared[key] = text
-        append(text)
+        inner = newline + "  "
+        # type(v) is int, not isinstance: a bool in the list prints true
+        if _INT_ONLY.issuperset(map(type, value)):
+            append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            append(sep)
+            sep = "," + inner
+            _encode_into(append, item, inner)
+        append(newline + "]")
     elif kind is dict:
         if not value:
             append("{}")
@@ -116,7 +104,7 @@ def _encode_into(append, value, newline, shared):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             append(sep + _quote(key) + ": ")
             sep = "," + inner
-            _encode_into(append, item, inner, shared)
+            _encode_into(append, item, inner)
         append(newline + "}")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
@@ -139,35 +127,36 @@ def _pairs_chunks(label, rows, q):
     "order_coeffs" and, when q is given, "order_at_q".  `rows` iterates
     over those of `parahoric.pairs_to_json`.  The entries of a row differ
     only in "t2", so the text before it (the head) and after it (the tail)
-    is built once per row, and each t2 list's text once per list object.
-    An entry is then one chunk: a separator, the head, the t2 text and the
-    tail.
+    is built once per row, and each type and order_coeffs list's text once
+    per list object.  An entry is then one chunk: a separator, the head,
+    the t2 text and the tail.
     """
-    shared = {}
-    t2_texts = {}  # id of a t2 list -> its text; `pairs_to_json` keeps every list alive
+    texts = {}  # id of a type or order_coeffs list -> its text; `pairs_to_json` keeps each alive
 
     def text(value):
-        parts = []
-        _encode_into(parts.append, value, _KEY, shared)
-        return "".join(parts)
+        found = texts.get(id(value))
+        if found is None:
+            found = texts[id(value)] = _encode(value, _KEY)
+        return found
 
     yield '{\n  "diagram": ' + _quote(label) + ',\n  "pairs": '
     first = sep = "[" + _ENTRY
     for t1, dim, coeffs, value, t2s in rows:
         head = "{" + _KEY + '"t1": ' + text(t1) + "," + _KEY + '"t2": '
-        tail = "," + _KEY + '"dim": ' + text(dim) + "," + _KEY + '"order_coeffs": ' + text(coeffs)
+        tail = ("," + _KEY + '"dim": ' + _encode(dim, _KEY) + "," + _KEY + '"order_coeffs": '
+                + text(coeffs))
         if q is not None:
-            tail += "," + _KEY + '"order_at_q": ' + text(value)
+            tail += "," + _KEY + '"order_at_q": ' + _encode(value, _KEY)
         tail += _ENTRY + "}"
         for t2 in t2s:
-            t2_text = t2_texts.get(id(t2))
+            t2_text = texts.get(id(t2))
             if t2_text is None:
-                t2_text = t2_texts[id(t2)] = text(t2)
+                t2_text = texts[id(t2)] = _encode(t2, _KEY)
             yield sep + head + t2_text + tail
             sep = "," + _ENTRY
     end = "[]" if sep == first else "\n  ]"
     if q is not None:
-        end += ',\n  "q": ' + text(q)
+        end += ',\n  "q": ' + _encode(q, _KEY)
     yield end + "\n}\n"
 
 
@@ -175,13 +164,6 @@ def _pairs_chunks(label, rows, q):
 # its keys do; this newline comes before an entry of a member's assignment
 # or of a witness's pair.
 _NESTED = "\n        "
-
-
-def _text(value, newline):
-    """The text of `value` encoded at the indent that follows `newline`."""
-    parts = []
-    _encode_into(parts.append, value, newline, {})
-    return "".join(parts)
 
 
 def _list_chunks(texts):
@@ -194,19 +176,25 @@ def _list_chunks(texts):
 
 
 def _certificate_chunks(cert):
-    """The `family` output, in chunks of at most one member, ratio row or witness.
+    """The v1 certificate text, in chunks of at most one member, ratio row or witness.
 
-    The text is `json.dumps(cert.to_json(), indent=2) + "\\n"` byte for
-    byte.  Its N² part is built from pieces made once and reused: an
-    assignment line per (place id, type), a text per ratio row object and
-    per ratio object, and per distinct (place, t1, t2) the tail of a
-    witness, so each witness formats only its two indices.  The whole
-    text, the witness dicts and their "pair" lists never exist at once.
+    This is the one definition of the v1 layout: `family` writes it and
+    `certify` checks a file against it.  The text is `json.dumps(payload,
+    indent=2) + "\\n"` byte for byte, where the payload holds, in order,
+    "group"; "places", each {"id", "q", "p", "index"}; "members", each
+    {"assignment": {place id: vertex list}, "refinements": [place id,
+    ...]}; "ratios", the N×N matrix of ratio objects; "witnesses", each
+    {"pair": [i, j], "place", "t1", "t2"} for i < j; and "citations".
+    Its N² part is built from pieces made once and reused: an assignment
+    line per (place id, type), a text per ratio row object and per ratio
+    object, and per distinct (place, t1, t2) the tail of a witness, so
+    each witness formats only its two indices.  The whole text, the
+    witness dicts and their "pair" lists never exist at once.
     """
     first = cert.members[0]
     yield '{\n  "group": ' + _quote(first.group.label) + ',\n  "places": '
     yield from _list_chunks(
-        _text({"id": pl.id, "q": pl.q, "p": pl.p, "index": pl.local_index.group.label}, _ENTRY)
+        _encode({"id": pl.id, "q": pl.q, "p": pl.p, "index": pl.local_index.group.label}, _ENTRY)
         for pl in first.places)
 
     lines = {}  # (place id, vertex tuple) -> its assignment line
@@ -218,12 +206,12 @@ def _certificate_chunks(cert):
             key = (pl.id, t.vertices)
             line = lines.get(key)
             if line is None:
-                line = lines[key] = _quote(pl.id) + ": " + _text(list(t.vertices), _NESTED)
+                line = lines[key] = _quote(pl.id) + ": " + _encode(list(t.vertices), _NESTED)
             parts.append(line)
         assignment = "{" + _NESTED + ("," + _NESTED).join(parts) + _KEY + "}" if parts else "{}"
         refined = refinement_texts.get(m.refinements)
         if refined is None:
-            refined = refinement_texts[m.refinements] = _text(list(m.refinements), _KEY)
+            refined = refinement_texts[m.refinements] = _encode(list(m.refinements), _KEY)
         return ("{" + _KEY + '"assignment": ' + assignment + "," + _KEY
                 + '"refinements": ' + refined + _ENTRY + "}")
 
@@ -234,7 +222,7 @@ def _certificate_chunks(cert):
 
     def ratio(r):
         if id(r) not in ratio_texts:
-            ratio_texts[id(r)] = _text(r.to_json(), _KEY)
+            ratio_texts[id(r)] = _encode(r.to_json(), _KEY)
         return ratio_texts[id(r)]
 
     def row(ratios):
@@ -257,8 +245,8 @@ def _certificate_chunks(cert):
         if tail is None:
             tail = tails[key] = (
                 _KEY + "]," + _KEY + '"place": ' + _quote(pid) + "," + _KEY + '"t1": '
-                + _text(list(t1.vertices), _KEY) + "," + _KEY + '"t2": '
-                + _text(list(t2.vertices), _KEY) + _ENTRY + "}")
+                + _encode(list(t1.vertices), _KEY) + "," + _KEY + '"t2": '
+                + _encode(list(t2.vertices), _KEY) + _ENTRY + "}")
         yield f"{sep}{i},{_NESTED}{j}{tail}"
         sep = later
     yield "[]" if sep[0] == "[" else "\n  ]"
@@ -362,7 +350,7 @@ def cmd_diagram(args):
 def cmd_pairs(args):
     d = build_local_index(GroupSpec.parse(args.group))
     if args.q is not None and prime_power_base(args.q) is None:
-        raise InvalidResidueError(f"invalid residue size: {args.q} is not a prime power")
+        raise InvalidResidueError(f"invalid residue size: {_number(args.q)} is not a prime power")
     rows = pairs_to_json(d, args.q)
     head = next(rows, None)
     if head is None:
@@ -461,6 +449,7 @@ def _first_difference(expected, found, path):
 
     Lists are compared index by index and objects key by key, in the
     expected order; an entry missing on either side is named by its path.
+    A key past `LABEL_ECHO_LIMIT` characters is named by its length.
     """
     if isinstance(expected, list) and isinstance(found, list):
         for k, (e, f) in enumerate(zip(expected, found)):
@@ -469,10 +458,11 @@ def _first_difference(expected, found, path):
         return f"{path}[{min(len(expected), len(found))}]"
     if isinstance(expected, dict) and isinstance(found, dict):
         for key in list(expected) + [k for k in found if k not in expected]:
+            entry = f"{path}.{echo(key, 'key', str)}"
             if key not in expected or key not in found:
-                return f"{path}.{key}"
+                return entry
             if _differs(expected[key], found[key]):
-                return _first_difference(expected[key], found[key], f"{path}.{key}")
+                return _first_difference(expected[key], found[key], entry)
     return path
 
 
@@ -489,20 +479,22 @@ def cmd_certify(args):
     ]
     for key in ("ratios", "witnesses", "citations"):
         _get(data, key, "certificate", list)
-    recomputed = certify_family(members).to_json()
-    # JSON spells a bool only as true or false, so without either word in
-    # the text (a C substring search) == cannot confuse a bool with 1 or 0
-    differs = _differs if "true" in text or "false" in text else operator.ne
-    for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
-        if differs(recomputed[key], data[key]):
-            entry = _first_difference(recomputed[key], data[key], key)
-            raise CertificateError(f"certificate mismatch: {entry} does not match recomputation")
-    result = {
-        "valid": True,
-        "members": len(members),
-        "witnesses": len(recomputed["witnesses"]),
-    }
-    _dump(None, result)
+    cert = certify_family(members)
+    # A file that `family` wrote for these members is its text byte for
+    # byte, which holds no bool.  Any other file, reformatted or wrong, is
+    # decoded and compared entry by entry with the recomputation.
+    pos = 0
+    for chunk in _certificate_chunks(cert):
+        if not text.startswith(chunk, pos):
+            expected = json.loads("".join(_certificate_chunks(cert)))
+            for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
+                if _differs(expected[key], data[key]):
+                    entry = _first_difference(expected[key], data[key], key)
+                    raise CertificateError(
+                        f"certificate mismatch: {entry} does not match recomputation")
+            break
+        pos += len(chunk)
+    _dump(None, {"valid": True, "members": len(members), "witnesses": len(cert.witnesses)})
     return 0
 
 

@@ -12,11 +12,11 @@ equal member 0's: N-1 exact ratio evaluations, after which every pairwise
 ratio is one.  Each type's realized-automorphism orbit is found once per
 place, and the witnesses come from splitting the members by orbit at each
 place in turn, so only the witness list, one tuple per member pair, is
-N²-sized.  `family` streams the certificate text from those pieces
-(`cli._certificate_chunks`).  `certify` on the command line still rebuilds
-the whole certificate from the members and compares it entry by entry
-(`FamilyCertificate.to_json`), because nothing in a certificate file is
-trusted.
+N²-sized.  `cli._certificate_chunks` is the one writer of the v1
+certificate text.  `certify` on the command line trusts nothing in a
+certificate file: it recomputes the family from the file's members and
+checks the file against that writer's text, chunk by chunk, decoding the
+expected text for an entry-by-entry comparison only when the bytes differ.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import getitem
 
-from .diagram import IWAHORI, ParahoricTypeSpec, echo
+from .diagram import IWAHORI, LABEL_ECHO_LIMIT, ParahoricTypeSpec, echo
 from .errors import (
     CertificateError,
     DomainError,
@@ -65,6 +65,12 @@ def _id(pid):
     return echo(pid, "place id", str)
 
 
+def _number(n):
+    """An integer as an error message shows it: in full, or named by its digit count."""
+    digits = _digits(n)
+    return str(n) if digits <= LABEL_ECHO_LIMIT else f"a {digits}-digit number"
+
+
 class Place(namedtuple("Place", "id q p local_index")):
     """A finite place: id, residue size q = p^k, characteristic p, local index."""
 
@@ -75,10 +81,11 @@ class Place(namedtuple("Place", "id q p local_index")):
         base = prime_power_base(q)  # a prime, so base == p proves p prime
         if base is None:
             raise InvalidResidueError(
-                f"invalid residue size at place {_id(id)}: {q} is not a prime power")
+                f"invalid residue size at place {_id(id)}: {_number(q)} is not a prime power")
         if base != p:
             raise InvalidResidueError(
-                f"invalid residue size at place {_id(id)}: {q} is not a power of {p}")
+                f"invalid residue size at place {_id(id)}: "
+                f"{_number(q)} is not a power of {_number(p)}")
         return tuple.__new__(cls, (id, q, p, local_index))
 
     def key(self):
@@ -183,67 +190,12 @@ def relative_covolume(a, b):
 
 class FamilyCertificate(namedtuple("FamilyCertificate", "members ratios witnesses citations",
                                    defaults=(CITATIONS,))):
-    """Members, their ratio matrix, a non-conjugacy witness (i, j, place_id, t_i, t_j) per i < j."""
+    """Members, their ratio matrix, a non-conjugacy witness (i, j, place_id, t_i, t_j) per i < j.
+
+    `cli._certificate_chunks` writes it as the v1 certificate text.
+    """
 
     __slots__ = ()
-
-    def to_json(self):
-        """The v1 certificate as decoded JSON, for `certify` to compare a file with.
-
-        `family` does not build it: `cli._certificate_chunks` writes the
-        same text, `json.dumps(self.to_json(), indent=2)` plus a newline,
-        without holding the witness dicts.  Each distinct type's vertex
-        list, each distinct ratio object's dict and each distinct row
-        tuple's list of ratios is built once and shared wherever it recurs.
-        `certify_family` makes every row the one tuple of N `ONE`s, so the
-        ratio matrix is N references to one list, itself N references to
-        one dict.
-        """
-        first = self.members[0]
-        lists = {}
-        ratio_dicts = {}  # id of a ratio -> its dict; self.ratios keeps each alive
-        rows = {}  # id of a row tuple -> its list
-
-        def vertices(t):
-            if t.vertices not in lists:
-                lists[t.vertices] = list(t.vertices)
-            return lists[t.vertices]
-
-        def ratio(r):
-            if id(r) not in ratio_dicts:
-                ratio_dicts[id(r)] = r.to_json()
-            return ratio_dicts[id(r)]
-
-        def row_list(row):
-            if id(row) not in rows:
-                rows[id(row)] = [ratio(r) for r in row]
-            return rows[id(row)]
-
-        return {
-            "group": first.group.label,
-            "places": [
-                {"id": pl.id, "q": pl.q, "p": pl.p, "index": pl.local_index.group.label}
-                for pl in first.places
-            ],
-            "members": [
-                {
-                    "assignment": {pl.id: vertices(t) for pl, t in zip(m.places, m.types)},
-                    "refinements": list(m.refinements),
-                }
-                for m in self.members
-            ],
-            "ratios": [row_list(row) for row in self.ratios],
-            "witnesses": [
-                {
-                    "pair": [i, j],
-                    "place": pid,
-                    "t1": vertices(t1),
-                    "t2": vertices(t2),
-                }
-                for (i, j, pid, t1, t2) in self.witnesses
-            ],
-            "citations": list(self.citations),
-        }
 
 
 def _digits(n):
@@ -397,7 +349,7 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
             if pa.q != pb.q:
                 raise DomainError(
                     f"fallback swap needs equal residue sizes, "
-                    f"got {pa.q} at {_id(a)} and {pb.q} at {_id(b)}")
+                    f"got {_number(pa.q)} at {_id(a)} and {_number(pb.q)} at {_id(b)}")
             t1, t2 = IWAHORI, pa.local_index.default_type()
             variations.append([{a: t1, b: t2}, {a: t2, b: t1}])
     else:

@@ -13,7 +13,7 @@ from . import roots, twisted
 from .errors import ImproperTypeError, UnsupportedTypeError
 
 
-# Longest outside text (a group label, a place id) an error message repeats in full.
+# Longest outside text (a group label, a place id, a type) an error message repeats in full.
 LABEL_ECHO_LIMIT = 64
 
 
@@ -200,7 +200,7 @@ class LocalIndex:
     def check_proper(self, t):
         t = ParahoricTypeSpec.coerce(t)
         if not set(t.vertices) <= set(self.vertices):
-            raise ImproperTypeError(f"improper type: unknown vertices in {t!r}")
+            raise ImproperTypeError(f"improper type: unknown vertices in {echo(t, 'type')}")
         if len(t) == len(self.vertices):
             raise ImproperTypeError("improper type: must omit at least one vertex")
         return t

@@ -21,6 +21,10 @@ search over vertex sets, and the sorted list of every pair, bucketed by
 reference orders.  They check the engine's bitmask search.  They reuse the
 engine's classifier of one connected component and its degree table,
 which the oracles above check.
+
+`reference_certificate_json` is the v1 certificate as plain decoded JSON,
+every list and dict built afresh from the certificate's fields: the
+streamed writer `cli._certificate_chunks` must write its `json.dumps`.
 """
 
 import itertools
@@ -340,3 +344,23 @@ def reference_pairs(d):
         buckets.setdefault(reference_order_coeffs(labels, torus_rank), []).append(t)
     return sorted(pair for reps in buckets.values()
                   for pair in itertools.combinations(sorted(reps), 2))
+
+
+def reference_certificate_json(cert):
+    """The v1 certificate of a `FamilyCertificate`, as the JSON value it encodes."""
+    first = cert.members[0]
+    return {
+        "group": first.group.label,
+        "places": [{"id": pl.id, "q": pl.q, "p": pl.p, "index": pl.local_index.group.label}
+                   for pl in first.places],
+        "members": [{"assignment": {pl.id: list(t.vertices) for pl, t in zip(m.places, m.types)},
+                     "refinements": list(m.refinements)}
+                    for m in cert.members],
+        "ratios": [[{"num": r.rational.numerator, "den": r.rational.denominator,
+                     "half_exponents": {}} for r in row]
+                   for row in cert.ratios],
+        "witnesses": [{"pair": [i, j], "place": pid, "t1": list(t1.vertices),
+                       "t2": list(t2.vertices)}
+                      for i, j, pid, t1, t2 in cert.witnesses],
+        "citations": list(cert.citations),
+    }

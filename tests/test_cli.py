@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracle_helpers import reference_certificate_json
 from test_golden import LABELS
 
 from test_construction import oracle_families
@@ -198,6 +199,77 @@ def test_family_and_certify_round_trip(tmp_path, capsys):
     assert json.loads(out) == {"valid": True, "members": 4, "witnesses": 6}
 
 
+def _compact(cert):
+    return json.dumps(cert)
+
+
+def _reorder_member_keys(cert):
+    cert["members"] = [dict(reversed(m.items())) for m in cert["members"]]
+    return json.dumps(cert, indent=2)
+
+
+def _extra_top_level_key(cert):
+    cert["note"] = "written by hand"
+    return json.dumps(cert, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("rewrite", [_compact, _reorder_member_keys, _extra_top_level_key],
+                         ids=["compact", "member-keys-reordered", "extra-key"])
+def test_certify_accepts_a_valid_certificate_in_another_layout(tmp_path, capsys, rewrite):
+    # not the bytes `family` writes, so the entries are compared one by one
+    req = write_json(tmp_path / "req.json", family_request())
+    code, canonical, _ = invoke(capsys, "family", "--input", req)
+    assert code == 0
+    path = tmp_path / "cert.json"
+    path.write_text(rewrite(json.loads(canonical)))
+    assert path.read_text() != canonical
+    assert invoke(capsys, "certify", "--input", str(path)) == (
+        0, '{\n  "valid": true,\n  "members": 4,\n  "witnesses": 6\n}\n', "")
+
+
+def test_certify_passes_the_text_family_writes_without_comparing_entries(tmp_path, capsys,
+                                                                         monkeypatch):
+    req = write_json(tmp_path / "req.json", family_request())
+    path = tmp_path / "cert.json"
+    assert invoke(capsys, "family", "--input", req, "--output", str(path))[0] == 0
+
+    def unused(*args):
+        raise AssertionError("a canonical certificate is checked by its bytes alone")
+
+    monkeypatch.setattr(cli, "_differs", unused)
+    monkeypatch.setattr(cli, "_first_difference", unused)
+    assert invoke(capsys, "certify", "--input", str(path)) == (
+        0, '{\n  "valid": true,\n  "members": 4,\n  "witnesses": 6\n}\n', "")
+
+
+def test_certify_refuses_the_expected_text_cut_at_a_chunk_boundary(tmp_path, capsys,
+                                                                   monkeypatch):
+    req = write_json(tmp_path / "req.json", family_request())
+    chunks = []
+    monkeypatch.setattr(cli, "_write", lambda output, parts: chunks.extend(parts))
+    assert invoke(capsys, "family", "--input", req)[0] == 0
+    monkeypatch.undo()
+    text = "".join(chunks)
+    cuts = [len("".join(chunks[:k])) for k in range(1, len(chunks))]
+    path = tmp_path / "cut.json"
+    for cut in cuts:
+        path.write_text(text[:cut])
+        code, out, _ = invoke(capsys, "certify", "--input", str(path))
+        assert (code, out) == (2, ""), cut  # not a JSON document
+    # a prefix of the expected text is no proof, even beside decoded entries
+    # that are wrong: the file is then compared entry by entry
+    tampered = json.loads(text)
+    tampered["witnesses"][0]["place"] = "v3"
+    load = cli._load_json
+    for cut in cuts:
+        monkeypatch.setattr(cli, "_load_json", lambda path: (text[:cut], load(path)[1]))
+        code, out, err = invoke(capsys, "certify", "--input",
+                                write_json(tmp_path / "bad.json", tampered))
+        assert (code, out) == (1, ""), cut
+        assert err == ("error: certificate mismatch: witnesses[0].place "
+                       "does not match recomputation\n")
+
+
 def test_family_output_is_deterministic(tmp_path, capsys):
     req = write_json(tmp_path / "req.json", family_request())
     first = tmp_path / "a.json"
@@ -348,6 +420,25 @@ def test_certify_names_the_first_tampered_entry(tmp_path, capsys, tamper, entry)
     assert f"certificate mismatch: {entry} does not match" in err
 
 
+@pytest.mark.parametrize("where, key, entry", [
+    ("witness", "k" * 10 ** 6, "witnesses[0].a key of 1000000 characters"),
+    ("ratio", "h" * 10 ** 6, "ratios[0][0].a key of 1000000 characters"),
+    ("witness", "k" * 64, "witnesses[0]." + "k" * 64),
+    ("ratio", "h", "ratios[0][0].h"),
+], ids=["witness-long", "ratio-long", "witness", "ratio"])
+def test_certify_names_an_extra_key_past_the_echo_limit_by_its_length(tmp_path, capsys,
+                                                                     where, key, entry):
+    req = write_json(tmp_path / "req.json", family_request())
+    code, out, _ = invoke(capsys, "family", "--input", req)
+    assert code == 0
+    cert = json.loads(out)
+    (cert["witnesses"][0] if where == "witness" else cert["ratios"][0][0])[key] = 1
+    err = f"error: certificate mismatch: {entry} does not match recomputation\n"
+    assert invoke(capsys, "certify", "--input", write_json(tmp_path / "bad.json", cert)) == (
+        1, "", err)
+    assert len(err.encode()) < 1024
+
+
 # builds the certificate `certify_family` returns, with one more citation
 _TrueCitationCertificate = functools.partial(
     construction.FamilyCertificate,
@@ -356,8 +447,8 @@ _TrueCitationCertificate = functools.partial(
 
 @pytest.mark.parametrize("where", ["place-id", "citation"])
 def test_certify_accepts_true_and_false_inside_strings(tmp_path, capsys, monkeypatch, where):
-    # `certify` checks for bools only when the text holds true or false;
-    # here the words sit in strings, the check runs and finds no bool
+    # the words true and false inside strings are no bools: the canonical
+    # text passes, and a real bool in place of 1 is still refused
     places = [{"id": "v2", "q": 2, "p": 2}, {"id": "v3", "q": 3, "p": 3}]
     if where == "place-id":
         places = [{"id": "true", "q": 2, "p": 2}, {"id": "falsehood", "q": 3, "p": 3}]
@@ -510,10 +601,11 @@ other_json_values = st.one_of(
 
 @st.composite
 def mutated_inputs(draw):
-    """A seed input with one key dropped, one value retyped or wrapped, or cut short."""
+    """A seed input with one key dropped or added, one value retyped, wrapped or made long,
+    or cut short."""
     command = draw(st.sampled_from(("ratio", "family", "certify")))
     text = fuzz_seed(command)
-    mutation = draw(st.sampled_from(("drop", "swap", "wrap", "truncate", "rank")))
+    mutation = draw(st.sampled_from(("drop", "swap", "wrap", "truncate", "rank", "long")))
     if mutation == "truncate":
         return command, text[:draw(st.integers(0, len(text) - 1))]
     data = json.loads(text)
@@ -526,9 +618,22 @@ def mutated_inputs(draw):
             p for p in json_paths(data) if p and isinstance(at_path(data, p[:-1]), dict)]))
         del at_path(data, path[:-1])[path[-1]]
         return command, json.dumps(data)
-    path = draw(st.sampled_from(list(json_paths(data))))
+    long = draw(st.sampled_from(("key", "list", "int"))) if mutation == "long" else None
+    if long == "key":  # a key of 10^5 characters in any object
+        path = draw(st.sampled_from([
+            p for p in json_paths(data) if isinstance(at_path(data, p), dict)]))
+        at_path(data, path)["k" * 10 ** 5] = draw(other_json_values)
+        return command, json.dumps(data)
+    # 10^4299 is even, so the residue check stops at p = 2; a huge odd
+    # residue size is the known stall
+    path = draw(st.sampled_from([p for p in json_paths(data)
+                                 if long != "int" or type(at_path(data, p)) is int]))
     old = at_path(data, path)
-    if mutation == "swap":
+    if long == "list":
+        new = list(range(10 ** 5))
+    elif long == "int":
+        new = 10 ** 4299
+    elif mutation == "swap":
         new = draw(other_json_values.filter(lambda v: type(v) is not type(old)))
     else:
         new = draw(st.sampled_from(([old], {draw(st.text(max_size=3)): old})))
@@ -538,8 +643,16 @@ def mutated_inputs(draw):
     return command, json.dumps(data)
 
 
+def _ratio_seed_with(**changes):
+    return "ratio", json.dumps(RATIO_SEED | changes)
+
+
 @settings(max_examples=150, deadline=None)
 @given(mutated_inputs())
+@example(_ratio_seed_with(collections=[{"assignment": {"v2": list(range(10 ** 5))}},
+                                       {"assignment": {}}]))
+@example(_ratio_seed_with(places=[{"id": "v2", "q": 10 ** 4299, "p": 2}]))
+@example(_ratio_seed_with(places=[{"id": "v2", "q": 2, "p": 10 ** 4299}]))
 def test_mutated_inputs_exit_0_1_or_2_without_a_traceback(mutated):
     command, text = mutated
     with tempfile.TemporaryDirectory() as tmp:
@@ -548,6 +661,7 @@ def test_mutated_inputs_exit_0_1_or_2_without_a_traceback(mutated):
         code, _, err = run_quietly([command, "--input", str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    assert len(err.encode()) < 1024
 
 
 def test_schema_errors_exit_2(tmp_path, capsys):
@@ -692,6 +806,59 @@ def test_improper_assignment_exits_1(tmp_path, capsys):
     assert code == 1 and "improper type" in err
 
 
+def _outside_input(kind):
+    """(command arguments, request or None) whose error names a type or a number."""
+    place = {"id": "v", "q": 2, "p": 2}
+    ratio = {"group": "split:B3", "places": [place],
+             "collections": [{"assignment": {}}, {"assignment": {}}]}
+    if kind.startswith("type"):
+        vertices = {"type-long": list(range(400_000)), "type-digits": [10 ** 4000],
+                    "type": [9]}[kind]
+        ratio["collections"][0]["assignment"] = {"v": vertices}
+    elif kind.startswith("pairs-type"):
+        vertices = list(range(300_000)) if kind == "pairs-type-long" else [9]
+        return ["family"], family_request(pairs={"v2": [vertices, [0]]})
+    elif kind == "swap-q":
+        places = [{"id": "v", "q": 2 ** 14000, "p": 2}, {"id": "w", "q": 2, "p": 2}]
+        return ["family"], family_request(places=places, family_places=["v", "w"],
+                                          fallback_swap=True)
+    elif kind.startswith("residue"):
+        q, p = {"residue-p": (2, 10 ** 4299 + 1), "residue-q": (2 ** 14000, 3), "residue": (4, 3),
+                "residue-64": (10 ** 63, 2), "residue-65": (10 ** 64, 2)}[kind]
+        ratio["places"] = [{"id": "v", "q": q, "p": p}]
+    else:
+        return ["pairs", "split:B3", "--q", str({"q-long": 3 * 2 ** 14000, "q": 12}[kind])], None
+    return ["ratio"], ratio
+
+
+OUTSIDE_ERRORS = {
+    "type-long": "improper type: unknown vertices in a type of 3088909 characters",
+    "type-digits": "improper type: unknown vertices in a type of 4022 characters",
+    "type": "improper type: unknown vertices in ParahoricTypeSpec([9])",
+    "pairs-type-long": "improper type: unknown vertices in a type of 2288909 characters",
+    "pairs-type": "improper type: unknown vertices in ParahoricTypeSpec([9])",
+    "residue-p": "invalid residue size at place v: 2 is not a power of a 4300-digit number",
+    "residue-q": "invalid residue size at place v: a 4215-digit number is not a power of 3",
+    "residue": "invalid residue size at place v: 4 is not a power of 3",
+    "residue-64": f"invalid residue size at place v: {10 ** 63} is not a prime power",
+    "residue-65": "invalid residue size at place v: a 65-digit number is not a prime power",
+    "q-long": "invalid residue size: a 4215-digit number is not a prime power",
+    "q": "invalid residue size: 12 is not a prime power",
+    "swap-q": "fallback swap needs equal residue sizes, got a 4215-digit number at v and 2 at w",
+}
+
+
+@pytest.mark.parametrize("kind", OUTSIDE_ERRORS)
+def test_outside_type_or_number_past_the_echo_limit_is_named_by_its_size(tmp_path, capsys,
+                                                                         kind):
+    argv, request_ = _outside_input(kind)
+    err = OUTSIDE_ERRORS[kind]
+    if request_ is not None:
+        argv += ["--input", write_json(tmp_path / "in.json", request_)]
+    assert invoke(capsys, *argv) == (1, "", f"error: {err}\n")
+    assert len(err) < 200
+
+
 def test_output_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "diagram.json"
     code, out, _ = invoke(capsys, "diagram", "split:A1", "--output", str(target))
@@ -818,7 +985,7 @@ def test_schema_error_names_a_long_place_id_by_its_length(tmp_path, capsys, comm
 
 def _certificate_text(cert):
     chunks = list(cli._certificate_chunks(cert))
-    assert "".join(chunks) == json.dumps(cert.to_json(), indent=2) + "\n"
+    assert "".join(chunks) == json.dumps(reference_certificate_json(cert), indent=2) + "\n"
     return chunks
 
 
@@ -950,7 +1117,7 @@ def test_encode_is_json_dumps_on_command_payloads(tmp_path, monkeypatch):
 
     def family_chunks(cert):
         # `family` streams its certificate; its text must be the payload's
-        payloads.append(cert.to_json())
+        payloads.append(reference_certificate_json(cert))
         text = "".join(chunks(cert))
         assert text == json.dumps(payloads[-1], indent=2) + "\n"
         return [text]
