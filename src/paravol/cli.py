@@ -349,8 +349,16 @@ def cmd_diagram(args):
 
 def cmd_pairs(args):
     d = build_local_index(GroupSpec.parse(args.group))
-    if args.q is not None and prime_power_base(args.q) is None:
-        raise InvalidResidueError(f"invalid residue size: {_number(args.q)} is not a prime power")
+    if args.q is not None:
+        try:
+            base = prime_power_base(args.q)
+        except OverflowError:
+            raise InvalidResidueError(
+                f"invalid residue size: whether {_number(args.q)} "
+                "is a prime power is past the engine's primality bound") from None
+        if base is None:
+            raise InvalidResidueError(
+                f"invalid residue size: {_number(args.q)} is not a prime power")
     rows = pairs_to_json(d, args.q)
     head = next(rows, None)
     if head is None:

@@ -78,7 +78,12 @@ class Place(namedtuple("Place", "id q p local_index")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
 
     def __new__(cls, id, q, p, local_index):
-        base = prime_power_base(q)  # a prime, so base == p proves p prime
+        try:
+            base = prime_power_base(q)  # a prime, so base == p proves p prime
+        except OverflowError:
+            raise InvalidResidueError(
+                f"invalid residue size at place {_id(id)}: whether {_number(q)} "
+                "is a prime power is past the engine's primality bound") from None
         if base is None:
             raise InvalidResidueError(
                 f"invalid residue size at place {_id(id)}: {_number(q)} is not a prime power")

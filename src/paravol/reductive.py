@@ -84,20 +84,87 @@ def _descriptor(components, torus_rank):
     return ReductiveQuotientDescriptor(components, torus_rank, dim, tuple(sorted(degrees)))
 
 
+# The primes below 100.  `prime_power_base` strips them by trial division;
+# the first 13 are the Miller-Rabin bases of `is_prime`.
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+                73, 79, 83, 89, 97)
+# psi_13: every composite below it fails Miller-Rabin to one of the first 13
+# prime bases, and it passes all 13 (Sorenson and Webster, Math. Comp. 86,
+# 2017), so `is_prime` is a proof below it and no further.
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def prime_power_base(q):
-    """The prime p with q = p^k, or None if q is not a prime power."""
+    """The prime p with q = p^k, or None if q is not a prime power.
+
+    A q with a prime factor below 100 is divided by it until it is 1 or not.
+    Any other q is r^k for the largest k that has an exact root, and q is a
+    prime power exactly when r is prime.  Raises OverflowError, from
+    `is_prime`, when r is at least PRIMALITY_BOUND and passes every base.
+    """
     if q < 2:
         return None
-    p = 2
-    while p * p <= q:
+    for p in SMALL_PRIMES:
         if q % p == 0:
-            m = q
-            while m % p == 0:
-                m //= p
-            return p if m == 1 else None
-        p += 1
-    return q  # q itself prime
+            while q % p == 0:
+                q //= p
+            return p if q == 1 else None
+    # every root of q is now at least 101 > 2^6, so its exponent k is at
+    # most bit_length / 6.  Each k is tried in increasing order, as often
+    # as it divides the exponent; a composite k fails, its primes taken out.
+    k = 2
+    while 6 * k <= q.bit_length():
+        root = _exact_root(q, k)
+        if root is None:
+            k += 1
+        else:
+            q = root
+    return q if is_prime(q) else None
+
+
+def _exact_root(n, k):
+    """The integer r with r^k == n, or None; for n >= 2 and k >= 2."""
+    # a float estimate of n^(1/k), good to 2^-47, from the leading 53 bits
+    # of n: with n ~ top * 2^(k*e + f), the root is ~ top^(1/k) * 2^(f/k) * 2^e
+    e, f = divmod(max(n.bit_length() - 53, 0), k)
+    top = int((n >> (k * e + f)) ** (1 / k) * 2 ** (f / k) * 2 ** 52)
+    # Newton's method from above the root ends at its floor, and each step
+    # at least doubles the estimate's good bits
+    r = ((top + (top >> 40)) << e >> 52) + 1
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    # the low 64 bits first: r^k mod 2^64 costs far less than r^k
+    return r if pow(r, k, 2 ** 64) == n % 2 ** 64 and r ** k == n else None
 
 
 def is_prime(n):
-    return n >= 2 and prime_power_base(n) == n
+    """Whether n is prime: Miller-Rabin to the first 13 prime bases.
+
+    "Composite" is exact at any size and "prime" is proven below
+    PRIMALITY_BOUND.  From it on, an n that passes every base raises
+    OverflowError: its primality is past what the test proves.
+    """
+    if n < 2:
+        return False
+    for b in SMALL_PRIMES[:13]:
+        if n % b == 0:
+            return n == b
+    d = n - 1
+    s = (d & -d).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d >>= s
+    for b in SMALL_PRIMES[:13]:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= PRIMALITY_BOUND:
+        raise OverflowError("primality past the proven bound of the Miller-Rabin bases")
+    return True

@@ -25,6 +25,10 @@ which the oracles above check.
 `reference_certificate_json` is the v1 certificate as plain decoded JSON,
 every list and dict built afresh from the certificate's fields: the
 streamed writer `cli._certificate_chunks` must write its `json.dumps`.
+
+`reference_prime_power_base` is the residue-size check by trial division
+up to sqrt(q): exact at any size, and slow past about 10^12.  It checks the
+engine's root extraction and Miller-Rabin test.
 """
 
 import itertools
@@ -364,3 +368,18 @@ def reference_certificate_json(cert):
                       for i, j, pid, t1, t2 in cert.witnesses],
         "citations": list(cert.citations),
     }
+
+
+def reference_prime_power_base(q):
+    """The prime p with q = p^k, or None if q is not a prime power, by trial division."""
+    if q < 2:
+        return None
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            m = q
+            while m % p == 0:
+                m //= p
+            return p if m == 1 else None
+        p += 1
+    return q  # q itself prime

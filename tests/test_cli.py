@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -25,7 +26,7 @@ from paravol.cli import _encode, _int_digit_limit, run
 from paravol.construction import Place, build_family, certify_family
 from paravol.diagram import build_local_index
 from paravol.parahoric import find_equal_volume_pairs
-from paravol.reductive import quotient_descriptor
+from paravol.reductive import PRIMALITY_BOUND, quotient_descriptor
 
 
 def invoke(capsys, *argv):
@@ -592,7 +593,11 @@ def at_path(value, path):
     return value
 
 
-# Integers stay small: a huge residue size is a separate, known stall.
+# Huge residue sizes: even, a prime past 10^24, the square of a prime
+# past 10^18, the least strong pseudoprime to the first 13 prime bases, and
+# an odd 4,300-digit number (the input limit).
+HUGE_QS = (10 ** 4299, 10 ** 24 + 7, (10 ** 18 + 3) ** 2, PRIMALITY_BOUND, 10 ** 4299 + 1)
+
 other_json_values = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 30), st.floats(), st.text(max_size=6),
     st.lists(st.integers(0, 4), max_size=3),
@@ -624,15 +629,13 @@ def mutated_inputs(draw):
             p for p in json_paths(data) if isinstance(at_path(data, p), dict)]))
         at_path(data, path)["k" * 10 ** 5] = draw(other_json_values)
         return command, json.dumps(data)
-    # 10^4299 is even, so the residue check stops at p = 2; a huge odd
-    # residue size is the known stall
     path = draw(st.sampled_from([p for p in json_paths(data)
                                  if long != "int" or type(at_path(data, p)) is int]))
     old = at_path(data, path)
     if long == "list":
         new = list(range(10 ** 5))
     elif long == "int":
-        new = 10 ** 4299
+        new = draw(st.sampled_from(HUGE_QS))
     elif mutation == "swap":
         new = draw(other_json_values.filter(lambda v: type(v) is not type(old)))
     else:
@@ -647,21 +650,58 @@ def _ratio_seed_with(**changes):
     return "ratio", json.dumps(RATIO_SEED | changes)
 
 
+def _ratio_seed_at(q, p):
+    """The ratio seed with residue size q and characteristic p at its place v2."""
+    return _ratio_seed_with(places=[{"id": "v2", "q": q, "p": p}, {"id": "v3", "q": 3, "p": 3}])
+
+
 @settings(max_examples=150, deadline=None)
 @given(mutated_inputs())
 @example(_ratio_seed_with(collections=[{"assignment": {"v2": list(range(10 ** 5))}},
                                        {"assignment": {}}]))
 @example(_ratio_seed_with(places=[{"id": "v2", "q": 10 ** 4299, "p": 2}]))
 @example(_ratio_seed_with(places=[{"id": "v2", "q": 2, "p": 10 ** 4299}]))
+@example(_ratio_seed_at(10 ** 24 + 7, 10 ** 24 + 7))
+@example(_ratio_seed_at((10 ** 18 + 3) ** 2, 10 ** 18 + 3))
+@example(_ratio_seed_at(PRIMALITY_BOUND, PRIMALITY_BOUND))
+@example(_ratio_seed_at(10 ** 4299 + 1, 10 ** 4299 + 1))
 def test_mutated_inputs_exit_0_1_or_2_without_a_traceback(mutated):
     command, text = mutated
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.json"
         path.write_text(text)
-        code, _, err = run_quietly([command, "--input", str(path)])
+        assert_prompt_exit([command, "--input", str(path)])
+
+
+class Stalled(BaseException):
+    """Raised by the alarm of `assert_prompt_exit`: no handler of the engine catches it."""
+
+
+def _stalled(signum, frame):
+    raise Stalled
+
+
+def assert_prompt_exit(argv, seconds=5.0):
+    """The command exits 0, 1 or 2 within 5 s, with no traceback and under 1 KB of stderr."""
+    previous = signal.signal(signal.SIGALRM, _stalled)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        code, _, err = run_quietly(argv)
+    except Stalled:
+        raise AssertionError(f"paravol {argv[0]} still running after {seconds} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert len(err.encode()) < 1024
+    return code
+
+
+@pytest.mark.parametrize("q", HUGE_QS, ids=["even", "prime", "square", "psi13", "odd"])
+def test_pairs_at_a_huge_residue_size_exits_promptly(q):
+    code = assert_prompt_exit(["pairs", "split:B3", "--q", str(q)])
+    assert code == (0 if q in (10 ** 24 + 7, (10 ** 18 + 3) ** 2) else 1)
 
 
 def test_schema_errors_exit_2(tmp_path, capsys):
@@ -824,10 +864,13 @@ def _outside_input(kind):
                                           fallback_swap=True)
     elif kind.startswith("residue"):
         q, p = {"residue-p": (2, 10 ** 4299 + 1), "residue-q": (2 ** 14000, 3), "residue": (4, 3),
-                "residue-64": (10 ** 63, 2), "residue-65": (10 ** 64, 2)}[kind]
+                "residue-64": (10 ** 63, 2), "residue-65": (10 ** 64, 2),
+                "residue-bound": (PRIMALITY_BOUND, PRIMALITY_BOUND),
+                "residue-bound-long": (PRIMALITY_BOUND ** 3, PRIMALITY_BOUND)}[kind]
         ratio["places"] = [{"id": "v", "q": q, "p": p}]
     else:
-        return ["pairs", "split:B3", "--q", str({"q-long": 3 * 2 ** 14000, "q": 12}[kind])], None
+        q = {"q-long": 3 * 2 ** 14000, "q": 12, "q-bound": PRIMALITY_BOUND}[kind]
+        return ["pairs", "split:B3", "--q", str(q)], None
     return ["ratio"], ratio
 
 
@@ -844,6 +887,12 @@ OUTSIDE_ERRORS = {
     "residue-65": "invalid residue size at place v: a 65-digit number is not a prime power",
     "q-long": "invalid residue size: a 4215-digit number is not a prime power",
     "q": "invalid residue size: 12 is not a prime power",
+    "residue-bound": ("invalid residue size at place v: whether 3317044064679887385961981 "
+                      "is a prime power is past the engine's primality bound"),
+    "residue-bound-long": ("invalid residue size at place v: whether a 74-digit number "
+                           "is a prime power is past the engine's primality bound"),
+    "q-bound": ("invalid residue size: whether 3317044064679887385961981 "
+                "is a prime power is past the engine's primality bound"),
     "swap-q": "fallback swap needs equal residue sizes, got a 4215-digit number at v and 2 at w",
 }
 

@@ -1,12 +1,15 @@
-"""Orders in factored form and reductive quotient descriptors."""
+"""Orders in factored form, reductive quotient descriptors and the residue-size check."""
+
+import time
 
 import pytest
+from oracle_helpers import reference_prime_power_base
 from test_golden import LABELS
 
 from paravol import diagram as dg
 from paravol.diagram import FiniteTypeLabel, build_local_index
 from paravol.errors import ImproperTypeError
-from paravol.reductive import is_prime, prime_power_base, quotient_descriptor
+from paravol.reductive import PRIMALITY_BOUND, is_prime, prime_power_base, quotient_descriptor
 from paravol.roots import group_dimension
 
 
@@ -217,6 +220,82 @@ def test_prime_power_base():
                 sieve[m] = False
     assert [n for n in range(2000) if is_prime(n)] == [
         n for n in range(2000) if sieve[n]]
+
+
+def timed_base(q):
+    """prime_power_base(q), which must return within a second at any size."""
+    start = time.perf_counter()
+    base = prime_power_base(q)
+    assert time.perf_counter() - start < 1.0, f"prime_power_base of a {q.bit_length()}-bit q"
+    return base
+
+
+def test_prime_power_base_matches_trial_division_below_2e5():
+    wrong = []
+    for q in range(200_000):
+        base = reference_prime_power_base(q)
+        if timed_base(q) != base or is_prime(q) != (base == q):
+            wrong.append(q)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("p", [999999937, 10 ** 14 + 31, 10 ** 18 + 3, 10 ** 24 + 7])
+def test_prime_power_base_of_large_prime_powers_up_to_4300_digits(p):
+    top = 1
+    while p ** (top + 1) < 10 ** 4300:
+        top += 1
+    # the largest prime exponent makes the root search try every exponent below it
+    prime_top = max(k for k in range(2, top + 1) if reference_prime_power_base(k) == k)
+    for k in sorted({*range(1, 13), *range(13, top, 29), prime_top, top}):
+        assert timed_base(p ** k) == p, k
+        assert timed_base(p ** k * 3) is None
+    assert timed_base(p * (p + 2) ** 2) is None
+
+
+def _primes_from(n, count):
+    found = []
+    while len(found) < count:
+        if reference_prime_power_base(n) == n:
+            found.append(n)
+        n += 1
+    return found
+
+
+def test_prime_power_base_of_two_primes_near_31000():
+    # the shape of ratio_stream's composite residue sizes; trial division
+    # to sqrt(q) took milliseconds for each
+    primes = _primes_from(31000, 12)
+    for a, b in zip(primes, primes[1:]):
+        assert timed_base(a * b) is None
+        assert timed_base(a * a * b) is None
+        assert timed_base((a * b) ** 3) is None
+        assert reference_prime_power_base(a * b) is None
+
+
+@pytest.mark.parametrize("q", [
+    3215031751,  # 151 * 751 * 28351, a strong pseudoprime to bases 2, 3, 5 and 7
+    3825123056546413051,  # a strong pseudoprime to the first eleven prime bases
+    318665857834031151167461,  # 399165290221 * 798330580441, strong to the first twelve
+    318665857834031151167461 ** 2,
+])
+def test_strong_pseudoprimes_are_not_prime_powers(q):
+    assert not is_prime(q)
+    assert timed_base(q) is None
+
+
+def test_a_residue_size_past_the_primality_bound_raises():
+    # psi_13 is composite, yet a strong pseudoprime to all 13 bases
+    assert PRIMALITY_BOUND == 1287836182261 * 2575672364521
+    for q in (PRIMALITY_BOUND, PRIMALITY_BOUND ** 3):
+        start = time.perf_counter()
+        with pytest.raises(OverflowError):
+            prime_power_base(q)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(OverflowError):
+        is_prime(PRIMALITY_BOUND)
+    # below the bound "prime" is proven; a "composite" verdict is exact at any size
+    assert is_prime(10 ** 24 + 7)
+    assert timed_base(PRIMALITY_BOUND * 3) is None
 
 
 @pytest.mark.parametrize("label", LABELS)
