@@ -45,12 +45,16 @@ def ratio_request(label, rank):
     }
 
 
-def timed(src, argv):
-    """Wall seconds and stdout SHA-256 of one `python -m paravol` process; exits on failure."""
+def timed(src, argv, timeout=None):
+    """(wall seconds, stdout SHA-256) of one `python -m paravol` process, or (None, None)
+    if it ran past `timeout` seconds; exits if the process fails."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "paravol", *argv], env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        done = subprocess.run([sys.executable, "-m", "paravol", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return None, None
     elapsed = time.perf_counter() - start
     if done.returncode != 0:
         sys.exit(f"paravol {' '.join(argv)} with {src} exited {done.returncode}: "
@@ -58,20 +62,30 @@ def timed(src, argv):
     return elapsed, hashlib.sha256(done.stdout).hexdigest()
 
 
-def measure(label, rank, trees, workdir):
-    request = workdir / f"ratio-{label.replace(':', '-')}.json"
-    request.write_text(json.dumps(ratio_request(label, rank)))
+def median_s(runs):
+    """The median run, a timed-out run (None) counting as slower than any; None if that is one."""
+    middle = statistics.median(float("inf") if s is None else s for s in runs)
+    return None if middle == float("inf") else round(middle, 3)
+
+
+def measure(row, request, trees, workdir, timeout=None):
+    """`row` with the columns of one `paravol ratio` request: per tree the median of RUNS
+    runs, how many of them timed out, and the SHA-256 of stdout."""
+    path = workdir / "request.json"
+    path.write_text(json.dumps(request))
     samples = {name: [] for name in trees}
-    digests = {}
+    digests = dict.fromkeys(trees)
     for _ in range(RUNS):
         for name, src in trees.items():
-            elapsed, digests[name] = timed(src, ["ratio", "--input", str(request)])
+            elapsed, digest = timed(src, ["ratio", "--input", str(path)], timeout)
             samples[name].append(elapsed)
+            digests[name] = digest or digests[name]
     return {
-        "label": label,
+        **row,
         "columns": {
             name: {
-                "ratio_s": round(statistics.median(samples[name]), 3),
+                "ratio_s": median_s(samples[name]),
+                "timed_out": samples[name].count(None),
                 "stdout_sha256": digests[name],
             }
             for name in trees
@@ -79,8 +93,10 @@ def measure(label, rank, trees, workdir):
     }
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def record(argv, doc, requests, fields, timeout=None):
+    """Time each (row, request) of `requests` on this tree and, with `--baseline-src`,
+    another, and write `fields`, the host and the rows to `--output`."""
+    parser = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     parser.add_argument("--baseline-src", type=Path,
                         help="source directory of another tree, timed as column 'baseline'")
     parser.add_argument("--output", type=Path, required=True)
@@ -91,15 +107,13 @@ def main(argv=None):
         trees["baseline"] = args.baseline_src.resolve()
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for label, rank in CAPS:
-            row = measure(label, rank, trees, Path(tmp))
+        for row, request in requests:
+            row = measure(row, request, trees, Path(tmp), timeout)
             print(json.dumps(row), file=sys.stderr)
             rows.append(row)
-    record = {
-        "request": "ratio of the hyperspecial type {1..n} against {0}, one place",
-        "q": Q,
+    out = {
+        **fields,
         "runs": RUNS,
-        "statistic": "median wall seconds per process, start-up included",
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
@@ -107,8 +121,16 @@ def main(argv=None):
         },
         "rows": rows,
     }
-    args.output.write_text(json.dumps(record, indent=2) + "\n")
+    args.output.write_text(json.dumps(out, indent=2) + "\n")
     return 0
+
+
+def main(argv=None):
+    return record(argv, __doc__,
+                  [({"label": label}, ratio_request(label, rank)) for label, rank in CAPS],
+                  {"request": "ratio of the hyperspecial type {1..n} against {0}, one place",
+                   "q": Q,
+                   "statistic": "median wall seconds per process, start-up included"})
 
 
 if __name__ == "__main__":

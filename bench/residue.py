@@ -14,28 +14,19 @@ runs.  The SHA-256 of stdout is recorded too.
 The first times this tree (column "head").  The second also times the tree
 whose source directory is OTHER/src (column "baseline").  The two trees are
 run alternately, run by run, so a drift in host speed hits both columns
-alike.  A run still going after `--timeout` seconds is stopped and kept as
+alike.  A run still going after TIMEOUT_S seconds is stopped and kept as
 timed out: it counts as slower than every finished run, and `ratio_s` is
 null when most runs of a cell timed out.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
-import tempfile
-import time
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from caps import record
+
 QS = (999999937, 10 ** 12 + 39, 10 ** 14 + 31, 10 ** 18 + 3, 10 ** 24 + 7)
-RUNS = 3
+TIMEOUT_S = 20
 
 
 def ratio_request(q):
@@ -46,87 +37,14 @@ def ratio_request(q):
     }
 
 
-def timed(src, argv, timeout):
-    """(wall seconds, stdout SHA-256) of one `python -m paravol` process, or (None, None)
-    if it ran past `timeout` seconds; exits if the process fails."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    start = time.perf_counter()
-    try:
-        done = subprocess.run([sys.executable, "-m", "paravol", *argv], env=env,
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return None, None
-    elapsed = time.perf_counter() - start
-    if done.returncode != 0:
-        sys.exit(f"paravol {' '.join(argv)} with {src} exited {done.returncode}: "
-                 f"{done.stderr.decode(errors='replace').strip()}")
-    return elapsed, hashlib.sha256(done.stdout).hexdigest()
-
-
-def median_s(runs):
-    """The median run, a timed-out run counting as slower than any; None if that is one."""
-    middle = statistics.median(float("inf") if s is None else s for s in runs)
-    return None if middle == float("inf") else round(middle, 3)
-
-
-def measure(q, trees, workdir, timeout):
-    request = workdir / f"ratio-{q}.json"
-    request.write_text(json.dumps(ratio_request(q)))
-    samples = {name: [] for name in trees}
-    digests = {name: None for name in trees}
-    for _ in range(RUNS):
-        for name, src in trees.items():
-            elapsed, digest = timed(src, ["ratio", "--input", str(request)], timeout)
-            samples[name].append(None if elapsed is None else round(elapsed, 3))
-            digests[name] = digest or digests[name]
-    return {
-        "q": q,
-        "columns": {
-            name: {
-                "ratio_s": median_s(samples[name]),
-                "runs_s": samples[name],
-                "timed_out": samples[name].count(None),
-                "stdout_sha256": digests[name],
-            }
-            for name in trees
-        },
-    }
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--baseline-src", type=Path,
-                        help="source directory of another tree, timed as column 'baseline'")
-    parser.add_argument("--timeout", type=float, default=20.0,
-                        help="seconds after which a run is stopped and kept as timed out")
-    parser.add_argument("--output", type=Path, required=True)
-    args = parser.parse_args(argv)
-
-    trees = {"head": SRC}
-    if args.baseline_src is not None:
-        trees["baseline"] = args.baseline_src.resolve()
-    rows = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for q in QS:
-            row = measure(q, trees, Path(tmp), args.timeout)
-            print(json.dumps(row), file=sys.stderr)
-            rows.append(row)
-    record = {
-        "request": "ratio of the hyperspecial type {1, 2, 3} against {0} on split:B3, "
-                   "one place with q = p prime",
-        "runs": RUNS,
-        "timeout_s": args.timeout,
-        "statistic": "median wall seconds per process, start-up included; "
-                     "a timed-out run counts as slower than any other",
-        "host": {
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-        },
-        "rows": rows,
-    }
-    args.output.write_text(json.dumps(record, indent=2) + "\n")
-    return 0
+    return record(argv, __doc__, [({"q": q}, ratio_request(q)) for q in QS],
+                  {"request": "ratio of the hyperspecial type {1, 2, 3} against {0} "
+                              "on split:B3, one place with q = p prime",
+                   "timeout_s": TIMEOUT_S,
+                   "statistic": "median wall seconds per process, start-up included; "
+                                "a timed-out run counts as slower than any other"},
+                  TIMEOUT_S)
 
 
 if __name__ == "__main__":

@@ -19,16 +19,15 @@ from json.encoder import encode_basestring_ascii as _quote
 from .construction import (
     Place,
     _id,
-    _number,
+    _residue_base,
     build_family,
     certify_family,
     make_collection,
     relative_covolume,
 )
 from .diagram import GroupSpec, build_local_index, echo
-from .errors import CertificateError, DomainError, InvalidResidueError, SchemaError
+from .errors import CertificateError, DomainError, SchemaError
 from .parahoric import pairs_to_json
-from .reductive import prime_power_base
 
 # Input integers may have at most this many digits: the interpreter's
 # default limit on int-string conversion.  Results are exact and may be
@@ -350,15 +349,7 @@ def cmd_diagram(args):
 def cmd_pairs(args):
     d = build_local_index(GroupSpec.parse(args.group))
     if args.q is not None:
-        try:
-            base = prime_power_base(args.q)
-        except OverflowError:
-            raise InvalidResidueError(
-                f"invalid residue size: whether {_number(args.q)} "
-                "is a prime power is past the engine's primality bound") from None
-        if base is None:
-            raise InvalidResidueError(
-                f"invalid residue size: {_number(args.q)} is not a prime power")
+        _residue_base(args.q)
     rows = pairs_to_json(d, args.q)
     head = next(rows, None)
     if head is None:

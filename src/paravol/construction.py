@@ -43,7 +43,7 @@ from .parahoric import (
     equal_volume_rows,
     factor_terms,
 )
-from .reductive import prime_power_base, quotient_descriptor
+from .reductive import PrimalityBoundError, prime_power_base, quotient_descriptor
 
 CITATIONS = (
     "equal covolume: the covolume ratio is the product over shared places of "
@@ -71,6 +71,19 @@ def _number(n):
     return str(n) if digits <= LABEL_ECHO_LIMIT else f"a {digits}-digit number"
 
 
+def _residue_base(q, pid=None):
+    """The prime p with q = p^k; else InvalidResidueError, at place `pid` if given."""
+    try:
+        base = prime_power_base(q)
+        if base is not None:
+            return base
+        why = f"{_number(q)} is not a prime power"
+    except PrimalityBoundError:
+        why = f"whether {_number(q)} is a prime power is past the engine's primality bound"
+    at = "" if pid is None else f" at place {_id(pid)}"
+    raise InvalidResidueError(f"invalid residue size{at}: {why}")
+
+
 class Place(namedtuple("Place", "id q p local_index")):
     """A finite place: id, residue size q = p^k, characteristic p, local index."""
 
@@ -78,15 +91,7 @@ class Place(namedtuple("Place", "id q p local_index")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
 
     def __new__(cls, id, q, p, local_index):
-        try:
-            base = prime_power_base(q)  # a prime, so base == p proves p prime
-        except OverflowError:
-            raise InvalidResidueError(
-                f"invalid residue size at place {_id(id)}: whether {_number(q)} "
-                "is a prime power is past the engine's primality bound") from None
-        if base is None:
-            raise InvalidResidueError(
-                f"invalid residue size at place {_id(id)}: {_number(q)} is not a prime power")
+        base = _residue_base(q, id)  # a prime, so base == p proves p prime
         if base != p:
             raise InvalidResidueError(
                 f"invalid residue size at place {_id(id)}: "

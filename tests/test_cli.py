@@ -20,6 +20,7 @@ from oracle_helpers import reference_certificate_json
 from test_golden import LABELS
 
 from test_construction import oracle_families
+from test_reductive import LEAST_FACTOR_101, MERSENNE_PRODUCT
 
 from paravol import cli, construction
 from paravol.cli import _encode, _int_digit_limit, run
@@ -594,9 +595,11 @@ def at_path(value, path):
 
 
 # Huge residue sizes: even, a prime past 10^24, the square of a prime
-# past 10^18, the least strong pseudoprime to the first 13 prime bases, and
-# an odd 4,300-digit number (the input limit).
-HUGE_QS = (10 ** 4299, 10 ** 24 + 7, (10 ** 18 + 3) ** 2, PRIMALITY_BOUND, 10 ** 4299 + 1)
+# past 10^18, the least strong pseudoprime to the first 13 prime bases, an
+# odd 4,300-digit number (the input limit), and two of near that length
+# with no factor below 100.
+HUGE_QS = (10 ** 4299, 10 ** 24 + 7, (10 ** 18 + 3) ** 2, PRIMALITY_BOUND, 10 ** 4299 + 1,
+           LEAST_FACTOR_101, MERSENNE_PRODUCT)
 
 other_json_values = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 30), st.floats(), st.text(max_size=6),
@@ -665,6 +668,8 @@ def _ratio_seed_at(q, p):
 @example(_ratio_seed_at((10 ** 18 + 3) ** 2, 10 ** 18 + 3))
 @example(_ratio_seed_at(PRIMALITY_BOUND, PRIMALITY_BOUND))
 @example(_ratio_seed_at(10 ** 4299 + 1, 10 ** 4299 + 1))
+@example(_ratio_seed_at(LEAST_FACTOR_101, 101))
+@example(_ratio_seed_at(MERSENNE_PRODUCT, 2 ** 127 - 1))
 def test_mutated_inputs_exit_0_1_or_2_without_a_traceback(mutated):
     command, text = mutated
     with tempfile.TemporaryDirectory() as tmp:
@@ -698,7 +703,8 @@ def assert_prompt_exit(argv, seconds=5.0):
     return code
 
 
-@pytest.mark.parametrize("q", HUGE_QS, ids=["even", "prime", "square", "psi13", "odd"])
+@pytest.mark.parametrize("q", HUGE_QS, ids=["even", "prime", "square", "psi13", "odd",
+                                             "least-factor-101", "no-factor-below-1e6"])
 def test_pairs_at_a_huge_residue_size_exits_promptly(q):
     code = assert_prompt_exit(["pairs", "split:B3", "--q", str(q)])
     assert code == (0 if q in (10 ** 24 + 7, (10 ** 18 + 3) ** 2) else 1)
@@ -869,7 +875,8 @@ def _outside_input(kind):
                 "residue-bound-long": (PRIMALITY_BOUND ** 3, PRIMALITY_BOUND)}[kind]
         ratio["places"] = [{"id": "v", "q": q, "p": p}]
     else:
-        q = {"q-long": 3 * 2 ** 14000, "q": 12, "q-bound": PRIMALITY_BOUND}[kind]
+        q = {"q-long": 3 * 2 ** 14000, "q": 12, "q-bound": PRIMALITY_BOUND,
+             "q-bound-long": LEAST_FACTOR_101}[kind]
         return ["pairs", "split:B3", "--q", str(q)], None
     return ["ratio"], ratio
 
@@ -893,6 +900,8 @@ OUTSIDE_ERRORS = {
                            "is a prime power is past the engine's primality bound"),
     "q-bound": ("invalid residue size: whether 3317044064679887385961981 "
                 "is a prime power is past the engine's primality bound"),
+    "q-bound-long": ("invalid residue size: whether a 4292-digit number "
+                     "is a prime power is past the engine's primality bound"),
     "swap-q": "fallback swap needs equal residue sizes, got a 4215-digit number at v and 2 at w",
 }
 

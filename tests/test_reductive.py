@@ -9,7 +9,14 @@ from test_golden import LABELS
 from paravol import diagram as dg
 from paravol.diagram import FiniteTypeLabel, build_local_index
 from paravol.errors import ImproperTypeError
-from paravol.reductive import PRIMALITY_BOUND, is_prime, prime_power_base, quotient_descriptor
+from paravol.reductive import (
+    PRIMALITY_BOUND,
+    WITNESS_BITS,
+    PrimalityBoundError,
+    is_prime,
+    prime_power_base,
+    quotient_descriptor,
+)
 from paravol.roots import group_dimension
 
 
@@ -222,12 +229,21 @@ def test_prime_power_base():
         n for n in range(2000) if sieve[n]]
 
 
+# Two residue sizes near the input limit of 4,300 digits that the small-prime
+# strip leaves whole: 101 * 103^2131 (4,292 digits), whose least factor is
+# 101, and a product of the Mersenne primes 2^11213 - 1, 2^2281 - 1,
+# 2^607 - 1 and 2^127 - 1 (4,284 digits), with no factor below 10^6.
+LEAST_FACTOR_101 = 101 * 103 ** 2131
+MERSENNE_PRODUCT = (2 ** 11213 - 1) * (2 ** 2281 - 1) * (2 ** 607 - 1) * (2 ** 127 - 1)
+
+
 def timed_base(q):
-    """prime_power_base(q), which must return within a second at any size."""
+    """prime_power_base(q), which must return or raise within a second at any size."""
     start = time.perf_counter()
-    base = prime_power_base(q)
-    assert time.perf_counter() - start < 1.0, f"prime_power_base of a {q.bit_length()}-bit q"
-    return base
+    try:
+        return prime_power_base(q)
+    finally:
+        assert time.perf_counter() - start < 1.0, f"prime_power_base of a {q.bit_length()}-bit q"
 
 
 def test_prime_power_base_matches_trial_division_below_2e5():
@@ -287,15 +303,31 @@ def test_a_residue_size_past_the_primality_bound_raises():
     # psi_13 is composite, yet a strong pseudoprime to all 13 bases
     assert PRIMALITY_BOUND == 1287836182261 * 2575672364521
     for q in (PRIMALITY_BOUND, PRIMALITY_BOUND ** 3):
-        start = time.perf_counter()
-        with pytest.raises(OverflowError):
-            prime_power_base(q)
-        assert time.perf_counter() - start < 1.0
-    with pytest.raises(OverflowError):
+        with pytest.raises(PrimalityBoundError):
+            timed_base(q)
+    with pytest.raises(PrimalityBoundError):
         is_prime(PRIMALITY_BOUND)
     # below the bound "prime" is proven; a "composite" verdict is exact at any size
     assert is_prime(10 ** 24 + 7)
     assert timed_base(PRIMALITY_BOUND * 3) is None
+
+
+def test_past_witness_bits_a_residue_size_is_not_tested():
+    m127, m521, m607 = 2 ** 127 - 1, 2 ** 521 - 1, 2 ** 607 - 1
+    assert (m521 * m127).bit_length() <= WITNESS_BITS < (m521 * m607).bit_length()
+    assert timed_base(m521 * m127) is None  # a base shows it composite
+    for q in (m521 * m607, m607 ** 2, m521 ** 5 * m607 ** 5):
+        with pytest.raises(PrimalityBoundError):
+            timed_base(q)
+
+
+@pytest.mark.parametrize("q", [LEAST_FACTOR_101, MERSENNE_PRODUCT],
+                         ids=["least-factor-101", "no-factor-below-1e6"])
+def test_a_4300_digit_residue_size_without_small_factors_is_past_the_bound(q):
+    # trial division to sqrt(q) found 101 at once, but not the factors of the
+    # other; the 13 bases on a 14,000-bit number take minutes
+    with pytest.raises(PrimalityBoundError):
+        timed_base(q)
 
 
 @pytest.mark.parametrize("label", LABELS)
