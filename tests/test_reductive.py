@@ -302,7 +302,8 @@ def test_strong_pseudoprimes_are_not_prime_powers(q):
 def test_a_residue_size_past_the_primality_bound_raises():
     # psi_13 is composite, yet a strong pseudoprime to all 13 bases
     assert PRIMALITY_BOUND == 1287836182261 * 2575672364521
-    for q in (PRIMALITY_BOUND, PRIMALITY_BOUND ** 3):
+    # as is the prime 2^607 - 1
+    for q in (PRIMALITY_BOUND, PRIMALITY_BOUND ** 3, (2 ** 607 - 1) ** 2):
         with pytest.raises(PrimalityBoundError):
             timed_base(q)
     with pytest.raises(PrimalityBoundError):
@@ -313,21 +314,14 @@ def test_a_residue_size_past_the_primality_bound_raises():
 
 
 def test_past_witness_bits_a_residue_size_is_not_tested():
+    # the 13 bases on a 14,000-bit number took minutes; trial division to
+    # sqrt(q) found the factor 101 of LEAST_FACTOR_101 at once
     m127, m521, m607 = 2 ** 127 - 1, 2 ** 521 - 1, 2 ** 607 - 1
     assert (m521 * m127).bit_length() <= WITNESS_BITS < (m521 * m607).bit_length()
     assert timed_base(m521 * m127) is None  # a base shows it composite
-    for q in (m521 * m607, m607 ** 2, m521 ** 5 * m607 ** 5):
+    for q in (m521 * m607, m521 ** 5 * m607 ** 5, LEAST_FACTOR_101, MERSENNE_PRODUCT):
         with pytest.raises(PrimalityBoundError):
             timed_base(q)
-
-
-@pytest.mark.parametrize("q", [LEAST_FACTOR_101, MERSENNE_PRODUCT],
-                         ids=["least-factor-101", "no-factor-below-1e6"])
-def test_a_4300_digit_residue_size_without_small_factors_is_past_the_bound(q):
-    # trial division to sqrt(q) found 101 at once, but not the factors of the
-    # other; the 13 bases on a 14,000-bit number take minutes
-    with pytest.raises(PrimalityBoundError):
-        timed_base(q)
 
 
 @pytest.mark.parametrize("label", LABELS)
