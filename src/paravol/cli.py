@@ -2,8 +2,8 @@
 
 Subcommands: diagram, pairs, ratio, family, certify.  Results go to stdout
 or --output; diagnostics go to stderr.  Exit 0 on success, 1 on domain
-errors (bad group, bad residue size, failed certification), 2 on unreadable
-or schema-invalid input.
+errors (bad group, bad residue size, failed certification) and on a result
+that cannot be written, 2 on unreadable or schema-invalid input.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .construction import (
     relative_covolume,
 )
 from .diagram import GroupSpec, build_local_index, echo
-from .errors import CertificateError, DomainError, SchemaError
+from .errors import CertificateError, DomainError, OutputError, ParavolError, SchemaError
 from .parahoric import pairs_to_json
 
 # Input integers may have at most this many digits: the interpreter's
@@ -36,12 +36,36 @@ MAX_INPUT_DIGITS = 4300
 
 
 def _write(output, chunks):
-    """Write an iterable of text chunks to the file `output`, or to stdout."""
-    if output:
-        with open(output, "w") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    """Write an iterable of text chunks to the file `output`, or to stdout.
+
+    A failed write raises OutputError.  When stdout fails, its descriptor
+    is pointed at the null device first, so that the interpreter's flush
+    of what is left at exit finds nothing to report.
+    """
+    try:
+        if output:
+            with open(output, "w") as fh:
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as exc:
+        if output:
+            where = echo(output, "path")
+        else:
+            where = "stdout"
+            _drop_stdout()
+        raise OutputError(f"cannot write the result to {where}: {exc.strerror or exc}") from exc
+
+
+def _drop_stdout():
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # a buffer in the caller's process, not a file
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 _ATOMS = {True: "true", False: "false", None: "null"}
@@ -272,19 +296,28 @@ def _int_digit_limit(n):
         sys.set_int_max_str_digits(limit)
 
 
-def _load_json(path):
-    """(the text of the file, its decoded JSON), refusing floats and huge integers."""
+def _read_text(path):
+    """The text of the file, with its newlines read as \\n."""
     if not os.path.exists(path):
         raise SchemaError(f"no such file: {path}")
     try:
         with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8
-            text = fh.read()
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _load_json(path):
+    """(the text of the file, its decoded JSON), refusing floats and huge integers."""
+    text = _read_text(path)
+    return text, _decode(text, path)
+
+
+def _decode(text, path):
     try:
         # the C scanner builds each int and refuses one past the limit
         with _int_digit_limit(MAX_INPUT_DIGITS):
-            return text, json.loads(text, parse_float=_input_float, parse_constant=_input_float)
+            return json.loads(text, parse_float=_input_float, parse_constant=_input_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     except RecursionError as exc:
@@ -365,12 +398,12 @@ def cmd_pairs(args):
     return 0
 
 
-def _collection_from_json(entry, group, places, ctx):
+def _collection_from_json(entry, group, places, ctx, checked=None):
     overrides = _assignment_from_json(_get(entry, "assignment", ctx), f"{ctx}.assignment")
     refinements = entry.get("refinements", [])
     if not isinstance(refinements, list) or not all(isinstance(x, str) for x in refinements):
         raise SchemaError(f"{ctx}.refinements: expected a list of place ids")
-    return make_collection(group, places, overrides, tuple(refinements))
+    return make_collection(group, places, overrides, tuple(refinements), checked)
 
 
 def cmd_ratio(args):
@@ -465,35 +498,83 @@ def _first_difference(expected, found, path):
     return path
 
 
-def cmd_certify(args):
-    text, data = _load_json(args.input)
+def _members_from_json(data):
+    """The members a decoded certificate lists; each (place, type) in them is checked once."""
     group = GroupSpec.parse(_get(data, "group", "certificate", str))
     places = _places_from_json(_get(data, "places", "certificate"), group.label)
     member_entries = _get(data, "members", "certificate", list)
     if len(member_entries) < 2:
         raise SchemaError("certificate: members must list at least two entries")
-    members = [
-        _collection_from_json(entry, group, places, f"members[{k}]")
+    checked = {}
+    return [
+        _collection_from_json(entry, group, places, f"members[{k}]", checked)
         for k, entry in enumerate(member_entries)
     ]
+
+
+# The text of the v1 layout before its group, and before its ratios, which
+# ends the members: the head of a canonical certificate is what lies between.
+_HEADER, _RATIOS = '{\n  "group": ', ',\n  "ratios": '
+
+
+def _certify_canonical(path):
+    """The certificate of a file that is `family`'s text byte for byte, or None.
+
+    Only the head, the text before the ratios, is decoded.  The members are
+    rebuilt from it and certified, and the file must then be the writer's
+    text for them, chunk by chunk, followed by nothing but JSON whitespace.
+    Such a file is valid JSON that holds no bool, and decoding it whole
+    would yield these members again.  Any other outcome, an error that a
+    command reports included, is None: the caller then decodes the whole
+    file, and every exit code and message is the one that path gives.
+    """
+    try:
+        text = _read_text(path)
+        end = text.find(_RATIOS) if text.startswith(_HEADER) else -1
+        if end < 0:
+            return None
+        cert = certify_family(_members_from_json(_decode(text[:end] + "\n}", path)))
+    except (ParavolError, OSError):
+        return None
+    end = _written_end(text, cert)
+    return cert if end >= 0 and not text[end:].strip(" \t\n\r") else None
+
+
+def _written_end(text, cert):
+    """Where the writer's text for cert ends when text starts with it, else -1."""
+    pos = 0
+    for chunk in _certificate_chunks(cert):
+        if not text.startswith(chunk, pos):
+            return -1
+        pos += len(chunk)
+    return pos
+
+
+def _certify_decoded(path):
+    """The certificate that the whole decoded file passes; else the error naming why not."""
+    text, data = _load_json(path)
+    members = _members_from_json(data)
     for key in ("ratios", "witnesses", "citations"):
         _get(data, key, "certificate", list)
     cert = certify_family(members)
     # A file that `family` wrote for these members is its text byte for
     # byte, which holds no bool.  Any other file, reformatted or wrong, is
     # decoded and compared entry by entry with the recomputation.
-    pos = 0
-    for chunk in _certificate_chunks(cert):
-        if not text.startswith(chunk, pos):
-            expected = json.loads("".join(_certificate_chunks(cert)))
-            for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
-                if _differs(expected[key], data[key]):
-                    entry = _first_difference(expected[key], data[key], key)
-                    raise CertificateError(
-                        f"certificate mismatch: {entry} does not match recomputation")
-            break
-        pos += len(chunk)
-    _dump(None, {"valid": True, "members": len(members), "witnesses": len(cert.witnesses)})
+    if _written_end(text, cert) < 0:
+        expected = json.loads("".join(_certificate_chunks(cert)))
+        for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
+            if _differs(expected[key], data[key]):
+                entry = _first_difference(expected[key], data[key], key)
+                raise CertificateError(
+                    f"certificate mismatch: {entry} does not match recomputation")
+    return cert
+
+
+def cmd_certify(args):
+    cert = _certify_canonical(args.input)
+    if cert is None:
+        cert = _certify_decoded(args.input)
+    _dump(None, {"valid": True, "members": len(cert.members), "witnesses": len(cert.witnesses)})
     return 0
 
 
@@ -545,6 +626,10 @@ def run(argv):
             return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OutputError as exc:
+        if not isinstance(exc.__cause__, BrokenPipeError):  # its reader is gone: end quietly
+            print(f"error: {exc}", file=sys.stderr)
         return 1
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -8,15 +8,18 @@ optionally times indices of torsion-free congruence refinements.
 
 Certifying N members over m places does O(N*m) local work.  Equal
 covolume is transitive, so a family needs only each member's covolume to
-equal member 0's: N-1 exact ratio evaluations, after which every pairwise
-ratio is one.  Each type's realized-automorphism orbit is found once per
-place, and the witnesses come from splitting the members by orbit at each
-place in turn, so only the witness list, one tuple per member pair, is
-N²-sized.  `cli._certificate_chunks` is the one writer of the v1
-certificate text.  `certify` on the command line trusts nothing in a
-certificate file: it recomputes the family from the file's members and
-checks the file against that writer's text, chunk by chunk, decoding the
-expected text for an entry-by-entry comparison only when the bytes differ.
+equal member 0's: N-1 exact ratios, after which every pairwise ratio is
+one.  Their local factors are computed once per distinct (place, member
+0's type, other type).  Each type's realized-automorphism orbit is found
+once per place, and the witnesses come from splitting the members by
+orbit at each place in turn, so only the witness list, one tuple per
+member pair, is N²-sized.  `cli._certificate_chunks` is the one writer of
+the v1 certificate text.  `certify` on the command line trusts nothing in
+a certificate file: it recomputes the family from the file's members and
+checks the file against that writer's text, chunk by chunk.  A file in
+that layout has only its head, the members, decoded; any other file is
+decoded whole, and the expected text is decoded for an entry-by-entry
+comparison only when the bytes differ.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import getitem
 
-from .diagram import IWAHORI, LABEL_ECHO_LIMIT, ParahoricTypeSpec, echo
+from .diagram import IWAHORI, LABEL_ECHO_LIMIT, echo
 from .errors import (
     CertificateError,
     DomainError,
@@ -124,8 +127,12 @@ class CoherentCollection(namedtuple("CoherentCollection", "group places types re
         return {pl.id: list(t.vertices) for pl, t in zip(self.places, self.types)}
 
 
-def make_collection(group, places, overrides=None, refinements=()):
-    """Assemble a collection; absent places carry the diagram's default type."""
+def make_collection(group, places, overrides=None, refinements=(), checked=None):
+    """Assemble a collection; absent places carry the diagram's default type.
+
+    `checked` may be a dict that calls share: each (place, given vertices)
+    is then coerced and checked once over all of them.
+    """
     places = tuple(places)
     ids = [pl.id for pl in places]
     if len(set(ids)) != len(ids):
@@ -134,11 +141,16 @@ def make_collection(group, places, overrides=None, refinements=()):
     for pid in overrides:
         if pid not in ids:
             raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
+    checked = {} if checked is None else checked
     types = []
     for pl in places:
         t = overrides.get(pl.id)
-        t = pl.local_index.default_type() if t is None else ParahoricTypeSpec.coerce(t)
-        types.append(pl.local_index.check_proper(t))
+        key = (pl, t if t is None else tuple(t))
+        found = checked.get(key)
+        if found is None:
+            d = pl.local_index
+            found = checked[key] = d.check_proper(d.default_type() if t is None else t)
+        types.append(found)
     coll = CoherentCollection(group, places, tuple(types), tuple(sorted(refinements or ())))
     _check_refinements(coll)
     return coll
@@ -180,11 +192,20 @@ def relative_covolume(a, b):
     is skipped.  The integer numerator and denominator are accumulated
     and reduced once, at the end.
     """
+    return _covolume_ratio(a, b, _place_terms)
+
+
+def _place_terms(pl, ta, tb):
+    return factor_terms(pl.local_index, ta, tb, pl.q)
+
+
+def _covolume_ratio(a, b, terms):
+    """`relative_covolume`, with each place's factor terms from terms(place, ta, tb)."""
     _check_comparable(a, b)
     num = den = 1
     for pl, ta, tb in zip(a.places, a.types, b.types):
         if ta != tb:
-            n, d = factor_terms(pl.local_index, ta, tb, pl.q)
+            n, d = terms(pl, ta, tb)
             num *= n
             den *= d
     for pid in a.refinements:
@@ -250,10 +271,11 @@ def certify_family(members):
 
     The ratio of member 0 to every other member is computed before any is
     tested, so an incomparable member is reported ahead of an unequal
-    covolume.  A failure names members 0 and j for the first j whose ratio
-    is not one; on success every matrix entry is one.  The
-    witness for a pair is the first place where the two types differ and
-    are not conjugate.
+    covolume.  Members share their types, so the factor terms of each
+    distinct (place, member 0's type, other type) are computed once.  A
+    failure names members 0 and j for the first j whose ratio is not one;
+    on success every matrix entry is one.  The witness for a pair is the
+    first place where the two types differ and are not conjugate.
 
     The realized automorphisms form a group, so two types at a place are
     conjugate exactly when their orbits are equal, and each type is known
@@ -268,7 +290,16 @@ def certify_family(members):
     members = tuple(members)
     if len(members) < 2:
         raise CertificateError("a family needs at least two members")
-    row = [relative_covolume(members[0], m) for m in members[1:]]
+    memo = {}  # (place, type of member 0, other type) -> their factor terms
+
+    def terms(pl, ta, tb):
+        key = (pl, ta, tb)
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = _place_terms(pl, ta, tb)
+        return found
+
+    row = [_covolume_ratio(members[0], m, terms) for m in members[1:]]
     for j, ratio in enumerate(row, 1):
         if not ratio.is_one:
             raise _unequal_covolume(0, j, members[0], members[j], ratio)

@@ -1,4 +1,4 @@
-"""Exception hierarchy; DomainError maps to CLI exit 1, SchemaError to exit 2."""
+"""Exception hierarchy; DomainError and OutputError map to CLI exit 1, SchemaError to exit 2."""
 
 
 class ParavolError(Exception):
@@ -11,6 +11,10 @@ class DomainError(ParavolError):
 
 class SchemaError(ParavolError):
     """Malformed input file or JSON not matching the documented schemas."""
+
+
+class OutputError(ParavolError):
+    """The result could not be written: to a closed or failing stdout, or to --output."""
 
 
 class UnsupportedTypeError(DomainError):

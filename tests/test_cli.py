@@ -12,6 +12,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +23,7 @@ from test_golden import LABELS
 from test_construction import oracle_families
 from test_reductive import LEAST_FACTOR_101, MERSENNE_PRODUCT
 
-from paravol import cli, construction
+from paravol import cli, construction, diagram
 from paravol.cli import _encode, _int_digit_limit, run
 from paravol.construction import Place, build_family, certify_family
 from paravol.diagram import build_local_index
@@ -608,10 +609,10 @@ other_json_values = st.one_of(
 
 
 @st.composite
-def mutated_inputs(draw):
+def mutated_inputs(draw, commands=("ratio", "family", "certify"), dumps=json.dumps):
     """A seed input with one key dropped or added, one value retyped, wrapped or made long,
-    or cut short."""
-    command = draw(st.sampled_from(("ratio", "family", "certify")))
+    or cut short; `dumps` encodes the changed input."""
+    command = draw(st.sampled_from(commands))
     text = fuzz_seed(command)
     mutation = draw(st.sampled_from(("drop", "swap", "wrap", "truncate", "rank", "long")))
     if mutation == "truncate":
@@ -620,18 +621,18 @@ def mutated_inputs(draw):
     if mutation == "rank":  # a rank string past every bound, up to a million digits
         digits = draw(st.sampled_from((4, 4301, 10 ** 6)))
         data["group"] = "split:" + draw(st.sampled_from("ABCD")) + "9" * digits
-        return command, json.dumps(data)
+        return command, dumps(data)
     if mutation == "drop":
         path = draw(st.sampled_from([
             p for p in json_paths(data) if p and isinstance(at_path(data, p[:-1]), dict)]))
         del at_path(data, path[:-1])[path[-1]]
-        return command, json.dumps(data)
+        return command, dumps(data)
     long = draw(st.sampled_from(("key", "list", "int"))) if mutation == "long" else None
     if long == "key":  # a key of 10^5 characters in any object
         path = draw(st.sampled_from([
             p for p in json_paths(data) if isinstance(at_path(data, p), dict)]))
         at_path(data, path)["k" * 10 ** 5] = draw(other_json_values)
-        return command, json.dumps(data)
+        return command, dumps(data)
     path = draw(st.sampled_from([p for p in json_paths(data)
                                  if long != "int" or type(at_path(data, p)) is int]))
     old = at_path(data, path)
@@ -644,9 +645,9 @@ def mutated_inputs(draw):
     else:
         new = draw(st.sampled_from(([old], {draw(st.text(max_size=3)): old})))
     if not path:
-        return command, json.dumps(new)
+        return command, dumps(new)
     at_path(data, path[:-1])[path[-1]] = new
-    return command, json.dumps(data)
+    return command, dumps(data)
 
 
 def _ratio_seed_with(**changes):
@@ -708,6 +709,157 @@ def assert_prompt_exit(argv, seconds=5.0):
 def test_pairs_at_a_huge_residue_size_exits_promptly(q):
     code = assert_prompt_exit(["pairs", "split:B3", "--q", str(q)])
     assert code == (0 if q in (10 ** 24 + 7, (10 ** 18 + 3) ** 2) else 1)
+
+
+# -- certify's head path: a canonical file is checked by its bytes ----------
+
+def canonical_dumps(value):
+    """value in the layout `family` writes."""
+    return json.dumps(value, indent=2) + "\n"
+
+
+def certify_both_ways(text):
+    """certify's (code, stdout, stderr) on text, then with the head path patched out,
+    and whether the head path passed the file."""
+    canonical = cli._certify_canonical
+    passed = []
+
+    def recorded(path):
+        cert = canonical(path)
+        passed.append(cert is not None)
+        return cert
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(text)
+        argv = ["certify", "--input", str(path)]
+        with mock.patch.object(cli, "_certify_canonical", recorded):
+            head = run_quietly(argv)
+        with mock.patch.object(cli, "_certify_canonical", lambda path: None):
+            whole = run_quietly(argv)
+    return head, whole, passed == [True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_inputs(("certify",), canonical_dumps))
+def test_certify_in_the_canonical_layout_answers_as_the_whole_file_decoded(mutated):
+    _, text = mutated
+    head, whole, _ = certify_both_ways(text)
+    assert head == whole
+
+
+@st.composite
+def in_place_edits(draw):
+    """The canonical certificate text with a few characters replaced inside one section."""
+    text = refined_certificate(draw(st.sampled_from(((2, 3), (2, 3, 5)))))
+    section = draw(st.sampled_from(("ratios", "witnesses", "citations")))
+    start = text.index(f'\n  "{section}": ')
+    end = text.find(",\n  \"", start + 1)
+    start = draw(st.integers(start + 1, (len(text) if end < 0 else end) - 1))
+    end = start + draw(st.integers(0, 3))
+    new = draw(st.text(alphabet=' \n"01279-,:[]{}aefnrstu\\', max_size=3))
+    return text[:start] + new + text[end:]
+
+
+@settings(max_examples=80, deadline=None)
+@given(in_place_edits())
+def test_certify_answers_an_in_place_edit_as_the_whole_file_decoded(text):
+    head, whole, _ = certify_both_ways(text)
+    assert head == whole
+
+
+def _members_text(text):
+    start = text.index('\n  "members": ') + 1
+    return text[start:text.index(',\n  "ratios": ')]
+
+
+def _with_members_twice(text, where):
+    members = _members_text(text)
+    other = '"members": ' + json.dumps(json.loads(text)["members"][::-1], indent=2).replace(
+        "\n", "\n  ")
+    if where == "first-other":  # a different list first: the later key wins
+        return text.replace(members, other + ",\n  " + members, 1)
+    if where == "last-other":
+        return text.replace(members, members + ",\n  " + other, 1)
+    if where == "same":
+        return text.replace(members, members + ",\n  " + members, 1)
+    return text[:-3] + ",\n  " + members + "\n}\n"  # after the citations
+
+
+def _with_iwahori_member(text):
+    """The text with member 1 of unequal covolume, in the canonical layout."""
+    data = json.loads(text)
+    data["members"][1]["assignment"]["v2"] = []
+    return canonical_dumps(data)
+
+
+# (the edit of the canonical text, certify's exit code on it)
+HEAD_CASES = {
+    "canonical": (lambda text: text, 0),
+    "trailing-space": (lambda text: text + " \t\n ", 0),
+    "trailing-newlines": (lambda text: text + "\n\n", 0),
+    "trailing-return": (lambda text: text + "\r", 0),
+    "trailing-letter": (lambda text: text + "x", 2),
+    "trailing-object": (lambda text: text + "{}", 2),
+    "trailing-brace": (lambda text: text + "}", 2),
+    "trailing-nul": (lambda text: text + "\x00", 2),
+    "no-final-newline": (lambda text: text[:-1], 0),
+    "members-twice-first-other": (lambda text: _with_members_twice(text, "first-other"), 0),
+    "members-twice-last-other": (lambda text: _with_members_twice(text, "last-other"), 1),
+    "members-twice-same": (lambda text: _with_members_twice(text, "same"), 0),
+    "members-twice-at-end": (lambda text: _with_members_twice(text, "end"), 0),
+    "head-then-nothing": (lambda text: text[:text.index(',\n  "ratios": ')], 2),
+    "head-then-separator": (lambda text: text[:text.index(',\n  "ratios": ') + 14], 2),
+    "head-then-half": (lambda text: text[:len(text) // 2], 2),
+    "all-but-the-brace": (lambda text: text[:-2], 2),
+    "ratios-one-short": (
+        lambda text: text.replace('"ratios": [\n    [', '"ratios": [\n    ', 1), 2),
+    "unequal-members": (lambda text: _with_iwahori_member(text), 1),
+    "unequal-members-then-half": (lambda text: _with_iwahori_member(text)[:len(text) // 2], 2),
+}
+
+
+@pytest.mark.parametrize("case", HEAD_CASES)
+def test_certify_answers_a_canonical_head_with_any_tail_as_the_whole_file_decoded(case):
+    edit, code = HEAD_CASES[case]
+    head, whole, passed = certify_both_ways(edit(refined_certificate((2, 3, 5))))
+    assert head == whole and head[0] == code
+    # only the writer's text, with JSON whitespace after it, passes by its head
+    assert passed == (case in ("canonical", "trailing-space", "trailing-newlines",
+                               "trailing-return"))
+
+
+def test_certify_decodes_only_the_head_of_a_canonical_certificate(tmp_path, monkeypatch):
+    text = refined_certificate((2, 3, 5, 7, 11, 13))
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    decoded = []
+    loads = json.loads
+
+    def counted(s, *args, **kwargs):
+        decoded.append(len(s))
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    assert run_quietly(["certify", "--input", str(path)]) == (
+        0, '{\n  "valid": true,\n  "members": 64,\n  "witnesses": 2016\n}\n', "")
+    assert 0 < sum(decoded) < len(text) / 10  # the head is 4% of the file
+
+
+def test_certify_checks_each_distinct_place_and_type_of_the_members_once(monkeypatch):
+    data = json.loads(refined_certificate((2, 3, 5, 7, 11, 13)))
+    checked = []
+    check = diagram.LocalIndex.check_proper
+
+    def counted(d, t):
+        checked.append(t)
+        return check(d, t)
+
+    monkeypatch.setattr(diagram.LocalIndex, "check_proper", counted)
+    assert len(cli._members_from_json(data)) == 64
+    # two types at each of the six family places, one at each refinement place
+    distinct = {(pid, tuple(t)) for m in data["members"] for pid, t in m["assignment"].items()}
+    assert len(checked) == len(distinct) == 14
 
 
 def test_schema_errors_exit_2(tmp_path, capsys):
@@ -930,6 +1082,61 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["realized_aut_order"] == 2
+
+
+# Python buffers stdout, as by default: what is left in the buffer is
+# flushed at the interpreter's exit, and a failure there goes to stderr.
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("argv", [["pairs", "split:E8", "--q", "7"], ["diagram", "split:A1"]],
+                         ids=["long", "short"])
+def test_a_closed_stdout_ends_the_command_quietly_with_exit_1(argv):
+    # as `paravol pairs split:E8 --q 7 | head -1`: 2.7 MB, far past a pipe's
+    # buffer; the short output fits in the buffer and fails only when flushed
+    proc = subprocess.Popen([sys.executable, "-m", "paravol", *argv], env=BUFFERED,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline() if argv[0] == "pairs" else b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()  # at the interpreter's exit too
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), first, err) == (1, b"{\n", b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_a_failing_stdout_exits_1_with_one_line_of_stderr():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "paravol", "diagram", "split:A1"],
+                              env=BUFFERED, stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+    assert (proc.returncode, proc.stderr) == (
+        1, "error: cannot write the result to stdout: No space left on device\n")
+
+
+def test_a_write_error_exits_1_and_a_read_error_exits_2(tmp_path, capsys):
+    assert invoke(capsys, "diagram", "split:A1", "--output", str(tmp_path)) == (
+        1, "", f"error: cannot write the result to {str(tmp_path)!r}: Is a directory\n")
+    req = write_json(tmp_path / "req.json", family_request())
+    assert invoke(capsys, "family", "--input", req, "--output", str(tmp_path / "no" / "x"))[:2] == (
+        1, "")
+    code, out, err = invoke(capsys, "certify", "--input", str(tmp_path))
+    assert (code, out) == (2, "") and err.startswith("input error: [Errno 21] Is a directory")
+
+
+@pytest.mark.parametrize("error, err", [
+    (BrokenPipeError(32, "Broken pipe"), ""),
+    (OSError(28, "No space left on device"),
+     "error: cannot write the result to stdout: No space left on device\n"),
+], ids=["closed", "full"])
+def test_a_write_error_on_stdout_in_process_exits_1(error, err):
+    class Failing(io.StringIO):
+        def writelines(self, lines):
+            raise error
+
+    errors = io.StringIO()
+    with redirect_stdout(Failing()), redirect_stderr(errors):
+        code = run(["diagram", "split:A1"])
+    assert (code, errors.getvalue()) == (1, err)
 
 
 @pytest.mark.parametrize("label", ["split:B³", "split:B²", "split:B٣"])

@@ -562,23 +562,26 @@ def test_certify_family_local_work_is_linear(monkeypatch):
     assert len(members) == 64
     # one validated base collection; members differ from it only in type
     assert len(made) == 1
-    relative_calls = []
+    terms_calls = []
     orbit_calls = []
+    terms = construction.factor_terms
     orbit = diagram.LocalIndex.orbit
 
-    def counted_relative(a, b):
-        relative_calls.append((a, b))
-        return relative_covolume(a, b)
+    def counted_terms(d, t1, t2, q):
+        terms_calls.append((q, t1, t2))
+        return terms(d, t1, t2, q)
 
     def counted_orbit(d, t):
         orbit_calls.append(t)
         return orbit(d, t)
 
-    monkeypatch.setattr(construction, "relative_covolume", counted_relative)
+    monkeypatch.setattr(construction, "factor_terms", counted_terms)
     monkeypatch.setattr(diagram.LocalIndex, "orbit", counted_orbit)
     cert = certify_family(members)
     assert len(cert.witnesses) == 64 * 63 // 2
-    assert len(relative_calls) == 63  # member 0 against each other member
+    # member 0 against each other member, from one factor_terms call per
+    # distinct (place, member 0's type, other type): one at each family place
+    assert len(terms_calls) == len(set(terms_calls)) == len(family)
     # one orbit per distinct (place, type): two types at each family place,
     # one at each refinement place
     assert len(orbit_calls) == 2 * len(family) + 2
