@@ -220,13 +220,13 @@ def _certificate_chunks(cert):
         _encode({"id": pl.id, "q": pl.q, "p": pl.p, "index": pl.local_index.group.label}, _ENTRY)
         for pl in first.places)
 
-    lines = {}  # (place id, vertex tuple) -> its assignment line
+    lines = {}  # (place id, vertex mask) -> its assignment line
     refinement_texts = {}  # refinement tuple -> its text
 
     def member(m):
         parts = []
         for pl, t in zip(m.places, m.types):
-            key = (pl.id, t.vertices)
+            key = (pl.id, t.mask)
             line = lines.get(key)
             if line is None:
                 line = lines[key] = _quote(pl.id) + ": " + _encode(list(t.vertices), _NESTED)
@@ -259,11 +259,11 @@ def _certificate_chunks(cert):
     yield from _list_chunks(map(row, cert.ratios))
 
     yield ',\n  "witnesses": '
-    tails = {}  # (place id, t1 vertices, t2 vertices) -> the witness text after j
+    tails = {}  # (place id, t1 mask, t2 mask) -> the witness text after j
     sep = "[" + _ENTRY + "{" + _KEY + '"pair": [' + _NESTED
     later = "," + sep[1:]
     for i, j, pid, t1, t2 in cert.witnesses:
-        key = (pid, t1.vertices, t2.vertices)
+        key = (pid, t1.mask, t2.mask)
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = (
@@ -551,22 +551,21 @@ def _written_end(text, cert):
 
 
 def _certify_decoded(path):
-    """The certificate that the whole decoded file passes; else the error naming why not."""
-    text, data = _load_json(path)
+    """The certificate that the whole decoded file passes; else the error naming why not.
+
+    `_certify_canonical` has taken every file that is the writer's text
+    followed by whitespace, so this file is compared entry by entry.
+    """
+    _, data = _load_json(path)
     members = _members_from_json(data)
     for key in ("ratios", "witnesses", "citations"):
         _get(data, key, "certificate", list)
     cert = certify_family(members)
-    # A file that `family` wrote for these members is its text byte for
-    # byte, which holds no bool.  Any other file, reformatted or wrong, is
-    # decoded and compared entry by entry with the recomputation.
-    if _written_end(text, cert) < 0:
-        expected = json.loads("".join(_certificate_chunks(cert)))
-        for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
-            if _differs(expected[key], data[key]):
-                entry = _first_difference(expected[key], data[key], key)
-                raise CertificateError(
-                    f"certificate mismatch: {entry} does not match recomputation")
+    expected = json.loads("".join(_certificate_chunks(cert)))
+    for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
+        if _differs(expected[key], data[key]):
+            entry = _first_difference(expected[key], data[key], key)
+            raise CertificateError(f"certificate mismatch: {entry} does not match recomputation")
     return cert
 
 

@@ -9,17 +9,18 @@ optionally times indices of torsion-free congruence refinements.
 Certifying N members over m places does O(N*m) local work.  Equal
 covolume is transitive, so a family needs only each member's covolume to
 equal member 0's: N-1 exact ratios, after which every pairwise ratio is
-one.  Their local factors are computed once per distinct (place, member
-0's type, other type).  Each type's realized-automorphism orbit is found
-once per place, and the witnesses come from splitting the members by
-orbit at each place in turn, so only the witness list, one tuple per
-member pair, is N²-sized.  `cli._certificate_chunks` is the one writer of
-the v1 certificate text.  `certify` on the command line trusts nothing in
-a certificate file: it recomputes the family from the file's members and
+one.  A ratio walks the places once, taking each place's factor terms and
+refinement indices there.  Its local factors are computed once per
+distinct (place, member 0's type, other type).  A type's
+realized-automorphism orbit, from `LocalIndex.orbit_masks`, is found once
+per place, and the witnesses come from splitting the members by orbit at
+each place in turn, so only the witness list, one tuple per member pair,
+is N²-sized.  `cli._certificate_chunks` is the one writer of the v1
+certificate text.  `certify` on the command line trusts nothing in a
+certificate file: it recomputes the family from the file's members and
 checks the file against that writer's text, chunk by chunk.  A file in
 that layout has only its head, the members, decoded; any other file is
-decoded whole, and the expected text is decoded for an entry-by-entry
-comparison only when the bytes differ.
+decoded whole and compared entry by entry with the decoded expected text.
 """
 
 from __future__ import annotations
@@ -111,35 +112,22 @@ class CoherentCollection(namedtuple("CoherentCollection", "group places types re
 
     __slots__ = ()
 
-    def index_of(self, pid):
-        for i, pl in enumerate(self.places):
-            if pl.id == pid:
-                return i
-        raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
-
-    def place(self, pid):
-        return self.places[self.index_of(pid)]
-
-    def type_at(self, pid):
-        return self.types[self.index_of(pid)]
-
-    def assignment(self):
-        return {pl.id: list(t.vertices) for pl, t in zip(self.places, self.types)}
-
 
 def make_collection(group, places, overrides=None, refinements=(), checked=None):
     """Assemble a collection; absent places carry the diagram's default type.
 
     `checked` may be a dict that calls share: each (place, given vertices)
-    is then coerced and checked once over all of them.
+    is then turned into a type and checked once over all of them.  Unknown
+    and equal-characteristic refinement places are reported in sorted-id
+    order, each id's unknown check first.
     """
     places = tuple(places)
-    ids = [pl.id for pl in places]
-    if len(set(ids)) != len(ids):
+    by_id = {pl.id: pl for pl in places}
+    if len(by_id) != len(places):
         raise DomainError("duplicate place ids in collection")
     overrides = dict(overrides or {})
     for pid in overrides:
-        if pid not in ids:
+        if pid not in by_id:
             raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
     checked = {} if checked is None else checked
     types = []
@@ -151,19 +139,17 @@ def make_collection(group, places, overrides=None, refinements=(), checked=None)
             d = pl.local_index
             found = checked[key] = d.check_proper(d.default_type() if t is None else t)
         types.append(found)
-    coll = CoherentCollection(group, places, tuple(types), tuple(sorted(refinements or ())))
-    _check_refinements(coll)
-    return coll
-
-
-def _check_refinements(coll):
+    refinements = tuple(sorted(refinements or ()))
     chars = {}
-    for pid in coll.refinements:
-        p = coll.place(pid).p
+    for pid in refinements:
+        if pid not in by_id:
+            raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
+        p = by_id[pid].p
         if p in chars:
             raise EqualCharacteristicError(
                 f"equal residue characteristic: places {_id(chars[p])} and {_id(pid)} share p={p}")
         chars[p] = pid
+    return CoherentCollection(group, places, tuple(types), refinements)
 
 
 def refinement_index(place, t):
@@ -180,6 +166,12 @@ def _check_comparable(a, b):
     for pa, pb in zip(a.places, b.places):
         if pa is not pb and pa.key() != pb.key():
             raise IncomparableError("incomparable collections")
+    # the ratio meets refinements only at the places, so one built by hand
+    # with an id of no place would otherwise be dropped
+    ids = {pl.id for pl in a.places}
+    for pid in (*a.refinements, *b.refinements):
+        if pid not in ids:
+            raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
 
 
 def relative_covolume(a, b):
@@ -204,18 +196,16 @@ def _covolume_ratio(a, b, terms):
     _check_comparable(a, b)
     num = den = 1
     for pl, ta, tb in zip(a.places, a.types, b.types):
-        if ta != tb:
+        same = ta == tb
+        if not same:
             n, d = terms(pl, ta, tb)
             num *= n
             den *= d
-    for pid in a.refinements:
-        t = a.type_at(pid)
-        if pid not in b.refinements or b.type_at(pid) != t:
-            num *= refinement_index(a.place(pid), t)
-    for pid in b.refinements:
-        t = b.type_at(pid)
-        if pid not in a.refinements or a.type_at(pid) != t:
-            den *= refinement_index(b.place(pid), t)
+        in_a, in_b = pl.id in a.refinements, pl.id in b.refinements
+        if in_a and not (in_b and same):
+            num *= refinement_index(pl, ta)
+        if in_b and not (in_a and same):
+            den *= refinement_index(pl, tb)
     return HalfPowerRational(Fraction(num, den))
 
 
@@ -279,7 +269,7 @@ def certify_family(members):
 
     The realized automorphisms form a group, so two types at a place are
     conjugate exactly when their orbits are equal, and each type is known
-    by its orbit's least vertex tuple, computed once per place and type.
+    by its orbit's least mask, computed once per place and type.
     At each place the members are split into sets by orbit.  For member i
     the later members start as one set and the places are walked in
     order: those whose orbit differs from i's at place k get their witness
@@ -310,12 +300,12 @@ def certify_family(members):
     columns = []  # per place, each member's orbit there
     groups = []  # per place, orbit -> the set of members in it
     for k, pl in enumerate(members[0].places):
-        orbits = {}  # vertex tuple -> least vertex tuple of its orbit
+        orbits = {}  # vertex mask -> least mask of its orbit
         column = []
         for t in (ts[k] for ts in types):
-            orbit = orbits.get(t.vertices)
+            orbit = orbits.get(t.mask)
             if orbit is None:
-                orbit = orbits[t.vertices] = pl.local_index.orbit(t)[0]
+                orbit = orbits[t.mask] = min(pl.local_index.orbit_masks(t.mask))
             column.append(orbit)
         by_orbit = {}
         for i, orbit in enumerate(column):
@@ -413,12 +403,13 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
             variations.append([{pid: t1}, {pid: t2}])
 
     base = make_collection(group, places, refinements=refine)
+    slot = {pl.id: k for k, pl in enumerate(places)}
     members = []
     for bits in range(2 ** len(variations)):
         types = list(base.types)
         for k, choices in enumerate(variations):
             for pid, t in choices[bits >> k & 1].items():
-                types[base.index_of(pid)] = t
+                types[slot[pid]] = t
         members.append(base._replace(types=tuple(types)))
     return members
 

@@ -2,12 +2,16 @@
 
 Vertices of a split local index are numbered 0 (the extra affine vertex)
 and 1..n (the finite simple roots in Bourbaki order).  A parahoric type is
-a proper subset of the vertex set; the empty type is the Iwahori.
+a proper subset of the vertex set, stored as its vertex mask (bit v for
+vertex v); the empty type is the Iwahori.  Two types are conjugate when
+they lie in one orbit of the realized diagram automorphisms, and
+`LocalIndex.orbit_masks` is the one computation of that orbit.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import index
 
 from . import roots, twisted
 from .errors import ImproperTypeError, UnsupportedTypeError
@@ -119,32 +123,44 @@ def canonical_labels(family, rank):
 Edge = namedtuple("Edge", "u v mult arrow")  # arrow: the short vertex, None for equal lengths
 
 
-class ParahoricTypeSpec:
-    """A parahoric type: sorted tuple of diagram vertex ids."""
+def _bits(mask):
+    """The set bits of a mask, lowest first."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
-    __slots__ = ("vertices",)
+
+class ParahoricTypeSpec:
+    """A parahoric type, stored as its vertex mask: bit v is set when vertex v is in the type.
+
+    `vertices`, the sorted vertex tuple, is derived from the mask.  A list
+    of vertex ids from outside becomes a type through `LocalIndex.check_proper`.
+    """
+
+    __slots__ = ("mask",)
     __setattr__ = __delattr__ = _immutable
 
-    def __init__(self, vertices):
-        object.__setattr__(self, "vertices", tuple(sorted(set(vertices))))
+    def __init__(self, mask):
+        mask = index(mask)
+        if mask < 0:
+            raise ValueError(f"a vertex mask is not negative, got {mask}")
+        object.__setattr__(self, "mask", mask)
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
-        return ParahoricTypeSpec, (self.vertices,)
+        return ParahoricTypeSpec, (self.mask,)
 
-    @classmethod
-    def coerce(cls, t):
-        return t if isinstance(t, cls) else cls(t)
+    @property
+    def vertices(self):
+        return _bits(self.mask)
 
     def __eq__(self, other):
         if isinstance(other, ParahoricTypeSpec):
-            return self.vertices == other.vertices
+            return self.mask == other.mask
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.vertices)
+        return hash(self.mask)
 
     def __len__(self):
-        return len(self.vertices)
+        return self.mask.bit_count()
 
     def __iter__(self):
         return iter(self.vertices)
@@ -152,29 +168,21 @@ class ParahoricTypeSpec:
     def __repr__(self):
         return f"ParahoricTypeSpec({list(self.vertices)})"
 
-    @classmethod
-    def from_mask(cls, mask):
-        """The type whose vertices are the set bits of mask."""
-        return cls(v for v in range(mask.bit_length()) if mask >> v & 1)
 
-    @property
-    def mask(self):
-        """The vertex set as a bitmask: bit v is set when v is in the type."""
-        return sum(1 << v for v in self.vertices)
-
-
-IWAHORI = ParahoricTypeSpec(())
+IWAHORI = ParahoricTypeSpec(0)
 
 
 class LocalIndex:
     """Decorated local Dynkin diagram of the group at one place, equal only to itself.
 
-    `neighbours` is each vertex's neighbour bitmask; the memos `component_labels`
-    and `component_classes` die with the index and stay out of its repr and copies.
+    `neighbours` is each vertex's neighbour bitmask and `aut_images` each
+    realized automorphism's bit-image table, the bit of the image of each
+    vertex; the memos `component_labels` and `component_classes` die with
+    the index and stay out of its repr and copies.
     """
 
     __slots__ = ("group", "vertices", "edges", "marks", "hyperspecial", "realized_auts",
-                 "neighbours", "component_labels", "component_classes")
+                 "neighbours", "aut_images", "component_labels", "component_classes")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, group, vertices, edges, marks, hyperspecial, realized_auts):
@@ -182,8 +190,10 @@ class LocalIndex:
         for e in edges:
             neighbours[e.u] |= 1 << e.v
             neighbours[e.v] |= 1 << e.u
+        aut_images = tuple(tuple(1 << w for w in g) for g in realized_auts)
         for name, value in zip(self.__slots__, (group, vertices, edges, marks, hyperspecial,
-                                                realized_auts, tuple(neighbours), {}, {})):
+                                                realized_auts, tuple(neighbours), aut_images,
+                                                {}, {})):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
@@ -198,20 +208,27 @@ class LocalIndex:
         return len(self.vertices) - 1
 
     def check_proper(self, t):
-        t = ParahoricTypeSpec.coerce(t)
-        if not set(t.vertices) <= set(self.vertices):
-            raise ImproperTypeError(f"improper type: unknown vertices in {echo(t, 'type')}")
-        if len(t) == len(self.vertices):
+        """The type of t, given as a type or as vertex ids, if proper here; else ImproperTypeError.
+
+        Each vertex id is checked against the diagram before it becomes a
+        bit, so no id, however large or negative, reaches a shift.
+        """
+        ids = set(t.vertices if isinstance(t, ParahoricTypeSpec) else t)
+        if not ids <= set(self.vertices):
+            shown = echo(f"ParahoricTypeSpec({sorted(ids)})", "type", str)
+            raise ImproperTypeError(f"improper type: unknown vertices in {shown}")
+        if len(ids) == len(self.vertices):
             raise ImproperTypeError("improper type: must omit at least one vertex")
-        return t
+        return ParahoricTypeSpec(sum(1 << v for v in ids))
 
-    def apply(self, perm, t):
-        return ParahoricTypeSpec(perm[v] for v in ParahoricTypeSpec.coerce(t))
+    def orbit_masks(self, mask):
+        """The masks of a proper type's images, one per realized automorphism.
 
-    def orbit(self, t):
-        """Sorted vertex tuples of the images of t under the realized automorphisms."""
-        t = self.check_proper(t)
-        return sorted({tuple(sorted(g[v] for v in t.vertices)) for g in self.realized_auts})
+        The automorphisms form a group, so these are the type's orbit, and
+        two types are conjugate exactly when one's mask is among the other's.
+        """
+        vertices = _bits(mask)
+        return [sum(map(bits.__getitem__, vertices)) for bits in self.aut_images]
 
     def proper_masks(self):
         """Masks of all proper types, in lexicographic order of their vertex tuples.
@@ -234,10 +251,6 @@ class LocalIndex:
             else:
                 mask |= 1 << mask.bit_length()
 
-    def proper_types(self):
-        """All proper types in lexicographic vertex-tuple order."""
-        return [ParahoricTypeSpec.from_mask(mask) for mask in self.proper_masks()]
-
     def default_type(self):
         """Type {0} if split, else the smallest maximal type.
 
@@ -247,8 +260,8 @@ class LocalIndex:
         the whole finite group (dim 21 for split:B3).
         """
         if self.group.form == "split":
-            return ParahoricTypeSpec((0,))
-        return ParahoricTypeSpec(self.vertices[:-1])
+            return ParahoricTypeSpec(1)
+        return ParahoricTypeSpec((1 << self.relative_rank) - 1)
 
     def to_json(self):
         return {

@@ -47,9 +47,8 @@ ONE = HalfPowerRational(1)
 
 def conjugate_types(d, t1, t2):
     """Whether some realized diagram automorphism carries t1 to t2."""
-    t1 = d.check_proper(t1)
-    t2 = d.check_proper(t2)
-    return any(d.apply(g, t1) == t2 for g in d.realized_auts)
+    t1, t2 = d.check_proper(t1), d.check_proper(t2)
+    return t2.mask in d.orbit_masks(t1.mask)
 
 
 def factor_terms(d, t1, t2, q):
@@ -79,23 +78,15 @@ def orbit_representatives(d):
 
     Types are met as vertex masks in lexicographic order of their vertex
     tuples, so the first type met of an orbit is its least.  Each new
-    representative marks its images under every realized automorphism in a
-    bytearray with one byte per mask.
+    representative marks its orbit in a bytearray with one byte per mask.
     """
-    images = [[1 << w for w in g] for g in d.realized_auts]
     seen = bytearray(1 << len(d.vertices))
     reps = []
     for mask in d.proper_masks():
-        if seen[mask]:
-            continue
-        for bits in images:
-            image, rest = 0, mask
-            while rest:
-                low = rest & -rest
-                image |= bits[low.bit_length() - 1]
-                rest ^= low
-            seen[image] = 1
-        reps.append(ParahoricTypeSpec.from_mask(mask))
+        if not seen[mask]:
+            for image in d.orbit_masks(mask):
+                seen[image] = 1
+            reps.append(ParahoricTypeSpec(mask))
     return reps
 
 
@@ -113,7 +104,7 @@ def equal_volume_rows(d):
     buckets = {}
     placed = []  # (representative, descriptor, its bucket, its place there)
     for t in orbit_representatives(d):
-        components = d.component_labels[t.vertices] = classify_mask(d, t.mask)
+        components = d.component_labels[t.mask] = classify_mask(d, t.mask)
         desc = components_descriptor(d, components)
         bucket = buckets.setdefault(desc.volume_key, [])
         placed.append((t, desc, bucket, len(bucket)))
@@ -140,13 +131,13 @@ def pairs_to_json(d, q=None):
     writer formats each once; the dicts keep every list alive, so the
     writer may know a list by its id while it runs.
     """
-    lists = {}  # vertex tuple -> its list
+    lists = {}  # vertex mask -> its vertex list
     orders = {}  # volume key -> (order_coeffs, order_at_q)
 
     def vertex_list(t):
-        found = lists.get(t.vertices)
+        found = lists.get(t.mask)
         if found is None:
-            found = lists[t.vertices] = list(t.vertices)
+            found = lists[t.mask] = list(t.vertices)
         return found
 
     for t1, desc, t2s in equal_volume_rows(d):

@@ -52,20 +52,22 @@ def quotient_descriptor(d, t):
     """Components, central torus rank, dimension and degrees for a type.
 
     Two memos, each with the lifetime of what it is keyed by.  The index
-    `d` owns `component_labels`, from the type's sorted vertex tuple to its
-    induced component labels, so each (index, type) is classified once and
-    the dict dies with the index; an entry is stored only after
-    `induced_subdiagram` has checked the type proper, so an improper type
-    still raises on every call.  The pair search stores the labels of the
-    types it classifies there too.  The descriptor itself is memoized by
-    its value, (components, torus_rank), so each quotient's degrees are
-    gathered once per process; that memo holds at most the finitely many
-    quotient types of the ranks in use.
+    `d` owns `component_labels`, from a type's vertex mask to its induced
+    component labels, so each (index, type) is classified once and the
+    dict dies with the index.  A vertex list becomes a type through
+    `check_proper` first, and `induced_subdiagram` checks a type on a
+    miss, so an improper type raises on every call and is never stored.
+    The pair search stores the labels of the types it classifies there
+    too.  The descriptor itself is memoized by its value, (components,
+    torus_rank), so each quotient's degrees are gathered once per process;
+    that memo holds at most the finitely many quotient types of the ranks
+    in use.
     """
-    t = dg.ParahoricTypeSpec.coerce(t)
-    components = d.component_labels.get(t.vertices)
+    if not isinstance(t, dg.ParahoricTypeSpec):
+        t = d.check_proper(t)
+    components = d.component_labels.get(t.mask)
     if components is None:
-        components = d.component_labels[t.vertices] = dg.induced_subdiagram(d, t)
+        components = d.component_labels[t.mask] = dg.induced_subdiagram(d, t)
     return components_descriptor(d, components)
 
 

@@ -29,6 +29,12 @@ streamed writer `cli._certificate_chunks` must write its `json.dumps`.
 `reference_prime_power_base` is the residue-size check by trial division
 up to sqrt(q): exact at any size, and slow past about 10^12.  It checks the
 engine's root extraction and Miller-Rabin test.
+
+`reference_orbit` is a type's orbit as sorted vertex tuples, each image
+mapped vertex by vertex: it checks the engine's one orbit computation,
+`LocalIndex.orbit_masks`, on bit-image tables.  `proper_types` and the
+collection lookups after it (`index_of`, `place`, `type_at`,
+`assignment`) are conveniences that only tests use.
 """
 
 import itertools
@@ -36,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from paravol.diagram import _classify_component, _edge
+from paravol.diagram import ParahoricTypeSpec, _classify_component, _edge
 from paravol.roots import cartan_matrix, fundamental_degrees, positive_roots
 
 
@@ -383,3 +389,32 @@ def reference_prime_power_base(q):
             return p if m == 1 else None
         p += 1
     return q  # q itself prime
+
+
+def reference_orbit(d, t):
+    """Sorted vertex tuples of the images of the type t under the realized automorphisms."""
+    t = d.check_proper(t)
+    return sorted({tuple(sorted(g[v] for v in t.vertices)) for g in d.realized_auts})
+
+
+def proper_types(d):
+    """All proper types of the index d, in lexicographic vertex-tuple order."""
+    return [ParahoricTypeSpec(mask) for mask in d.proper_masks()]
+
+
+def index_of(coll, pid):
+    """Position of the place with id pid in the collection."""
+    return [pl.id for pl in coll.places].index(pid)
+
+
+def place(coll, pid):
+    return coll.places[index_of(coll, pid)]
+
+
+def type_at(coll, pid):
+    return coll.types[index_of(coll, pid)]
+
+
+def assignment(coll):
+    """The collection's {place id: vertex list}."""
+    return {pl.id: list(t.vertices) for pl, t in zip(coll.places, coll.types)}

@@ -8,7 +8,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from oracle_helpers import brute_force_decorated_autos, brute_sl_count
+from oracle_helpers import brute_force_decorated_autos, brute_sl_count, proper_types
 from test_reductive import finite_group
 
 from paravol.construction import (
@@ -74,7 +74,7 @@ def test_acceptance_2_structural_invariants():
             assert all(d.hyperspecial[v] == (d.marks[v] == 1) for v in d.vertices)
             degrees = fundamental_degrees(fam, rank)
             assert sum(x - 1 for x in degrees) == num_positive_roots(fam, rank)
-            for t in d.proper_types():
+            for t in proper_types(d):
                 desc = quotient_descriptor(d, t)
                 assert len(desc.order_coeffs()) - 1 == desc.dim
                 assert desc.torus_rank >= 0
@@ -183,7 +183,7 @@ def random_collections(rng, trial):
     d = build_local_index(g)
     qs = rng.sample(residues, 3)
     places = [Place(f"v{k}", q, p, d) for k, (q, p) in enumerate(qs)]
-    types = d.proper_types()
+    types = proper_types(d)
 
     def pick():
         overrides = {pl.id: rng.choice(types) for pl in places}

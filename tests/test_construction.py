@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracle_helpers import reference_certificate_json
+from oracle_helpers import (
+    assignment,
+    index_of,
+    place,
+    proper_types,
+    reference_certificate_json,
+    reference_orbit,
+    type_at,
+)
 from test_acceptance import random_collections
 
 from paravol import construction, diagram, parahoric
@@ -23,7 +31,7 @@ from paravol.construction import (
     relative_covolume,
     _unequal_covolume,
 )
-from paravol.diagram import IWAHORI, GroupSpec, ParahoricTypeSpec, build_local_index
+from paravol.diagram import IWAHORI, GroupSpec, build_local_index
 from paravol.errors import (
     CertificateError,
     DomainError,
@@ -108,9 +116,9 @@ def test_collection_and_certificate_are_immutable_values():
 def test_make_collection_defaults_and_overrides():
     g, d, places = setup_group("split:B3", 2, 3)
     coll = make_collection(g, places, {"v1": (2,)})
-    assert coll.type_at("v0").vertices == (0,)  # the default
-    assert coll.type_at("v1").vertices == (2,)
-    assert coll.assignment() == {"v0": [0], "v1": [2]}
+    assert type_at(coll, "v0").vertices == (0,)  # the default
+    assert type_at(coll, "v1").vertices == (2,)
+    assert assignment(coll) == {"v0": [0], "v1": [2]}
     assert coll.refinements == ()
 
 
@@ -142,6 +150,10 @@ def test_relative_covolume_requires_comparable():
     # equal places over a second index object of the same group compare
     rebuilt = [Place(pl.id, pl.q, pl.p, build_local_index("split:B3")) for pl in places]
     assert relative_covolume(a, make_collection(g, rebuilt)).is_one
+    # a collection built by hand may name a refinement at no place
+    for side in ((a, a._replace(refinements=("zz",))), (a._replace(refinements=("zz",)), a)):
+        with pytest.raises(UnknownPlaceError, match="unknown place id: zz"):
+            relative_covolume(*side)
 
 
 def test_certify_compares_shared_places_by_identity(monkeypatch):
@@ -199,9 +211,9 @@ def _covolume_by_factors(a, b):
         if ta != tb:
             ratio *= factor_ratio(pl.local_index, ta, tb, pl).rational
     for pid in a.refinements:
-        ratio *= refinement_index(a.place(pid), a.type_at(pid))
+        ratio *= refinement_index(place(a, pid), type_at(a, pid))
     for pid in b.refinements:
-        ratio /= refinement_index(b.place(pid), b.type_at(pid))
+        ratio /= refinement_index(place(b, pid), type_at(b, pid))
     return ratio
 
 
@@ -220,7 +232,7 @@ REFINED_ON = ("neither", "a", "b", "both, same type", "both, other type")
          picks=[(0, 1), (2, 3), (4, 5), (6, 7)])
 def test_relative_covolume_is_the_product_of_its_factors(label, kinds, picks):
     g, d, places = setup_group(label, 2, 3, 25, 7)  # four characteristics
-    types = d.proper_types()
+    types = proper_types(d)
     over_a, over_b, refined_a, refined_b = {}, {}, [], []
     for pl, kind, (i, j) in zip(places, kinds, picks):
         ta = types[i % len(types)]
@@ -259,14 +271,14 @@ def test_build_family_counts_and_determinism():
     again = build_family(g, places, ["v0", "v1", "v2"])
     assert members == again
     # member 0 takes the first type of the first equal-volume pair everywhere
-    assert members[0].assignment() == {"v0": [0], "v1": [0], "v2": [0]}
-    assert members[7].assignment() == {"v0": [2], "v1": [2], "v2": [2]}
+    assert assignment(members[0]) == {"v0": [0], "v1": [0], "v2": [0]}
+    assert assignment(members[7]) == {"v0": [2], "v1": [2], "v2": [2]}
 
 
 def test_build_family_validates_user_pairs():
     g, d, places = setup_group("split:B3", 2)
     members = build_family(g, places, ["v0"], pairs={"v0": ((2,), (3,))})
-    assert [m.type_at("v0").vertices for m in members] == [(2,), (3,)]
+    assert [type_at(m, "v0").vertices for m in members] == [(2,), (3,)]
     with pytest.raises(DomainError):  # conjugate pair
         build_family(g, places, ["v0"], pairs={"v0": ((0,), (1,))})
     with pytest.raises(DomainError):  # unequal volume factors
@@ -315,7 +327,7 @@ def test_swap_fallback_odd_place_keeps_default():
     g, d, places = setup_group("split:A4", 7, 7, 13)
     members = build_family(g, places, ["v0", "v1", "v2"], fallback_swap=True)
     assert len(members) == 2
-    assert all(m.type_at("v2").vertices == (0,) for m in members)
+    assert all(type_at(m, "v2").vertices == (0,) for m in members)
     certify_family(members)
 
 
@@ -373,7 +385,7 @@ def test_relative_covolume_cocycle_random():
     rng = random.Random(424242)
     for label in ("split:B3", "split:A4", "twisted:C-B2"):
         g, d, places = setup_group(label, 2, 3, 5)
-        types = d.proper_types()
+        types = proper_types(d)
 
         def random_collection():
             overrides = {pl.id: rng.choice(types) for pl in places}
@@ -468,7 +480,7 @@ def test_certify_matches_pairwise_scan_on_random_collections():
         d = members[0].places[0].local_index
         seen[d.group.form] += 1
         for i, j, pid, _, _ in cert.witnesses:
-            k = members[0].index_of(pid)
+            k = index_of(members[0], pid)
             if members[i].types[:k] != members[j].types[:k]:
                 seen["conjugate unequal types before the witness"] += 1
                 if d.group.form == "split" and d.group.family == "A":
@@ -497,7 +509,7 @@ def equal_volume_members(rng, trial):
     d = build_local_index(g)
 
     def orbit(t):
-        return [ParahoricTypeSpec(vs) for vs in d.orbit(t)]
+        return [d.check_proper(vs) for vs in reference_orbit(d, t)]
 
     row = next(equal_volume_rows(d), None)
     bucket = None if row is None else [row[0], *row[2]]
@@ -516,7 +528,7 @@ def equal_volume_members(rng, trial):
             places.extend(pair)
             a, b = orbit(IWAHORI), orbit(d.default_type())
             factors.append((pair, [[a, b], [b, a]]))
-    free = orbit(rng.choice(d.proper_types()))
+    free = orbit(rng.choice(proper_types(d)))
     patterns = rng.sample(range(2 ** len(factors)), min(2 ** len(factors), rng.randint(2, 8)))
     if rng.random() < 0.3:
         patterns.append(rng.choice(patterns))
@@ -565,18 +577,18 @@ def test_certify_family_local_work_is_linear(monkeypatch):
     terms_calls = []
     orbit_calls = []
     terms = construction.factor_terms
-    orbit = diagram.LocalIndex.orbit
+    orbit_masks = diagram.LocalIndex.orbit_masks
 
     def counted_terms(d, t1, t2, q):
         terms_calls.append((q, t1, t2))
         return terms(d, t1, t2, q)
 
-    def counted_orbit(d, t):
-        orbit_calls.append(t)
-        return orbit(d, t)
+    def counted_orbit_masks(d, mask):
+        orbit_calls.append(mask)
+        return orbit_masks(d, mask)
 
     monkeypatch.setattr(construction, "factor_terms", counted_terms)
-    monkeypatch.setattr(diagram.LocalIndex, "orbit", counted_orbit)
+    monkeypatch.setattr(diagram.LocalIndex, "orbit_masks", counted_orbit_masks)
     cert = certify_family(members)
     assert len(cert.witnesses) == 64 * 63 // 2
     # member 0 against each other member, from one factor_terms call per
@@ -593,7 +605,7 @@ def test_family_and_certify_classify_each_type_once(monkeypatch):
     classify = diagram.classify_mask
 
     def counted_classify(d, mask):
-        classified.append(ParahoricTypeSpec.from_mask(mask).vertices)
+        classified.append(mask)
         return classify(d, mask)
 
     # the search calls it directly, `quotient_descriptor` through
@@ -604,7 +616,7 @@ def test_family_and_certify_classify_each_type_once(monkeypatch):
     certify_family(members)
     # the pair search reads every orbit representative, the certificate
     # every member type; the index classifies each of them once
-    reps = {t.vertices for t in orbit_representatives(d)}
-    assert {t.vertices for m in members for t in m.types} <= reps
+    reps = {t.mask for t in orbit_representatives(d)}
+    assert {t.mask for m in members for t in m.types} <= reps
     assert sorted(classified) == sorted(reps)
     assert d.component_labels.keys() == reps

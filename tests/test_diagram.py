@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from oracle_helpers import brute_force_decorated_autos
+from oracle_helpers import brute_force_decorated_autos, proper_types, reference_orbit
 from test_golden import LABELS
 
 from paravol import roots
@@ -126,17 +126,23 @@ def test_edge_is_a_named_tuple():
 
 
 def test_parahoric_type_spec_is_an_immutable_set_of_vertices():
-    t = ParahoricTypeSpec([2, 0, 2])
+    t = ParahoricTypeSpec(0b101)
+    assert t.mask == 5 and t.__slots__ == ("mask",)
     assert t.vertices == (0, 2) and list(t) == [0, 2] and len(t) == 2
-    assert t == ParahoricTypeSpec((0, 2)) and hash(t) == hash(ParahoricTypeSpec([2, 0]))
-    assert t != ParahoricTypeSpec((0,)) and t != (0, 2)
+    assert t == ParahoricTypeSpec(5) and hash(t) == hash(ParahoricTypeSpec(5))
+    assert t != ParahoricTypeSpec(0b1) and t != (0, 2) and t != 5
     assert repr(t) == "ParahoricTypeSpec([0, 2])"
     for change in (lambda: setattr(t, "vertices", (1,)), lambda: delattr(t, "vertices"),
+                   lambda: setattr(t, "mask", 1), lambda: delattr(t, "mask"),
                    lambda: setattr(t, "other", 1)):
         with pytest.raises(AttributeError):
             change()
     assert t.vertices == (0, 2)
     assert copy.deepcopy(t) == pickle.loads(pickle.dumps(t)) == t
+    with pytest.raises(TypeError):  # a vertex list becomes a type through check_proper
+        ParahoricTypeSpec([0, 2])
+    with pytest.raises(ValueError):
+        ParahoricTypeSpec(-1)
 
 
 def test_local_index_is_equal_and_hashed_by_identity():
@@ -146,12 +152,13 @@ def test_local_index_is_equal_and_hashed_by_identity():
     assert rebuilt != d and rebuilt.neighbours == d.neighbours
     induced_subdiagram(d, (0,))
     assert d.component_classes
-    # the memo stays out of the repr
+    # the memos stay out of the repr
     assert repr(d) == repr(e) == (
         f"LocalIndex(group={d.group!r}, vertices={d.vertices!r}, edges={d.edges!r}, "
         f"marks={d.marks!r}, hyperspecial={d.hyperspecial!r}, "
         f"realized_auts={d.realized_auts!r})")
-    for name in ("group", "neighbours", "component_labels", "other"):
+    assert d.aut_images == tuple(tuple(1 << w for w in g) for g in d.realized_auts)
+    for name in ("group", "neighbours", "aut_images", "component_labels", "other"):
         with pytest.raises(AttributeError):
             setattr(d, name, None)
     # a copy is a new index with the same fields and fresh memos
@@ -266,10 +273,12 @@ def test_realized_automorphisms_are_a_group_on_every_golden_label():
 
 
 def test_parahoric_type_normalization():
-    t = ParahoricTypeSpec([3, 1, 1, 0])
-    assert t.vertices == (0, 1, 3)
-    assert ParahoricTypeSpec.coerce((0, 1)) == ParahoricTypeSpec([1, 0])
-    assert len(ParahoricTypeSpec(())) == 0
+    d = build_local_index("split:A4")
+    t = d.check_proper([3, 1, 1, 0])
+    assert t.vertices == (0, 1, 3) and t.mask == 0b1011
+    assert d.check_proper((0, 1)) == d.check_proper([1, 0]) == ParahoricTypeSpec(0b11)
+    assert d.check_proper(t) == t
+    assert len(d.check_proper(())) == 0
 
 
 def test_check_proper():
@@ -281,11 +290,28 @@ def test_check_proper():
         d.check_proper((7,))
 
 
+@pytest.mark.parametrize("vertices, message", [
+    ([-1], "improper type: unknown vertices in ParahoricTypeSpec([-1])"),
+    ([4], "improper type: unknown vertices in ParahoricTypeSpec([4])"),
+    ([3, 2, 2, -5], "improper type: unknown vertices in ParahoricTypeSpec([-5, 2, 3])"),
+    ([0, 1, 2, 3], "improper type: must omit at least one vertex"),
+    ([10 ** 70], "improper type: unknown vertices in a type of 92 characters"),
+    (ParahoricTypeSpec(1 << 4), "improper type: unknown vertices in ParahoricTypeSpec([4])"),
+    (["a"], "improper type: unknown vertices in ParahoricTypeSpec(['a'])"),
+])
+def test_check_proper_messages(vertices, message):
+    # each id is checked before it becomes a bit: no shift by -1 or by 10**70
+    d = build_local_index("split:B3")
+    with pytest.raises(ImproperTypeError) as got:
+        d.check_proper(vertices)
+    assert str(got.value) == message
+
+
 def test_proper_types_enumeration():
     d = build_local_index("twisted:C-BC1")
-    assert [t.vertices for t in d.proper_types()] == [(), (0,), (1,)]
+    assert [t.vertices for t in proper_types(d)] == [(), (0,), (1,)]
     a2 = build_local_index("split:A2")
-    assert len(a2.proper_types()) == 7
+    assert len(proper_types(a2)) == 7
 
 
 def test_default_types():
@@ -363,7 +389,11 @@ def test_diagram_dot_output():
 
 def test_orbit_is_sorted_and_stable():
     b3 = build_local_index("split:B3")
-    assert b3.orbit((0,)) == [(0,), (1,)]
-    assert b3.orbit((2,)) == [(2,)]
+    assert reference_orbit(b3, (0,)) == [(0,), (1,)]
+    assert b3.orbit_masks(0b1) == [0b1, 0b10]  # identity first: the automorphisms are sorted
+    assert reference_orbit(b3, (2,)) == [(2,)]
+    assert b3.orbit_masks(0b100) == [0b100, 0b100]
     a4 = build_local_index("split:A4")
-    assert a4.orbit((0, 2)) == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
+    assert reference_orbit(a4, (0, 2)) == [(0, 2), (0, 3), (1, 3), (1, 4), (2, 4)]
+    # the five rotations of the cycle
+    assert a4.orbit_masks(0b10100) == [0b10100, 0b1001, 0b10010, 0b101, 0b1010]

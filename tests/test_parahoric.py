@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_helpers import (
+    proper_types,
     reference_component_labels,
+    reference_orbit,
     reference_orbit_representatives,
     reference_pairs,
 )
 from test_golden import LABELS, LARGE_PAIRS_LABELS
 
-from paravol.diagram import build_local_index, induced_subdiagram
+from paravol.diagram import GroupSpec, build_local_index, induced_subdiagram
 from paravol.errors import ImproperTypeError
 from paravol.parahoric import (
     ONE,
@@ -82,13 +84,35 @@ def test_conjugate_types_is_an_equivalence():
     rng = random.Random(83211)
     for label in ("split:A4", "split:B3", "split:D4", "twisted:C-B2"):
         d = build_local_index(label)
-        types = d.proper_types()
+        types = proper_types(d)
         for _ in range(50):
             a, b, c = (rng.choice(types) for _ in range(3))
             assert conjugate_types(d, a, a)
             assert conjugate_types(d, a, b) == conjugate_types(d, b, a)
             if conjugate_types(d, a, b) and conjugate_types(d, b, c):
                 assert conjugate_types(d, a, c)
+
+
+CONJUGACY_LABELS = [label for label in LABELS
+                    if label.startswith("twisted:") or GroupSpec.parse(label).rank <= 6]
+
+
+@pytest.mark.parametrize("label", CONJUGACY_LABELS)
+def test_every_conjugacy_user_agrees_with_the_reference_orbit(label):
+    d = build_local_index(label)
+    types = proper_types(d)
+    orbit = {t: reference_orbit(d, t) for t in types}
+    for t in types:
+        # the orbit that `certify_family` keys each member's type by
+        assert set(d.orbit_masks(t.mask)) == {sum(1 << v for v in image) for image in orbit[t]}
+    for t1 in types:
+        for t2 in types:
+            assert conjugate_types(d, t1, t2) == (orbit[t1] == orbit[t2]), (t1, t2)
+    # the representatives are the first type met of each reference orbit
+    first = {}
+    for t in types:
+        first.setdefault(tuple(orbit[t]), t)
+    assert orbit_representatives(build_local_index(label)) == list(first.values())
 
 
 def test_conjugate_types_rejects_improper():
@@ -128,7 +152,7 @@ def place_and_types(draw, count):
     d = build_local_index(label)
     p = draw(st.sampled_from((2, 3, 5, 7, 101)))
     q = p ** draw(st.integers(1, 4))
-    types = d.proper_types()
+    types = proper_types(d)
     return place("v", q, p, d), [draw(st.sampled_from(types)) for _ in range(count)]
 
 
@@ -194,9 +218,10 @@ def test_search_matches_the_tuple_references(label):
     pairs = find_equal_volume_pairs(d)
     reps = reference_orbit_representatives(d)
     assert [t.vertices for t in orbit_representatives(d)] == reps
-    # the labels the search stored for its representatives
-    assert d.component_labels == {t: reference_component_labels(d, t) for t in reps}
-    for t in build_local_index(label).proper_types():
+    # the labels the search stored for its representatives, by vertex mask
+    assert d.component_labels == {
+        sum(1 << v for v in t): reference_component_labels(d, t) for t in reps}
+    for t in proper_types(build_local_index(label)):
         assert induced_subdiagram(d, t) == reference_component_labels(d, t.vertices)
     assert pair_tuples(pairs) == reference_pairs(d)
 

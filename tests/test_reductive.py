@@ -3,7 +3,7 @@
 import time
 
 import pytest
-from oracle_helpers import reference_prime_power_base
+from oracle_helpers import proper_types, reference_prime_power_base
 from test_golden import LABELS
 
 from paravol import diagram as dg
@@ -128,8 +128,8 @@ TWISTED_RESIDUES = {
 def test_twisted_tables_match_induced_subdiagram_reading():
     for label, table in TWISTED_RESIDUES.items():
         d = build_local_index(label)
-        assert sorted(table) == [t.vertices for t in d.proper_types()]
-        for t in d.proper_types():
+        assert sorted(table) == [t.vertices for t in proper_types(d)]
+        for t in proper_types(d):
             desc = quotient_descriptor(d, t)
             comps, torus = table[t.vertices]
             assert tuple(str(c) for c in desc.components) == comps
@@ -156,10 +156,10 @@ def test_twisted_descriptor_values():
 def test_descriptor_invariant_under_realized_automorphisms():
     for label in ("split:B3", "split:D4", "split:A4", "twisted:C-B2"):
         d = build_local_index(label)
-        for t in d.proper_types():
+        for t in proper_types(d):
             desc = quotient_descriptor(d, t)
             for g in d.realized_auts:
-                image = quotient_descriptor(d, d.apply(g, t))
+                image = quotient_descriptor(d, [g[v] for v in t])
                 assert image.volume_key == desc.volume_key
 
 
@@ -184,7 +184,7 @@ def test_quotient_descriptor_rejects_improper():
 
 def test_quotient_descriptor_memo_keeps_the_proper_check(monkeypatch):
     d = build_local_index("split:A2")
-    for t in d.proper_types():
+    for t in proper_types(d):
         quotient_descriptor(d, t)
     assert len(d.component_labels) == 7
     classified = []
@@ -197,14 +197,18 @@ def test_quotient_descriptor_memo_keeps_the_proper_check(monkeypatch):
     for improper in ((0, 1, 2), (2, 1, 0), (0, 1, 2, 2), (3,), (0, 5)):
         with pytest.raises(ImproperTypeError):
             quotient_descriptor(d, improper)
-    assert len(classified) == 5  # each improper type was checked, none stored
-    assert len(d.component_labels) == 7
+    assert classified == []  # each improper list was refused before the memo
+    whole = dg.ParahoricTypeSpec(0b111)
+    with pytest.raises(ImproperTypeError):  # a type is checked on its miss
+        quotient_descriptor(d, whole)
+    assert classified == [whole]
+    assert len(d.component_labels) == 7  # none was stored
 
 
 def test_component_memo_belongs_to_one_index():
     first = build_local_index("split:B3")
     quotient_descriptor(first, (0,))
-    assert first.component_labels == {(0,): (FiniteTypeLabel("A", 1),)}
+    assert first.component_labels == {0b1: (FiniteTypeLabel("A", 1),)}  # by vertex mask
     second = build_local_index("split:B3")
     assert second.component_labels == {}
     assert "component_labels" not in repr(second)
@@ -329,5 +333,5 @@ def test_quotient_dim_minus_relative_rank_is_even(label):
     # dim = relative rank + 2 * |positive roots|, so no local factor ratio
     # carries an odd power of sqrt(q)
     d = build_local_index(label)
-    for t in d.proper_types():
+    for t in proper_types(d):
         assert (quotient_descriptor(d, t).dim - d.relative_rank) % 2 == 0
