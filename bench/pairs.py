@@ -6,9 +6,11 @@ import, as a user of the command pays it.  The process's peak resident
 set size comes from the rusage that `os.wait4` returns for it.  Linux
 counts in that peak the pages of the process that started it, up to its
 exec, so a small launcher (`scale.LAUNCHER`), not this script, starts and
-times each process.  Each time and peak is the median of 3 runs; the size and
-SHA-256 of the JSON output are recorded too, so a record with two columns
-shows whether both trees wrote the same bytes.  The default labels are
+times each process.  Each time and peak is the median of 10 runs, recorded
+with its first and third quartiles, so a difference between two columns
+can be read against each column's spread; the size and SHA-256 of the
+JSON output are recorded too, so a record with two columns shows whether
+both trees wrote the same bytes.  The default labels are
 those of perfbench's pairs_sweep workload.
 
 The same is recorded for `paravol family` on one place (q = 2) of each
@@ -32,12 +34,11 @@ import hashlib
 import json
 import os
 import platform
-import statistics
 import sys
 import tempfile
 from pathlib import Path
 
-from scale import RUNS, SRC, timed_peak
+from scale import RUNS, SRC, spread, timed_peak
 
 LABELS = ("split:E8", "split:E7", "split:E6", "split:F4", "split:G2",
           "split:A11", "split:B8", "split:C10", "split:D10",
@@ -55,18 +56,15 @@ def measure(label, argv, time_key, trees, workdir):
             output = workdir / f"out-{name}.json"
             samples[name].append(timed_peak(src, [*argv, "--output", str(output)]))
             outputs[name] = output.read_bytes()
-    return {
-        "label": label,
-        "columns": {
-            name: {
-                time_key: round(statistics.median(s for s, _ in samples[name]), 3),
-                "peak_rss_mb": round(statistics.median(mb for _, mb in samples[name]), 1),
-                "output_bytes": len(outputs[name]),
-                "output_sha256": hashlib.sha256(outputs[name]).hexdigest(),
-            }
-            for name in trees
-        },
-    }
+    columns = {}
+    for name in trees:
+        column = columns[name] = {}
+        for key, values, digits in ((time_key, [s for s, _ in samples[name]], 3),
+                                    ("peak_rss_mb", [mb for _, mb in samples[name]], 1)):
+            column[key], column[f"{key}_quartiles"] = spread(values, digits)
+        column["output_bytes"] = len(outputs[name])
+        column["output_sha256"] = hashlib.sha256(outputs[name]).hexdigest()
+    return {"label": label, "columns": columns}
 
 
 def main(argv=None):
@@ -101,7 +99,8 @@ def main(argv=None):
         "family_command": "paravol family --input <label, one place v2 with q = p = 2, "
                           "family place v2>",
         "runs": RUNS,
-        "statistic": "median wall seconds and peak RSS MB per process, start-up included",
+        "statistic": "median wall seconds and peak RSS MB per process, start-up included, "
+                     "each with its first and third quartiles (inclusive method)",
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),

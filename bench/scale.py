@@ -7,9 +7,11 @@ start-up and import, as a user of the command pays it.  Each process's
 peak resident set size comes from the rusage that `os.wait4` returns for
 it.  Linux counts in that peak the pages of the process that started it,
 up to its exec, so a small launcher (`LAUNCHER`), not this script, starts
-and times each process.  Each time and peak is the median of 3 runs.  The
-certificate's size and SHA-256 are recorded too, so a record with two
-columns shows whether both trees wrote the same bytes.
+and times each process.  Each time and peak is the median of 10 runs,
+recorded with its first and third quartiles, so a difference between two
+columns can be read against each column's spread.  The certificate's size
+and SHA-256 are recorded too, so a record with two columns shows whether
+both trees wrote the same bytes.
 
     python3 bench/scale.py --output bench/BENCH_3.json
     python3 bench/scale.py --output bench/BENCH_3.json --baseline-src OTHER/src
@@ -38,7 +40,15 @@ GROUP = "split:B3"
 FAMILY_Q = (2, 3, 5, 7, 11, 13, 17, 19)
 REFINE_PLACES = ({"id": "w4", "q": 4, "p": 2}, {"id": "w9", "q": 9, "p": 3})
 MIN_M = 4
-RUNS = 3
+# Runs per tree and command.  On a shared 2-core host, the medians of 3
+# runs of one tree differed by 40% from record to record.
+RUNS = 10
+
+
+def spread(values, digits):
+    """The median of the values and their first and third quartiles, rounded."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return round(statistics.median(values), digits), [round(q1, digits), round(q3, digits)]
 
 
 def family_request(m):
@@ -94,8 +104,9 @@ def measure(m, trees, workdir):
     for name in trees:
         column = {}
         for command, runs in samples[name].items():
-            column[f"{command}_s"] = round(statistics.median(s for s, _ in runs), 3)
-            column[f"{command}_peak_rss_mb"] = round(statistics.median(mb for _, mb in runs), 1)
+            for key, values, digits in ((f"{command}_s", [s for s, _ in runs], 3),
+                                        (f"{command}_peak_rss_mb", [mb for _, mb in runs], 1)):
+                column[key], column[f"{key}_quartiles"] = spread(values, digits)
         column["certificate_bytes"] = len(certificates[name])
         column["certificate_sha256"] = hashlib.sha256(certificates[name]).hexdigest()
         columns[name] = column
@@ -125,7 +136,8 @@ def main(argv=None):
         "group": GROUP,
         "refine": [pl["id"] for pl in REFINE_PLACES],
         "runs": RUNS,
-        "statistic": "median wall seconds and peak RSS MB per process, start-up included",
+        "statistic": "median wall seconds and peak RSS MB per process, start-up included, "
+                     "each with its first and third quartiles (inclusive method)",
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),

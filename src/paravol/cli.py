@@ -25,7 +25,7 @@ from .construction import (
     make_collection,
     relative_covolume,
 )
-from .diagram import GroupSpec, build_local_index, echo
+from .diagram import GroupSpec, _bits, build_local_index, echo
 from .errors import CertificateError, DomainError, OutputError, ParavolError, SchemaError
 from .parahoric import pairs_to_json
 
@@ -141,43 +141,48 @@ def _dump(output, obj):
 _ENTRY, _KEY = "\n    ", "\n      "
 
 
+class _MaskTexts(dict):
+    """The text of each vertex mask's vertex list, built on its first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, mask):
+        text = self[mask] = _encode(list(_bits(mask)), _KEY)
+        return text
+
+
 def _pairs_chunks(label, rows, q):
-    """The `pairs` output, in chunks of at most one entry each.
+    """The `pairs` output, one chunk per row of `parahoric.pairs_to_json`.
 
     The text is `json.dumps(payload, indent=2) + "\\n"` byte for byte, where
     the payload is {"diagram": label, "pairs": [entry, ...]} with "q": q
     last when q is given, and each entry holds "t1", "t2", "dim",
-    "order_coeffs" and, when q is given, "order_at_q".  `rows` iterates
-    over those of `parahoric.pairs_to_json`.  The entries of a row differ
-    only in "t2", so the text before it (the head) and after it (the tail)
-    is built once per row, and each type and order_coeffs list's text once
-    per list object.  An entry is then one chunk: a separator, the head,
-    the t2 text and the tail.
+    "order_coeffs" and, when q is given, "order_at_q".  A row is a t1
+    mask, its volume factor and the masks of its t2.  Its entries differ
+    only in "t2", so the text before the t2 (the head) is built once per
+    row, the text after it (the tail: "dim", "order_coeffs", "order_at_q"
+    and the closing brace) once per volume factor, keyed by the row's
+    coefficient tuple, and each mask's vertex list text once.  A row is
+    then one chunk: a separator and the entries, each the head, a t2 text
+    and the tail.  The chunks go to the file as they come, so the output,
+    up to 1 GB on split:C14, is never held whole.
     """
-    texts = {}  # id of a type or order_coeffs list -> its text; `pairs_to_json` keeps each alive
-
-    def text(value):
-        found = texts.get(id(value))
-        if found is None:
-            found = texts[id(value)] = _encode(value, _KEY)
-        return found
-
+    texts = _MaskTexts()
+    tails = {}  # order coefficients -> the text after "t2" of an entry with that factor
     yield '{\n  "diagram": ' + _quote(label) + ',\n  "pairs": '
-    first = sep = "[" + _ENTRY
+    between, sep = "," + _ENTRY, "[" + _ENTRY
     for t1, dim, coeffs, value, t2s in rows:
-        head = "{" + _KEY + '"t1": ' + text(t1) + "," + _KEY + '"t2": '
-        tail = ("," + _KEY + '"dim": ' + _encode(dim, _KEY) + "," + _KEY + '"order_coeffs": '
-                + text(coeffs))
-        if q is not None:
-            tail += "," + _KEY + '"order_at_q": ' + _encode(value, _KEY)
-        tail += _ENTRY + "}"
-        for t2 in t2s:
-            t2_text = texts.get(id(t2))
-            if t2_text is None:
-                t2_text = texts[id(t2)] = _encode(t2, _KEY)
-            yield sep + head + t2_text + tail
-            sep = "," + _ENTRY
-    end = "[]" if sep == first else "\n  ]"
+        tail = tails.get(coeffs)
+        if tail is None:
+            tail = ("," + _KEY + '"dim": ' + _encode(dim, _KEY) + "," + _KEY
+                    + '"order_coeffs": ' + _encode(list(coeffs), _KEY))
+            if q is not None:
+                tail += "," + _KEY + '"order_at_q": ' + _encode(value, _KEY)
+            tail = tails[coeffs] = tail + _ENTRY + "}"
+        head = "{" + _KEY + '"t1": ' + texts[t1] + "," + _KEY + '"t2": '
+        yield sep + head + (tail + between + head).join(map(texts.__getitem__, t2s)) + tail
+        sep = between
+    end = "\n  ]" if sep == between else "[]"
     if q is not None:
         end += ',\n  "q": ' + _encode(q, _KEY)
     yield end + "\n}\n"

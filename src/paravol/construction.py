@@ -31,13 +31,14 @@ from fractions import Fraction
 from itertools import repeat
 from operator import getitem
 
-from .diagram import IWAHORI, LABEL_ECHO_LIMIT, echo
+from .diagram import IWAHORI, LABEL_ECHO_LIMIT, ParahoricTypeSpec, echo
 from .errors import (
     CertificateError,
     DomainError,
     EqualCharacteristicError,
     IncomparableError,
     InvalidResidueError,
+    SearchCapError,
     UnknownPlaceError,
 )
 from .parahoric import (
@@ -393,13 +394,18 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
                 _check_family_pair(d, t1, t2)
             else:
                 if d not in first_rows:
-                    first_rows[d] = next(equal_volume_rows(d), None)
+                    try:
+                        first_rows[d] = next(equal_volume_rows(d), None)
+                    except SearchCapError as exc:
+                        raise SearchCapError(
+                            f"{exc}; name the two types at place {_id(pid)} in the "
+                            f"request's pairs") from None
                 if first_rows[d] is None:
                     raise DomainError(
                         f"no equal-volume pair of non-conjugate types at place {_id(pid)} "
                         f"({d.group.label}); try the two-place swap fallback")
-                t1, _, t2s = first_rows[d]
-                t2 = t2s[0]
+                mask, _, t2s = first_rows[d]
+                t1, t2 = ParahoricTypeSpec(mask), ParahoricTypeSpec(t2s[0])
             variations.append([{pid: t1}, {pid: t2}])
 
     base = make_collection(group, places, refinements=refine)

@@ -4,8 +4,10 @@ Vertices of a split local index are numbered 0 (the extra affine vertex)
 and 1..n (the finite simple roots in Bourbaki order).  A parahoric type is
 a proper subset of the vertex set, stored as its vertex mask (bit v for
 vertex v); the empty type is the Iwahori.  Two types are conjugate when
-they lie in one orbit of the realized diagram automorphisms, and
-`LocalIndex.orbit_masks` is the one computation of that orbit.
+they lie in one orbit of the realized diagram automorphisms:
+`LocalIndex.orbit_masks` maps a mask through one bit-image table per
+automorphism, and the pair search (`parahoric.orbit_representatives`)
+marks orbits through the same tables.
 """
 
 from __future__ import annotations
@@ -124,8 +126,13 @@ Edge = namedtuple("Edge", "u v mult arrow")  # arrow: the short vertex, None for
 
 
 def _bits(mask):
-    """The set bits of a mask, lowest first."""
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+    """The set bits of a mask, lowest first; a negative mask has none."""
+    bits = []
+    while mask > 0:  # a negative mask never runs out of low bits
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
 
 
 class ParahoricTypeSpec:

@@ -25,6 +25,10 @@ class ImproperTypeError(DomainError):
     """Parahoric type is not a proper subset of the diagram vertices."""
 
 
+class SearchCapError(DomainError):
+    """Pair search asked of a diagram with more vertices than it visits."""
+
+
 class InvalidResidueError(DomainError):
     """Residue size is not a prime power, or inconsistent with its characteristic."""
 

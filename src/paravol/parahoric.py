@@ -4,13 +4,20 @@ Only ratios of local factors at a shared place are ever formed, so the
 residue exponent common to both types and the global normalization cancel;
 what remains is q^((dim1-dim2)/2) * order2(q) / order1(q).  The exponent
 is a whole number, so every ratio is an exact rational.
+
+The equal-volume search works on vertex masks (plain ints) from the orbit
+search to the rows it hands out; only `find_equal_volume_pairs` and a
+family's chosen pair wrap them in types.  `pairs_to_json` adds each volume
+factor's order, computed once per volume key, and leaves all text to the
+`pairs` writer, `cli._pairs_chunks`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagram import ParahoricTypeSpec, classify_mask
+from .diagram import ParahoricTypeSpec, _bits, classify_mask
+from .errors import SearchCapError
 from .reductive import components_descriptor, quotient_descriptor
 
 
@@ -73,20 +80,38 @@ def factor_ratio(d, t1, t2, place):
     return HalfPowerRational(Fraction(*factor_terms(d, t1, t2, place.q)))
 
 
-def orbit_representatives(d):
-    """The least type of each realized-automorphism orbit of proper types, in order.
+# The pair search visits every proper type, 2^n - 1 of them on n vertices.
+MAX_SEARCH_VERTICES = 15
 
-    Types are met as vertex masks in lexicographic order of their vertex
-    tuples, so the first type met of an orbit is its least.  Each new
-    representative marks its orbit in a bytearray with one byte per mask.
+
+def orbit_representatives(d):
+    """The least vertex mask of each realized-automorphism orbit of proper types, in order.
+
+    Masks are met in lexicographic order of their vertex tuples, so the
+    first mask met of an orbit is its least.  Each new representative
+    marks its images under the non-identity automorphisms in a bytearray
+    with one byte per mask; a diagram with no such automorphism (E8, F4,
+    G2, C-BC1) has every proper type as its own representative.  A
+    diagram of more than MAX_SEARCH_VERTICES vertices raises
+    SearchCapError before anything is allocated.
     """
-    seen = bytearray(1 << len(d.vertices))
+    n = len(d.vertices)
+    if n > MAX_SEARCH_VERTICES:
+        raise SearchCapError(
+            f"the pair search is capped at {MAX_SEARCH_VERTICES} vertices "
+            f"({(1 << MAX_SEARCH_VERTICES) - 1:,} proper types); {d.group.label} has {n}")
+    identity = tuple(1 << v for v in range(n))
+    others = [bits for bits in d.aut_images if bits != identity]
+    if not others:
+        return list(d.proper_masks())
+    seen = bytearray(1 << n)
     reps = []
     for mask in d.proper_masks():
         if not seen[mask]:
-            for image in d.orbit_masks(mask):
-                seen[image] = 1
-            reps.append(ParahoricTypeSpec(mask))
+            vertices = _bits(mask)
+            for bits in others:
+                seen[sum(map(bits.__getitem__, vertices))] = 1
+            reps.append(mask)
     return reps
 
 
@@ -95,53 +120,47 @@ def equal_volume_rows(d):
 
     Orbit representatives are bucketed by their `volume_key`; any two
     types in distinct buckets differ in volume, any two in distinct orbits
-    are non-conjugate.  Each representative is classified once, on the
-    mask it came from.  Yields (t1, its descriptor, the t2 paired with it)
-    for each representative with a later member in its bucket: the t2 are
-    those later members, a slice of the bucket.  Representatives come in
-    lexicographic order, so the rows' pairs are sorted by (t1, t2).
+    are non-conjugate.  Each representative is classified once, on its
+    mask.  Yields (t1's mask, its descriptor, the masks of the t2 paired
+    with it) for each representative with a later member in its bucket:
+    the t2 are those later members, a slice of the bucket.
+    Representatives come in lexicographic order, so the rows' pairs are
+    sorted by (t1, t2).
     """
     buckets = {}
     placed = []  # (representative, descriptor, its bucket, its place there)
-    for t in orbit_representatives(d):
-        components = d.component_labels[t.mask] = classify_mask(d, t.mask)
+    for mask in orbit_representatives(d):
+        components = d.component_labels[mask] = classify_mask(d, mask)
         desc = components_descriptor(d, components)
         bucket = buckets.setdefault(desc.volume_key, [])
-        placed.append((t, desc, bucket, len(bucket)))
-        bucket.append(t)
-    for t, desc, bucket, k in placed:
+        placed.append((mask, desc, bucket, len(bucket)))
+        bucket.append(mask)
+    for mask, desc, bucket, k in placed:
         if k + 1 < len(bucket):
-            yield t, desc, bucket[k + 1:]
+            yield mask, desc, bucket[k + 1:]
 
 
 def find_equal_volume_pairs(d):
-    """The pairs of `equal_volume_rows` as (t1, t2) tuples, sorted by (t1, t2)."""
-    return [(t1, t2) for t1, _, t2s in equal_volume_rows(d) for t2 in t2s]
+    """The pairs of `equal_volume_rows` as (t1, t2) types, sorted by (t1, t2)."""
+    return [(ParahoricTypeSpec(t1), ParahoricTypeSpec(t2))
+            for t1, _, t2s in equal_volume_rows(d) for t2 in t2s]
 
 
 def pairs_to_json(d, q=None):
     """The rows of the `pairs` command's output, one per row of `equal_volume_rows`.
 
-    Each row is (t1's vertex list, dim, order coefficient list, order at q
-    or None, the vertex lists of its t2, in order).  Thousands of pairs
-    share a few hundred types and fewer volume factors (both types of a
-    pair share one).  So each type's vertex list and each distinct volume
-    key's coefficient list and order at q are built once, in dicts that
-    live as long as this generator.  Rows share those list objects, so the
-    writer formats each once; the dicts keep every list alive, so the
-    writer may know a list by its id while it runs.
+    Each row is (t1's mask, dim, order coefficients, order at q or None,
+    the masks of its t2, in order).  Thousands of pairs share fewer volume
+    factors (both types of a pair share one), so each distinct volume
+    key's coefficient tuple and order at q are computed once, and every
+    row of that key carries the same tuple.  The text of the masks is the
+    writer's work (`cli._pairs_chunks`).
     """
-    lists = {}  # vertex mask -> its vertex list
     orders = {}  # volume key -> (order_coeffs, order_at_q)
-
-    def vertex_list(t):
-        found = lists.get(t.mask)
-        if found is None:
-            found = lists[t.mask] = list(t.vertices)
-        return found
-
     for t1, desc, t2s in equal_volume_rows(d):
         key = desc.volume_key
-        if key not in orders:
-            orders[key] = (desc.order_coeffs(), None if q is None else desc.order_at(q))
-        yield (vertex_list(t1), desc.dim, *orders[key], [vertex_list(t2) for t2 in t2s])
+        found = orders.get(key)
+        if found is None:
+            found = orders[key] = (tuple(desc.order_coeffs()),
+                                   None if q is None else desc.order_at(q))
+        yield (t1, desc.dim, *found, t2s)

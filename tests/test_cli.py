@@ -27,7 +27,7 @@ from paravol import cli, construction, diagram
 from paravol.cli import _encode, _int_digit_limit, run
 from paravol.construction import Place, build_family, certify_family
 from paravol.diagram import build_local_index
-from paravol.parahoric import find_equal_volume_pairs
+from paravol.parahoric import find_equal_volume_pairs, pairs_to_json
 from paravol.reductive import PRIMALITY_BOUND, quotient_descriptor
 
 
@@ -131,21 +131,50 @@ PAIRS_SWEEP_LABELS = ("split:E8", "split:E7", "split:E6", "split:F4", "split:G2"
 def test_pairs_stdout_is_json_dumps_of_one_dict_per_pair(label, q):
     argv = ["pairs", label] + ([] if q is None else ["--q", str(q)])
     code, out, _ = run_quietly(argv)
+    expected = json.dumps(pairs_payload(label, q), indent=2) + "\n"
     assert code == 0
-    assert out == json.dumps(pairs_payload(label, q), indent=2) + "\n"
+    assert out == expected
+    # the writer alone, on the rows of the search (none for split:A4)
+    rows = pairs_to_json(build_local_index(label), q)
+    assert "".join(cli._pairs_chunks(label, rows, q)) == expected
 
 
-def test_pairs_hands_the_writer_no_chunk_longer_than_one_entry(monkeypatch):
+def test_pairs_hands_the_writer_one_chunk_per_row(monkeypatch):
     flat = pairs_payload("split:C10", 1009)
-    # an entry's text at its indent in the output, after its separator
-    longest = max(len(",\n    " + json.dumps(entry, indent=2).replace("\n", "\n    "))
-                  for entry in flat["pairs"])
+    # each entry's text at its indent in the output, by t1: the pairs are sorted
+    rows = {}
+    for entry in flat["pairs"]:
+        rows.setdefault(tuple(entry["t1"]), []).append(
+            json.dumps(entry, indent=2).replace("\n", "\n    "))
+    between = ",\n    "
+    expected = [("[\n    " if k == 0 else between) + between.join(texts)
+                for k, texts in enumerate(rows.values())]
     chunks = []
     monkeypatch.setattr(cli, "_write", lambda output, parts: chunks.extend(parts))
     assert run_quietly(["pairs", "split:C10", "--q", "1009"])[0] == 0
     assert "".join(chunks) == json.dumps(flat, indent=2) + "\n"
-    assert len(chunks) > len(flat["pairs"]) > 10_000
-    assert max(map(len, chunks)) <= longest
+    assert len(flat["pairs"]) > 10_000 and len(rows) == 888
+    assert len(chunks) == len(rows) + 2
+    assert chunks[1:-1] == expected
+
+
+def test_pairs_writer_streams_the_rows():
+    # the writer reads a row only when its chunk is asked for
+    read = []
+
+    def rows():
+        for row in pairs_to_json(build_local_index("split:B3"), 2):
+            read.append(row)
+            yield row
+
+    chunks = cli._pairs_chunks("split:B3", rows(), 2)
+    assert next(chunks) == '{\n  "diagram": "split:B3",\n  "pairs": '
+    assert read == []
+    for k, entries in enumerate((2, 1, 1), 1):  # t1 [0], [0, 1], [2]
+        assert next(chunks).count('"t1"') == entries
+        assert len(read) == k
+    assert next(chunks).endswith('\n  "q": 2\n}\n')
+    assert next(chunks, None) is None and len(read) == 3
 
 
 def test_pairs_empty_warns_but_succeeds(capsys):
@@ -1171,6 +1200,29 @@ def test_rank_of_a_million_digits_exits_1_within_a_second(tmp_path):
     assert proc.stderr == "error: unsupported type: A with a rank of 1000000 digits\n"
     assert len(proc.stderr.encode()) < 200
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["pairs", "split:A150"], "split:A150 has 151"),
+    (["pairs", "split:A20"], "split:A20 has 21"),
+    # one place and no explicit pairs: the family searches for its pair
+    (["family", "--input"],
+     "split:A150 has 151; name the two types at place v2 in the request's pairs"),
+], ids=["pairs-A150", "pairs-A20", "family-A150"])
+def test_pair_search_past_the_vertex_cap_exits_1_within_5_seconds(tmp_path, argv, named):
+    if argv[0] == "family":
+        argv = [*argv, write_json(tmp_path / "a150.json", {
+            "group": "split:A150", "places": [{"id": "v2", "q": 2, "p": 2}],
+            "family_places": ["v2"]})]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "paravol", *argv],
+                          capture_output=True, text=True, timeout=30)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: the pair search is capped at 15 vertices (32,767 proper types); {named}\n")
+    assert len(proc.stderr.encode()) < 1024
+    assert elapsed < 5.0
 
 
 @pytest.mark.parametrize("label, named", [

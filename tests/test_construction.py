@@ -31,7 +31,7 @@ from paravol.construction import (
     relative_covolume,
     _unequal_covolume,
 )
-from paravol.diagram import IWAHORI, GroupSpec, build_local_index
+from paravol.diagram import IWAHORI, GroupSpec, ParahoricTypeSpec, build_local_index
 from paravol.errors import (
     CertificateError,
     DomainError,
@@ -512,7 +512,7 @@ def equal_volume_members(rng, trial):
         return [d.check_proper(vs) for vs in reference_orbit(d, t)]
 
     row = next(equal_volume_rows(d), None)
-    bucket = None if row is None else [row[0], *row[2]]
+    bucket = None if row is None else [ParahoricTypeSpec(m) for m in (row[0], *row[2])]
     places = [Place("v0", 2, 2, d)]
     factors = []  # per factor, its places and per choice the orbit at each
     qs = iter((3, 5, 7, 11, 13))
@@ -616,7 +616,7 @@ def test_family_and_certify_classify_each_type_once(monkeypatch):
     certify_family(members)
     # the pair search reads every orbit representative, the certificate
     # every member type; the index classifies each of them once
-    reps = {t.mask for t in orbit_representatives(d)}
+    reps = set(orbit_representatives(d))
     assert {t.mask for m in members for t in m.types} <= reps
     assert sorted(classified) == sorted(reps)
     assert d.component_labels.keys() == reps

@@ -125,6 +125,14 @@ def test_edge_is_a_named_tuple():
         e.mult = 2
 
 
+def test_vertices_of_a_mask_are_its_set_bits_lowest_first():
+    for mask in range(1 << 12):
+        assert ParahoricTypeSpec(mask).vertices == tuple(v for v in range(12) if mask >> v & 1)
+    assert ParahoricTypeSpec(1 << 150 | 1).vertices == (0, 150)
+    # a negative mask has no set bits, and its orbit ends rather than looping
+    assert build_local_index("split:B3").orbit_masks(-1) == [0, 0]
+
+
 def test_parahoric_type_spec_is_an_immutable_set_of_vertices():
     t = ParahoricTypeSpec(0b101)
     assert t.mask == 5 and t.__slots__ == ("mask",)

@@ -27,7 +27,7 @@ from test_golden import LABELS, LARGE_PAIRS_LABELS
 from test_reductive import finite_group
 
 from paravol.construction import Place
-from paravol.diagram import IWAHORI, GroupSpec, build_local_index
+from paravol.diagram import IWAHORI, GroupSpec, ParahoricTypeSpec, build_local_index
 from paravol.parahoric import factor_ratio, orbit_representatives
 from paravol.reductive import quotient_descriptor
 from paravol.roots import cartan_matrix, check_rank, highest_root, positive_roots
@@ -73,7 +73,8 @@ def test_volume_keys_partition_quotients_as_multiplied_out_orders_do():
     descs = set()
     for label in [*LABELS, *LARGE_PAIRS_LABELS]:
         d = build_local_index(label)
-        descs.update(quotient_descriptor(d, t) for t in orbit_representatives(d))
+        descs.update(quotient_descriptor(d, ParahoricTypeSpec(mask))
+                     for mask in orbit_representatives(d))
     keys = {}  # reference coefficients -> the volume keys with them
     for desc in descs:
         coeffs = reference_order_coeffs(desc.components, desc.torus_rank)

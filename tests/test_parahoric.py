@@ -17,7 +17,7 @@ from oracle_helpers import (
 from test_golden import LABELS, LARGE_PAIRS_LABELS
 
 from paravol.diagram import GroupSpec, build_local_index, induced_subdiagram
-from paravol.errors import ImproperTypeError
+from paravol.errors import ImproperTypeError, SearchCapError
 from paravol.parahoric import (
     ONE,
     HalfPowerRational,
@@ -108,11 +108,11 @@ def test_every_conjugacy_user_agrees_with_the_reference_orbit(label):
     for t1 in types:
         for t2 in types:
             assert conjugate_types(d, t1, t2) == (orbit[t1] == orbit[t2]), (t1, t2)
-    # the representatives are the first type met of each reference orbit
+    # the representatives are the masks of the first type met of each reference orbit
     first = {}
     for t in types:
         first.setdefault(tuple(orbit[t]), t)
-    assert orbit_representatives(build_local_index(label)) == list(first.values())
+    assert orbit_representatives(build_local_index(label)) == [t.mask for t in first.values()]
 
 
 def test_conjugate_types_rejects_improper():
@@ -212,12 +212,16 @@ def pair_tuples(pairs):
     return [(t1.vertices, t2.vertices) for t1, t2 in pairs]
 
 
+def masks(vertex_tuples):
+    return [sum(1 << v for v in t) for t in vertex_tuples]
+
+
 @pytest.mark.parametrize("label", LABELS)
 def test_search_matches_the_tuple_references(label):
     d = build_local_index(label)
     pairs = find_equal_volume_pairs(d)
     reps = reference_orbit_representatives(d)
-    assert [t.vertices for t in orbit_representatives(d)] == reps
+    assert orbit_representatives(d) == masks(reps)
     # the labels the search stored for its representatives, by vertex mask
     assert d.component_labels == {
         sum(1 << v for v in t): reference_component_labels(d, t) for t in reps}
@@ -229,7 +233,7 @@ def test_search_matches_the_tuple_references(label):
 @pytest.mark.parametrize("label", LARGE_PAIRS_LABELS)
 def test_large_search_matches_the_tuple_references(label):
     d = build_local_index(label)
-    assert [t.vertices for t in orbit_representatives(d)] == reference_orbit_representatives(d)
+    assert orbit_representatives(d) == masks(reference_orbit_representatives(d))
     assert pair_tuples(find_equal_volume_pairs(d)) == reference_pairs(d)
 
 
@@ -238,15 +242,24 @@ def test_pairs_json_shape():
     pairs = find_equal_volume_pairs(d)
     rows = list(pairs_to_json(d, q=2))
     t1, dim, coeffs, value, t2s = rows[0]
-    assert t1 == [0] and t2s[0] == [2]
+    assert t1 == 0b1 and t2s[0] == 0b100  # types [0] and [2]
     assert dim == 5
     assert value == 6 * 1  # q(q^2-1)(q-1)^2 at q=2
     assert coeffs[dim] == 1
-    # one row per run of pairs with one t1, the t2 in pair order
-    assert [(tuple(row[0]), tuple(t2)) for row in rows for t2 in row[4]] == [
-        (a.vertices, b.vertices) for a, b in pairs]
-    assert len({tuple(row[0]) for row in rows}) == len(rows)
+    # one row per run of pairs with one t1, the t2 masks in pair order
+    assert [(row[0], t2) for row in rows for t2 in row[4]] == [
+        (a.mask, b.mask) for a, b in pairs]
+    assert len({row[0] for row in rows}) == len(rows)
     assert next(pairs_to_json(d))[3] is None
+
+
+def test_pair_search_is_capped_at_15_vertices():
+    # split:C14 has 15 vertices, and a one-place family there searches it
+    assert len(orbit_representatives(build_local_index("split:C14"))) == 16_511
+    with pytest.raises(SearchCapError, match=r"capped at 15 vertices .*; split:A15 has 16$"):
+        orbit_representatives(build_local_index("split:A15"))
+    with pytest.raises(SearchCapError):
+        find_equal_volume_pairs(build_local_index("split:D100"))
 
 
 def test_pairs_compute_each_quotient_once(monkeypatch):
@@ -267,9 +280,9 @@ def test_pairs_compute_each_quotient_once(monkeypatch):
     monkeypatch.setattr(parahoric, "quotient_descriptor", None)
     rows = list(pairs_to_json(d, q=7))
     assert len(looked_up) == len(parahoric.orbit_representatives(d))
-    assert first_types <= set(parahoric.orbit_representatives(d))
+    assert {t.mask for t in first_types} <= set(parahoric.orbit_representatives(d))
     assert len(rows) == len(first_types)
-    assert {tuple(row[0]) for row in rows} == {t.vertices for t in first_types}
+    assert {row[0] for row in rows} == {t.mask for t in first_types}
     monkeypatch.undo()
 
     # the descriptors are memoized by quotient type, not by diagram object:
