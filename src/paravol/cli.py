@@ -15,6 +15,7 @@ import sys
 from contextlib import contextmanager
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from operator import getitem
 
 from .construction import (
     Place,
@@ -203,32 +204,11 @@ def _list_chunks(texts):
     yield "[]" if sep[0] == "[" else "\n  ]"
 
 
-def _certificate_chunks(cert):
-    """The v1 certificate text, in chunks of at most one member, ratio row or witness.
-
-    This is the one definition of the v1 layout: `family` writes it and
-    `certify` checks a file against it.  The text is `json.dumps(payload,
-    indent=2) + "\\n"` byte for byte, where the payload holds, in order,
-    "group"; "places", each {"id", "q", "p", "index"}; "members", each
-    {"assignment": {place id: vertex list}, "refinements": [place id,
-    ...]}; "ratios", the N×N matrix of ratio objects; "witnesses", each
-    {"pair": [i, j], "place", "t1", "t2"} for i < j; and "citations".
-    Its N² part is built from pieces made once and reused: an assignment
-    line per (place id, type), a text per ratio row object and per ratio
-    object, and per distinct (place, t1, t2) the tail of a witness, so
-    each witness formats only its two indices.  The whole text, the
-    witness dicts and their "pair" lists never exist at once.
-    """
-    first = cert.members[0]
-    yield '{\n  "group": ' + _quote(first.group.label) + ',\n  "places": '
-    yield from _list_chunks(
-        _encode({"id": pl.id, "q": pl.q, "p": pl.p, "index": pl.local_index.group.label}, _ENTRY)
-        for pl in first.places)
-
+def _member_texts(members):
+    """Each member's text: its assignment, from one line per (place id, type), and refinements."""
     lines = {}  # (place id, vertex mask) -> its assignment line
     refinement_texts = {}  # refinement tuple -> its text
-
-    def member(m):
+    for m in members:
         parts = []
         for pl, t in zip(m.places, m.types):
             key = (pl.id, t.mask)
@@ -240,47 +220,106 @@ def _certificate_chunks(cert):
         refined = refinement_texts.get(m.refinements)
         if refined is None:
             refined = refinement_texts[m.refinements] = _encode(list(m.refinements), _KEY)
-        return ("{" + _KEY + '"assignment": ' + assignment + "," + _KEY
-                + '"refinements": ' + refined + _ENTRY + "}")
+        yield ("{" + _KEY + '"assignment": ' + assignment + "," + _KEY
+               + '"refinements": ' + refined + _ENTRY + "}")
 
-    yield ',\n  "members": '
-    yield from _list_chunks(map(member, cert.members))
 
-    ratio_texts = {}  # id of a ratio or row -> its text; cert.ratios keeps each alive
+def _ratio_row_texts(rows):
+    """Each ratio row's text, from one text per distinct row and ratio object."""
+    texts = {}  # id of a ratio or row -> its text; `rows` keeps each alive
 
     def ratio(r):
-        if id(r) not in ratio_texts:
-            ratio_texts[id(r)] = _encode(r.to_json(), _KEY)
-        return ratio_texts[id(r)]
+        if id(r) not in texts:
+            texts[id(r)] = _encode(r.to_json(), _KEY)
+        return texts[id(r)]
 
-    def row(ratios):
-        if id(ratios) not in ratio_texts:
-            ratio_texts[id(ratios)] = (
-                "[" + _KEY + ("," + _KEY).join(map(ratio, ratios)) + _ENTRY + "]"
-                if ratios else "[]")
-        return ratio_texts[id(ratios)]
+    for row in rows:
+        if id(row) not in texts:
+            texts[id(row)] = (
+                "[" + _KEY + ("," + _KEY).join(map(ratio, row)) + _ENTRY + "]" if row else "[]")
+        yield texts[id(row)]
 
-    yield ',\n  "ratios": '
-    yield from _list_chunks(map(row, cert.ratios))
 
-    yield ',\n  "witnesses": '
-    tails = {}  # (place id, t1 mask, t2 mask) -> the witness text after j
-    sep = "[" + _ENTRY + "{" + _KEY + '"pair": [' + _NESTED
-    later = "," + sep[1:]
-    for i, j, pid, t1, t2 in cert.witnesses:
-        key = (pid, t1.mask, t2.mask)
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = (
-                _KEY + "]," + _KEY + '"place": ' + _quote(pid) + "," + _KEY + '"t1": '
-                + _encode(list(t1.vertices), _KEY) + "," + _KEY + '"t2": '
-                + _encode(list(t2.vertices), _KEY) + _ENTRY + "}")
-        yield f"{sep}{i},{_NESTED}{j}{tail}"
-        sep = later
-    yield "[]" if sep[0] == "[" else "\n  ]"
+def _witness_chunks(cert):
+    """The "witnesses" list, one chunk per witness row: member i's witnesses, j = i+1, ....
 
-    yield ',\n  "citations": '
-    yield from _list_chunks(map(_quote, cert.citations))
+    Member i's witness with j at place k is the text `{"pair": [i, j],
+    "place", "t1", "t2"}`.  Everything from j on depends only on (k, i's
+    type at k, j), so for each such (k, t1) met, a list over all members
+    j of that text (j's digits, the place, the t1 and t2 vertex lists and
+    the closing brace) is built once, from a text per distinct t2.  A row
+    is then one `str.join` of the entries its place indices pick, with
+    the text before j (the separator, the opening brace and i) as the
+    joiner: no text, tuple or key is built per pair.
+    """
+    members = cert.members
+    places, n = members[0].places, len(members)
+    types = [m.types for m in members]
+    digits = list(map(str, range(n)))
+    masks = _MaskTexts()
+    tails = {}  # (place index, t1 mask) -> per member j, the witness text from j on
+
+    def tail(k, mask):
+        found = tails.get((k, mask))
+        if found is None:
+            head = (_KEY + "]," + _KEY + '"place": ' + _quote(places[k].id) + "," + _KEY
+                    + '"t1": ' + masks[mask] + "," + _KEY + '"t2": ')
+            column = [ts[k].mask for ts in types]
+            ends = {m: head + masks[m] + _ENTRY + "}" for m in set(column)}
+            found = tails[k, mask] = list(map(str.__add__, digits, map(ends.__getitem__, column)))
+        return found
+
+    opener = "," + _ENTRY + "{" + _KEY + '"pair": [' + _NESTED
+    for i, row in enumerate(cert.witness_places):
+        joiner = opener + digits[i] + "," + _NESTED
+        lists = {k: tail(k, types[i][k].mask) for k in set(row)}
+        yield ((joiner if i else "[" + joiner[1:])
+               + joiner.join(map(getitem, map(lists.__getitem__, row), range(i + 1, n))))
+    yield "\n  ]" if cert.witness_places else "[]"
+
+
+def _certificate_sections(cert):
+    """(key, the chunks of its value's text) for each top-level key of the v1 certificate.
+
+    The keys come in the layout's order, and each section's chunks are
+    made only as they are taken, so a reader can build or decode one
+    section's text at a time.
+    """
+    first = cert.members[0]
+    return (
+        ("group", (_quote(first.group.label),)),
+        ("places", _list_chunks(
+            _encode({"id": pl.id, "q": pl.q, "p": pl.p, "index": pl.local_index.group.label},
+                    _ENTRY)
+            for pl in first.places)),
+        ("members", _list_chunks(_member_texts(cert.members))),
+        ("ratios", _list_chunks(_ratio_row_texts(cert.ratios))),
+        ("witnesses", _witness_chunks(cert)),
+        ("citations", _list_chunks(map(_quote, cert.citations))),
+    )
+
+
+def _certificate_chunks(cert):
+    """The v1 certificate text, in chunks of at most one member, ratio row or witness row.
+
+    This is the one definition of the v1 layout: `family` writes it and
+    `certify` checks a file against it.  The text is `json.dumps(payload,
+    indent=2) + "\\n"` byte for byte, where the payload holds, in order,
+    "group"; "places", each {"id", "q", "p", "index"}; "members", each
+    {"assignment": {place id: vertex list}, "refinements": [place id,
+    ...]}; "ratios", the N×N matrix of ratio objects; "witnesses", each
+    {"pair": [i, j], "place", "t1", "t2"} for i < j; and "citations".
+    Its N² part is built from pieces made once and reused: an assignment
+    line per (place id, type), a text per ratio row object and per ratio
+    object, and per (witness place, t1) the text of every member j as the
+    second of a pair (`_witness_chunks`).  The whole text, the witness
+    dicts and their "pair" lists never exist at once.
+    """
+    sep = "{\n  "
+    for key, chunks in _certificate_sections(cert):
+        yield sep + _quote(key) + ": "
+        yield from chunks
+        sep = ",\n  "
     yield "\n}\n"
 
 
@@ -312,13 +351,8 @@ def _read_text(path):
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _load_json(path):
-    """(the text of the file, its decoded JSON), refusing floats and huge integers."""
-    text = _read_text(path)
-    return text, _decode(text, path)
-
-
-def _decode(text, path):
+def _load_json(text, path):
+    """The JSON decoded from the text of the file `path`, refusing floats and huge integers."""
     try:
         # the C scanner builds each int and refuses one past the limit
         with _int_digit_limit(MAX_INPUT_DIGITS):
@@ -343,10 +377,13 @@ def _get(obj, key, ctx, kind=None):
     return value
 
 
+def _is_int_list(value):
+    # type(x) is int, not isinstance: true is no vertex
+    return type(value) is list and _INT_ONLY.issuperset(map(type, value))
+
+
 def _int_list(value, ctx):
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
+    if not _is_int_list(value):
         raise SchemaError(f"{ctx}: expected a list of integers")
     return value
 
@@ -370,7 +407,10 @@ def _places_from_json(items, group_label, ctx="places"):
 def _assignment_from_json(value, ctx):
     if not isinstance(value, dict):
         raise SchemaError(f"{ctx}: expected an object mapping place ids to types")
-    return {pid: tuple(_int_list(t, f"{ctx}[{_id(pid)}]")) for pid, t in value.items()}
+    for pid, t in value.items():
+        if not _is_int_list(t):  # the context, which echoes the id, only for the error
+            raise SchemaError(f"{ctx}[{_id(pid)}]: expected a list of integers")
+    return {pid: tuple(t) for pid, t in value.items()}
 
 
 # -- subcommands ------------------------------------------------------------
@@ -412,7 +452,7 @@ def _collection_from_json(entry, group, places, ctx, checked=None):
 
 
 def cmd_ratio(args):
-    _, data = _load_json(args.input)
+    data = _load_json(_read_text(args.input), args.input)
     group = GroupSpec.parse(_get(data, "group", "input", str))
     places = _places_from_json(_get(data, "places", "input"), group.label)
     colls = _get(data, "collections", "input", list)
@@ -425,7 +465,7 @@ def cmd_ratio(args):
 
 
 def cmd_family(args):
-    _, data = _load_json(args.input)
+    data = _load_json(_read_text(args.input), args.input)
     group = GroupSpec.parse(_get(data, "group", "input", str))
     places = _places_from_json(_get(data, "places", "input"), group.label)
     family_ids = _get(data, "family_places", "input", list)
@@ -522,8 +562,8 @@ def _members_from_json(data):
 _HEADER, _RATIOS = '{\n  "group": ', ',\n  "ratios": '
 
 
-def _certify_canonical(path):
-    """The certificate of a file that is `family`'s text byte for byte, or None.
+def _certify_canonical(text, path):
+    """The certificate of a file whose text is `family`'s byte for byte, or None.
 
     Only the head, the text before the ratios, is decoded.  The members are
     rebuilt from it and certified, and the file must then be the writer's
@@ -533,13 +573,12 @@ def _certify_canonical(path):
     command reports included, is None: the caller then decodes the whole
     file, and every exit code and message is the one that path gives.
     """
+    end = text.find(_RATIOS) if text.startswith(_HEADER) else -1
+    if end < 0:
+        return None
     try:
-        text = _read_text(path)
-        end = text.find(_RATIOS) if text.startswith(_HEADER) else -1
-        if end < 0:
-            return None
-        cert = certify_family(_members_from_json(_decode(text[:end] + "\n}", path)))
-    except (ParavolError, OSError):
+        cert = certify_family(_members_from_json(_load_json(text[:end] + "\n}", path)))
+    except ParavolError:
         return None
     end = _written_end(text, cert)
     return cert if end >= 0 and not text[end:].strip(" \t\n\r") else None
@@ -555,30 +594,40 @@ def _written_end(text, cert):
     return pos
 
 
-def _certify_decoded(path):
+def _check_section(expected, found, key):
+    """Raise the mismatch naming the first entry of section `key` where found differs.
+
+    A call of its own, so that the decoded section is dropped before the
+    next one is decoded.
+    """
+    if _differs(expected, found):
+        entry = _first_difference(expected, found, key)
+        raise CertificateError(f"certificate mismatch: {entry} does not match recomputation")
+
+
+def _certify_decoded(text, path):
     """The certificate that the whole decoded file passes; else the error naming why not.
 
     `_certify_canonical` has taken every file that is the writer's text
-    followed by whitespace, so this file is compared entry by entry.
+    followed by whitespace, so this file is compared entry by entry, with
+    the expected text decoded one top-level section at a time.
     """
-    _, data = _load_json(path)
+    data = _load_json(text, path)
     members = _members_from_json(data)
     for key in ("ratios", "witnesses", "citations"):
         _get(data, key, "certificate", list)
     cert = certify_family(members)
-    expected = json.loads("".join(_certificate_chunks(cert)))
+    sections = dict(_certificate_sections(cert))
     for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
-        if _differs(expected[key], data[key]):
-            entry = _first_difference(expected[key], data[key], key)
-            raise CertificateError(f"certificate mismatch: {entry} does not match recomputation")
+        _check_section(json.loads("".join(sections[key])), data[key], key)
     return cert
 
 
 def cmd_certify(args):
-    cert = _certify_canonical(args.input)
-    if cert is None:
-        cert = _certify_decoded(args.input)
-    _dump(None, {"valid": True, "members": len(cert.members), "witnesses": len(cert.witnesses)})
+    text = _read_text(args.input)
+    cert = _certify_canonical(text, args.input) or _certify_decoded(text, args.input)
+    witnesses = sum(map(len, cert.witness_places))
+    _dump(None, {"valid": True, "members": len(cert.members), "witnesses": witnesses})
     return 0
 
 

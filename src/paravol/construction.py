@@ -14,13 +14,15 @@ refinement indices there.  Its local factors are computed once per
 distinct (place, member 0's type, other type).  A type's
 realized-automorphism orbit, from `LocalIndex.orbit_masks`, is found once
 per place, and the witnesses come from splitting the members by orbit at
-each place in turn, so only the witness list, one tuple per member pair,
-is N²-sized.  `cli._certificate_chunks` is the one writer of the v1
-certificate text.  `certify` on the command line trusts nothing in a
+each place in turn.  A witness is kept as the index of its place in a row
+per member i over the later members j, so the N²-sized part is N(N-1)/2
+ints and no per-pair object.  `cli._certificate_chunks` is the one writer of
+the v1 certificate text.  `certify` on the command line trusts nothing in a
 certificate file: it recomputes the family from the file's members and
 checks the file against that writer's text, chunk by chunk.  A file in
 that layout has only its head, the members, decoded; any other file is
-decoded whole and compared entry by entry with the decoded expected text.
+decoded whole and compared entry by entry with the expected text, decoded
+one top-level key at a time.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import repeat
-from operator import getitem
 
 from .diagram import IWAHORI, LABEL_ECHO_LIMIT, ParahoricTypeSpec, echo
 from .errors import (
@@ -197,7 +197,7 @@ def _covolume_ratio(a, b, terms):
     _check_comparable(a, b)
     num = den = 1
     for pl, ta, tb in zip(a.places, a.types, b.types):
-        same = ta == tb
+        same = ta.mask == tb.mask
         if not same:
             n, d = terms(pl, ta, tb)
             num *= n
@@ -210,11 +210,17 @@ def _covolume_ratio(a, b, terms):
     return HalfPowerRational(Fraction(num, den))
 
 
-class FamilyCertificate(namedtuple("FamilyCertificate", "members ratios witnesses citations",
+class FamilyCertificate(namedtuple("FamilyCertificate",
+                                   "members ratios witness_places citations",
                                    defaults=(CITATIONS,))):
-    """Members, their ratio matrix, a non-conjugacy witness (i, j, place_id, t_i, t_j) per i < j.
+    """Members, their ratio matrix and a non-conjugacy witness per member pair i < j.
 
-    `cli._certificate_chunks` writes it as the v1 certificate text.
+    `witness_places` holds one row per member i but the last: the index,
+    in the members' place order, of the witness place of each later
+    member j, in order of j.  The witness of (i, j) at index k is that
+    place and the types members i and j have there.  Indices are ints, as
+    a family may have any number of places.  `cli._certificate_chunks`
+    writes it as the v1 certificate text.
     """
 
     __slots__ = ()
@@ -275,16 +281,19 @@ def certify_family(members):
     the later members start as one set and the places are walked in
     order: those whose orbit differs from i's at place k get their witness
     there and the rest go on, so the scan is O(N·m) set operations in C
-    and the only per-pair work is building the witness tuple.  A failure
-    names the first pair, in (i, j) order, that no place separates.
+    and the only per-pair work is a C-level lookup of each later member's
+    place index, which makes up member i's witness row.  A failure names
+    the first pair, in (i, j) order, that no place separates.
     """
     members = tuple(members)
     if len(members) < 2:
         raise CertificateError("a family needs at least two members")
-    memo = {}  # (place, type of member 0, other type) -> their factor terms
+    # (place id, mask of member 0's type, other mask) -> their factor terms;
+    # every member is checked comparable with member 0, so an id names one place
+    memo = {}
 
     def terms(pl, ta, tb):
-        key = (pl, ta, tb)
+        key = (pl.id, ta.mask, tb.mask)
         found = memo.get(key)
         if found is None:
             found = memo[key] = _place_terms(pl, ta, tb)
@@ -297,7 +306,6 @@ def certify_family(members):
     n = len(members)
     ratios = ((ONE,) * n,) * n
     types = [m.types for m in members]
-    ids = [pl.id for pl in members[0].places]
     columns = []  # per place, each member's orbit there
     groups = []  # per place, orbit -> the set of members in it
     for k, pl in enumerate(members[0].places):
@@ -313,7 +321,7 @@ def certify_family(members):
             by_orbit.setdefault(orbit, set()).add(i)
         columns.append(column)
         groups.append(by_orbit)
-    witnesses = []
+    rows = []
     for i in range(n - 1):
         rest = set(range(i + 1, n))
         place_of = {}  # later member -> index of its witness place
@@ -326,10 +334,8 @@ def certify_family(members):
                     break
         else:
             raise CertificateError(f"no witness separating members {i} and {min(rest)}")
-        ks = list(map(place_of.__getitem__, range(i + 1, n)))
-        witnesses.extend(zip(repeat(i), range(i + 1, n), map(ids.__getitem__, ks),
-                             map(types[i].__getitem__, ks), map(getitem, types[i + 1:], ks)))
-    return FamilyCertificate(members, ratios, tuple(witnesses))
+        rows.append(tuple(map(place_of.__getitem__, range(i + 1, n))))
+    return FamilyCertificate(members, ratios, tuple(rows))
 
 
 def build_family(group, places, family_ids, pairs=None, fallback_swap=False,

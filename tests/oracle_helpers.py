@@ -22,9 +22,12 @@ reference orders.  They check the engine's bitmask search.  They reuse the
 engine's classifier of one connected component and its degree table,
 which the oracles above check.
 
-`reference_certificate_json` is the v1 certificate as plain decoded JSON,
-every list and dict built afresh from the certificate's fields: the
-streamed writer `cli._certificate_chunks` must write its `json.dumps`.
+`witnesses` expands a certificate's witness rows, one place index per
+member pair, into a tuple (i, j, place id, t_i, t_j) per pair i < j, in
+(i, j) order.  `reference_certificate_json` is the v1 certificate as
+plain decoded JSON, every list and dict built afresh from the
+certificate's fields and those tuples: the streamed writer
+`cli._certificate_chunks` must write its `json.dumps`.
 
 `reference_prime_power_base` is the residue-size check by trial division
 up to sqrt(q): exact at any size, and slow past about 10^12.  It checks the
@@ -356,6 +359,13 @@ def reference_pairs(d):
                   for pair in itertools.combinations(sorted(reps), 2))
 
 
+def witnesses(cert):
+    """(i, j, place id, t_i, t_j) per member pair i < j, read off the certificate's witness rows."""
+    members = cert.members
+    return tuple((i, j, members[0].places[k].id, members[i].types[k], members[j].types[k])
+                 for i, row in enumerate(cert.witness_places) for j, k in enumerate(row, i + 1))
+
+
 def reference_certificate_json(cert):
     """The v1 certificate of a `FamilyCertificate`, as the JSON value it encodes."""
     first = cert.members[0]
@@ -371,7 +381,7 @@ def reference_certificate_json(cert):
                    for row in cert.ratios],
         "witnesses": [{"pair": [i, j], "place": pid, "t1": list(t1.vertices),
                        "t2": list(t2.vertices)}
-                      for i, j, pid, t1, t2 in cert.witnesses],
+                      for i, j, pid, t1, t2 in witnesses(cert)],
         "citations": list(cert.citations),
     }
 

@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -292,14 +293,92 @@ def test_certify_refuses_the_expected_text_cut_at_a_chunk_boundary(tmp_path, cap
     # that are wrong: the file is then compared entry by entry
     tampered = json.loads(text)
     tampered["witnesses"][0]["place"] = "v3"
-    load = cli._load_json
+    bad = write_json(tmp_path / "bad.json", tampered)
+    read, load = cli._read_text, cli._load_json
     for cut in cuts:
-        monkeypatch.setattr(cli, "_load_json", lambda path: (text[:cut], load(path)[1]))
-        code, out, err = invoke(capsys, "certify", "--input",
-                                write_json(tmp_path / "bad.json", tampered))
+        # the head path is handed the cut text; the whole-file decode, the tampered file
+        monkeypatch.setattr(cli, "_read_text", lambda path: text[:cut])
+        monkeypatch.setattr(cli, "_load_json", lambda found, path: load(
+            read(path) if found == text[:cut] else found, path))
+        code, out, err = invoke(capsys, "certify", "--input", bad)
         assert (code, out) == (1, ""), cut
         assert err == ("error: certificate mismatch: witnesses[0].place "
                        "does not match recomputation\n")
+
+
+def test_certify_reads_a_certificate_once_on_either_path(tmp_path, capsys, monkeypatch):
+    text = refined_certificate((2, 3))
+    canonical, compact = tmp_path / "canonical.json", tmp_path / "compact.json"
+    canonical.write_text(text)
+    compact.write_text(json.dumps(json.loads(text)))
+    read, reads = cli._read_text, []
+    monkeypatch.setattr(cli, "_read_text", lambda path: reads.append(path) or read(path))
+    for path in (canonical, compact):
+        reads.clear()
+        assert invoke(capsys, "certify", "--input", str(path)) == (
+            0, '{\n  "valid": true,\n  "members": 4,\n  "witnesses": 6\n}\n', "")
+        assert reads == [str(path)]
+
+
+def test_certify_of_a_missing_file_or_a_directory_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert invoke(capsys, "certify", "--input", str(missing)) == (
+        2, "", f"input error: no such file: {missing}\n")
+    assert invoke(capsys, "certify", "--input", str(tmp_path)) == (
+        2, "", f"input error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+def test_certify_decodes_the_expected_text_one_section_at_a_time(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a file in another layout is compared with the expected text one
+    # top-level key at a time, in the comparison order, never decoded whole
+    text = refined_certificate((2, 3, 5))
+    path = tmp_path / "compact.json"
+    path.write_text(json.dumps(json.loads(text)))
+    loads, decoded = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda s, **kw: decoded.append(s) or loads(s, **kw))
+    assert invoke(capsys, "certify", "--input", str(path))[0] == 0
+    monkeypatch.undo()
+    assert decoded[0] == path.read_text()  # the file
+    order = ("ratios", "witnesses", "members", "places", "group", "citations")
+    assert list(map(json.loads, decoded[1:])) == [json.loads(text)[key] for key in order]
+
+
+def test_a_valid_assignment_entry_echoes_no_place_id(tmp_path, capsys, monkeypatch):
+    # the context that names a place id is built for a refused entry only
+    path = tmp_path / "compact.json"
+    path.write_text(json.dumps(json.loads(refined_certificate((2, 3)))))
+
+    def unused(pid):
+        raise AssertionError(f"place id {pid} echoed for a valid entry")
+
+    monkeypatch.setattr(cli, "_id", unused)
+    assert invoke(capsys, "certify", "--input", str(path))[0] == 0
+
+
+def test_a_witness_place_past_index_255_is_written_and_certified(tmp_path, capsys):
+    # witness rows hold place indices as ints: here the family places are
+    # the 257th and 258th
+    places = [{"id": f"u{k}", "q": 2, "p": 2} for k in range(258)]
+    req = write_json(tmp_path / "req.json", family_request(
+        places=places, family_places=["u256", "u257"]))
+    path = tmp_path / "cert.json"
+    assert invoke(capsys, "family", "--input", req, "--output", str(path)) == (0, "", "")
+    d = build_local_index("split:B3")
+    members = build_family(d.group, [Place(pl["id"], 2, 2, d) for pl in places],
+                           ["u256", "u257"])
+    cert = certify_family(members)
+    assert cert.witness_places == ((256, 257, 256), (256, 257), (256,))
+    text = path.read_text()
+    assert text == "".join(_certificate_text(cert))
+    assert [w["place"] for w in json.loads(text)["witnesses"]] == [
+        "u256", "u257", "u256", "u256", "u257", "u256"]
+    assert invoke(capsys, "certify", "--input", str(path)) == (
+        0, '{\n  "valid": true,\n  "members": 4,\n  "witnesses": 6\n}\n', "")
+    tampered = json.loads(text)
+    tampered["witnesses"][4]["place"] = "u255"
+    assert invoke(capsys, "certify", "--input", write_json(tmp_path / "bad.json", tampered)) == (
+        1, "", "error: certificate mismatch: witnesses[4].place does not match recomputation\n")
 
 
 def test_family_output_is_deterministic(tmp_path, capsys):
@@ -753,8 +832,8 @@ def certify_both_ways(text):
     canonical = cli._certify_canonical
     passed = []
 
-    def recorded(path):
-        cert = canonical(path)
+    def recorded(text, path):
+        cert = canonical(text, path)
         passed.append(cert is not None)
         return cert
 
@@ -764,7 +843,7 @@ def certify_both_ways(text):
         argv = ["certify", "--input", str(path)]
         with mock.patch.object(cli, "_certify_canonical", recorded):
             head = run_quietly(argv)
-        with mock.patch.object(cli, "_certify_canonical", lambda path: None):
+        with mock.patch.object(cli, "_certify_canonical", lambda text, path: None):
             whole = run_quietly(argv)
     return head, whole, passed == [True]
 
@@ -1321,15 +1400,21 @@ def test_certificate_chunks_escape_place_ids_as_json_dumps_does():
     assert any("\\u00fc" in chunk for chunk in chunks)
 
 
-def test_family_hands_the_writer_no_chunk_longer_than_one_member_row_or_witness(tmp_path,
-                                                                               monkeypatch):
+def test_family_hands_the_writer_no_chunk_longer_than_one_member_row(tmp_path, monkeypatch):
     qs = (2, 3, 5, 7, 11, 13)
     text = refined_certificate(qs)
     payload = json.loads(text)
     n = len(payload["members"])
-    # an item's text at its indent in the output, after its separator
-    longest = max(len(",\n    " + json.dumps(item, indent=2).replace("\n", "\n    "))
-                  for key in ("members", "ratios", "witnesses") for item in payload[key])
+
+    def at_indent(items):
+        # items' text at their indent in the output, each after its separator
+        return "".join(",\n    " + json.dumps(item, indent=2).replace("\n", "\n    ")
+                       for item in items)
+
+    # a member row: one member's assignment, one ratio row or member i's witnesses
+    rows = [[item] for key in ("members", "ratios") for item in payload[key]]
+    rows += [[w for w in payload["witnesses"] if w["pair"][0] == i] for i in range(n - 1)]
+    longest = max(map(len, map(at_indent, rows)))
     places = [{"id": f"v{q}", "q": q, "p": q} for q in qs]
     places += [{"id": "w4", "q": 4, "p": 2}, {"id": "w9", "q": 9, "p": 3}]
     req = write_json(tmp_path / "req.json", family_request(
@@ -1338,11 +1423,15 @@ def test_family_hands_the_writer_no_chunk_longer_than_one_member_row_or_witness(
     monkeypatch.setattr(cli, "_write", lambda output, parts: chunks.extend(parts))
     assert run_quietly(["family", "--input", req])[0] == 0
     assert "".join(chunks) == text
-    assert n == 64 and len(chunks) > len(payload["witnesses"]) == n * (n - 1) // 2
-    assert max(map(len, chunks)) <= longest
-    # one member, ratio row or witness per chunk at most
-    assert all(chunk.count('"assignment"') <= 1 and chunk.count('"pair"') <= 1
-               and chunk.count('"num"') <= n for chunk in chunks)
+    assert n == 64 and len(payload["witnesses"]) == n * (n - 1) // 2
+    assert len(chunks) > len(rows) == 3 * n - 1
+    assert max(map(len, chunks)) <= longest < len(text) // 50
+    # one member, ratio row or witness row per chunk at most: the chunks
+    # holding witnesses are member i's, one chunk for each i in turn
+    assert all(chunk.count('"assignment"') <= 1 and chunk.count('"num"') <= n
+               for chunk in chunks)
+    firsts = [set(re.findall(r'"pair": \[\s*(\d+),', chunk)) for chunk in chunks]
+    assert [found for found in firsts if found] == [{str(i)} for i in range(n - 1)]
 
 
 def test_cli_imports_neither_dataclasses_nor_inspect_nor_typing():
