@@ -7,8 +7,10 @@ for three labels above rank 8 (thousands of pairs each), `pairs` without
 pair), `family` and `certify` round trips (with a refinement, with the
 two-place swap and on a twisted group), fixed `ratio` requests, `family`
 and `certify` on the 64-member request shape the benchmark's family
-workload sends, and, last, a `ratio` at each A-D rank cap.  `tests/golden.json` holds the SHA-256 of each
-stdout, not the output itself.
+workload sends, a `ratio` at each A-D rank cap and, last, the `diagram`
+at each A-D rank cap, the largest JSON documents written in one piece.
+`tests/golden.json` holds the SHA-256 of each stdout, not the output
+itself.
 
 A refactor must leave every digest unchanged.  A change that alters output
 on purpose rewrites the file with
@@ -84,6 +86,9 @@ CAP_RATIOS = tuple(
                              {"assignment": {"v": [0]}}]})
     for label, rank in (("split:A150", 150), ("split:B100", 100),
                         ("split:C100", 100), ("split:D100", 100)))
+
+# Recorded after CAP_RATIOS: the diagram at each A-D rank cap.
+CAP_DIAGRAMS = ("split:A150", "split:B100", "split:C100", "split:D100")
 
 SWAP_FAMILY = {
     "group": "split:A4",
@@ -173,6 +178,8 @@ def corpus(workdir):
                ["certify", "--input", write(f"later-certificate-{k}.json", cert)])
     for k, (name, req) in enumerate(CAP_RATIOS):
         record(f"ratio {name} cap", ["ratio", "--input", write(f"cap-ratio-{k}.json", req)])
+    for label in CAP_DIAGRAMS:
+        record(f"diagram {label}", ["diagram", label])
     return entries
 
 
