@@ -26,7 +26,7 @@ from .construction import (
     make_collection,
     relative_covolume,
 )
-from .diagram import GroupSpec, _bits, build_local_index, echo
+from .diagram import LABEL_ECHO_LIMIT, GroupSpec, _bits, build_local_index, echo
 from .errors import CertificateError, DomainError, OutputError, ParavolError, SchemaError
 from .parahoric import pairs_to_json
 
@@ -69,73 +69,25 @@ def _drop_stdout():
     os.close(devnull)
 
 
-_ATOMS = {True: "true", False: "false", None: "null"}
-_INT_ONLY = frozenset((int,))
+def _ints(values, newline):
+    """`json.dumps(list(values), indent=2)` of a sequence of ints, at the indent of `newline`."""
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, values)) + newline + "]"
 
 
-def _encode(value, newline="\n"):
-    """The text of `json.dumps(value, indent=2)`, byte for byte, built in one pass.
+def _nested(value, newline):
+    """`json.dumps(value, indent=2)` at the indent of `newline`.
 
-    `newline` is the newline and indent that come before the value's
-    closing bracket, so the text is the value's as it stands at that
-    indent inside a larger document.  With `indent` set, the standard
-    library encodes in pure Python, one generator per container.  Here
-    every fragment is appended to one list that is joined once, a list of
-    plain ints is one join over `int.__repr__`, and strings and keys go
-    through the C `encode_basestring_ascii`.  A value made of dicts with
-    str keys, lists, str, int, bool and None yields exactly the bytes of
-    `json.dumps`; any other type raises TypeError, so the output never
-    differs.  Values must be acyclic, as every payload the engine builds
-    is.  Nothing is cached: the writers `_pairs_chunks` and
-    `_certificate_chunks` encode each repeated piece once themselves.
+    Exact, since the text's only newlines are the layout's: JSON writes a
+    newline inside a string as the escape `\\n`.
     """
-    parts = []
-    _encode_into(parts.append, value, newline)
-    return "".join(parts)
-
-
-def _encode_into(append, value, newline):
-    kind = type(value)
-    if kind is str:
-        append(_quote(value))
-    elif kind is int:
-        append(int.__repr__(value))
-    elif kind is bool or value is None:
-        append(_ATOMS[value])
-    elif kind is list:
-        if not value:
-            append("[]")
-            return
-        inner = newline + "  "
-        # type(v) is int, not isinstance: a bool in the list prints true
-        if _INT_ONLY.issuperset(map(type, value)):
-            append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
-            return
-        sep = "[" + inner
-        for item in value:
-            append(sep)
-            sep = "," + inner
-            _encode_into(append, item, inner)
-        append(newline + "]")
-    elif kind is dict:
-        if not value:
-            append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            append(sep + _quote(key) + ": ")
-            sep = "," + inner
-            _encode_into(append, item, inner)
-        append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return json.dumps(value, indent=2).replace("\n", newline)
 
 
 def _dump(output, obj):
-    _write(output, (_encode(obj), "\n"))
+    _write(output, (json.dumps(obj, indent=2), "\n"))
 
 
 # The newlines before a `pairs` entry and before each of its keys.
@@ -148,7 +100,7 @@ class _MaskTexts(dict):
     __slots__ = ()
 
     def __missing__(self, mask):
-        text = self[mask] = _encode(list(_bits(mask)), _KEY)
+        text = self[mask] = _ints(_bits(mask), _KEY)
         return text
 
 
@@ -175,17 +127,17 @@ def _pairs_chunks(label, rows, q):
     for t1, dim, coeffs, value, t2s in rows:
         tail = tails.get(coeffs)
         if tail is None:
-            tail = ("," + _KEY + '"dim": ' + _encode(dim, _KEY) + "," + _KEY
-                    + '"order_coeffs": ' + _encode(list(coeffs), _KEY))
+            tail = ("," + _KEY + '"dim": ' + int.__repr__(dim) + "," + _KEY
+                    + '"order_coeffs": ' + _ints(coeffs, _KEY))
             if q is not None:
-                tail += "," + _KEY + '"order_at_q": ' + _encode(value, _KEY)
+                tail += "," + _KEY + '"order_at_q": ' + int.__repr__(value)
             tail = tails[coeffs] = tail + _ENTRY + "}"
         head = "{" + _KEY + '"t1": ' + texts[t1] + "," + _KEY + '"t2": '
         yield sep + head + (tail + between + head).join(map(texts.__getitem__, t2s)) + tail
         sep = between
     end = "\n  ]" if sep == between else "[]"
     if q is not None:
-        end += ',\n  "q": ' + _encode(q, _KEY)
+        end += ',\n  "q": ' + int.__repr__(q)
     yield end + "\n}\n"
 
 
@@ -214,12 +166,12 @@ def _member_texts(members):
             key = (pl.id, t.mask)
             line = lines.get(key)
             if line is None:
-                line = lines[key] = _quote(pl.id) + ": " + _encode(list(t.vertices), _NESTED)
+                line = lines[key] = _quote(pl.id) + ": " + _ints(t.vertices, _NESTED)
             parts.append(line)
         assignment = "{" + _NESTED + ("," + _NESTED).join(parts) + _KEY + "}" if parts else "{}"
         refined = refinement_texts.get(m.refinements)
         if refined is None:
-            refined = refinement_texts[m.refinements] = _encode(list(m.refinements), _KEY)
+            refined = refinement_texts[m.refinements] = _nested(list(m.refinements), _KEY)
         yield ("{" + _KEY + '"assignment": ' + assignment + "," + _KEY
                + '"refinements": ' + refined + _ENTRY + "}")
 
@@ -230,7 +182,7 @@ def _ratio_row_texts(rows):
 
     def ratio(r):
         if id(r) not in texts:
-            texts[id(r)] = _encode(r.to_json(), _KEY)
+            texts[id(r)] = _nested(r.to_json(), _KEY)
         return texts[id(r)]
 
     for row in rows:
@@ -289,7 +241,7 @@ def _certificate_sections(cert):
     return (
         ("group", (_quote(first.group.label),)),
         ("places", _list_chunks(
-            _encode({"id": pl.id, "q": pl.q, "p": pl.p, "index": pl.local_index.group.label},
+            _nested({"id": pl.id, "q": pl.q, "p": pl.p, "index": pl.local_index.group.label},
                     _ENTRY)
             for pl in first.places)),
         ("members", _list_chunks(_member_texts(cert.members))),
@@ -375,6 +327,9 @@ def _get(obj, key, ctx, kind=None):
     if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise SchemaError(f"{ctx}: key {key!r} has wrong type")
     return value
+
+
+_INT_ONLY = frozenset((int,))
 
 
 def _is_int_list(value):
@@ -633,8 +588,30 @@ def cmd_certify(args):
 
 # -- entry points ------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors name an argument past LABEL_ECHO_LIMIT by its length.
+
+    argparse repeats a refused value (an unknown command, a --q that is no
+    integer, an unrecognized argument) in full; `error` gets only the
+    message, so each parser, subcommand parsers included, keeps its own
+    arguments to find them in it.
+    """
+
+    _argv = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        for arg in sorted(set(self._argv), key=len, reverse=True):
+            if len(arg) > LABEL_ECHO_LIMIT:
+                message = message.replace(repr(arg), arg).replace(arg, echo(arg, "value"))
+        super().error(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paravol",
         description="parahoric types, exact volume factor ratios, certified "
                     "equal-covolume families")

@@ -40,6 +40,8 @@ class GroupSpec(namedtuple("GroupSpec", "form family rank twisted_index")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
 
     def __new__(cls, form, family, rank, twisted_index=None):
+        if type(rank) is not int:  # 3.0 == 3 and True == 1, but neither is a rank
+            raise UnsupportedTypeError(f"unsupported type: rank {echo(rank, 'rank')}")
         if form == "split":
             if twisted_index is not None:
                 raise UnsupportedTypeError("unsupported type: split form takes no twisted index")
@@ -96,6 +98,9 @@ class GroupSpec(namedtuple("GroupSpec", "form family rank twisted_index")):
         return roots.group_dimension(self.family, self.rank)
 
 
+_FAMILIES = tuple("ABCDEFG")  # not the string: "" and "AB" are in "ABCDEFG"
+
+
 class FiniteTypeLabel(namedtuple("FiniteTypeLabel", "family rank")):
     """Isogeny-free label of a split finite reductive group: family, rank."""
 
@@ -103,7 +108,7 @@ class FiniteTypeLabel(namedtuple("FiniteTypeLabel", "family rank")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so `_replace` validates too
 
     def __new__(cls, family, rank):
-        if family not in "ABCDEFG" or rank < 1:
+        if family not in _FAMILIES or type(rank) is not int or rank < 1:
             raise UnsupportedTypeError(f"unsupported type: {family}{rank}")
         return tuple.__new__(cls, (family, rank))
 

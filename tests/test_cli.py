@@ -25,7 +25,7 @@ from test_construction import oracle_families
 from test_reductive import LEAST_FACTOR_101, MERSENNE_PRODUCT
 
 from paravol import cli, construction, diagram
-from paravol.cli import _encode, _int_digit_limit, run
+from paravol.cli import _int_digit_limit, run
 from paravol.construction import Place, build_family, certify_family
 from paravol.diagram import build_local_index
 from paravol.parahoric import find_equal_volume_pairs, pairs_to_json
@@ -595,9 +595,13 @@ def test_certify_refuses_a_json_float(tmp_path, capsys):
 
 
 def run_quietly(argv):
+    """run's (exit code, stdout, stderr); a command line argparse refuses exits with 2."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = run(argv)
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # raised by argparse, after its usage message
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -817,6 +821,54 @@ def assert_prompt_exit(argv, seconds=5.0):
 def test_pairs_at_a_huge_residue_size_exits_promptly(q):
     code = assert_prompt_exit(["pairs", "split:B3", "--q", str(q)])
     assert code == (0 if q in (10 ** 24 + 7, (10 ** 18 + 3) ** 2) else 1)
+
+
+# One argument of each kind that argparse refuses: a --q past the digit
+# limit, a --q that is no number, a command that does not exist, an
+# argument and an option that no command takes.
+REFUSED_ARGUMENTS = {
+    "q-past-the-digit-limit": ["pairs", "split:B3", "--q", "1" + "0" * 4399 + "1"],
+    "q-not-a-number": ["pairs", "split:B3", "--q", "x" * 10 ** 5],
+    "command": ["c" * 10 ** 5],
+    "extra-argument": ["diagram", "split:B3", "e" * 10 ** 5],
+    "unknown-option": ["diagram", "split:B3", "--" + "o" * 10 ** 5],
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED_ARGUMENTS.values(), ids=REFUSED_ARGUMENTS)
+def test_a_refused_argument_past_the_echo_limit_is_named_by_its_length(argv):
+    code, out, err = run_quietly(argv)
+    assert (code, out) == (2, "")
+    assert f"a value of {len(argv[-1])} characters" in err
+    assert len(err.encode()) < 1024
+
+
+def test_a_refused_short_argument_is_echoed():
+    code, _, err = run_quietly(["pairs", "split:B3", "--q", "12x"])
+    assert code == 2 and "invalid int value: '12x'" in err
+
+
+LONG = 10 ** 5
+fuzz_labels = st.sampled_from(LABELS) | st.text(max_size=10) | st.sampled_from((
+    "split:B" + "3" * LONG, "split:" + "x" * LONG, "x" * LONG,  # long
+    "split:B\u0663", "split:B\u00b3", "split:B\uff13",  # digits that are not ASCII
+    "split:B03", "split-B3", "split:b3", "twisted:B3", "twisted:C-BC2", "split:", ":B3", ""))
+fuzz_qs = (st.integers(-3, 30) | st.sampled_from(HUGE_QS)).map(str) | st.sampled_from((
+    "1" * 4301, "-" + "9" * 4301, "9" * LONG, "x" * LONG,  # past the digit limit, long
+    "x", "7.0", "0x7", "\u0667", "", " "))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((["diagram"], ["diagram", "--dot"], ["pairs"])), fuzz_labels,
+       st.none() | fuzz_qs)
+@example(["pairs"], "split:B3", "x" * LONG)
+@example(["pairs"], "split:B3", "1" * 4301)
+def test_diagram_and_pairs_exit_0_1_or_2_without_a_traceback(command, label, q):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = command + [label, "--output", str(Path(tmp) / "out")]
+        if q is not None and command == ["pairs"]:
+            argv += ["--q", q]
+        assert_prompt_exit(argv)
 
 
 # -- certify's head path: a canonical file is checked by its bytes ----------
@@ -1466,79 +1518,43 @@ def test_rank_with_a_leading_zero_exits_1_where_the_place_index_repeats_it(tmp_p
         assert err == "error: unsupported type: 'split:B03'\n"
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text()
-    | st.builds(lambda digits, sign: sign * (10 ** digits - 1),  # past 4,300 digits
-                st.integers(4300, 4310), st.sampled_from((1, -1)))
-    | st.lists(st.integers()) | st.lists(st.integers() | st.booleans() | st.none()),
-    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
-    max_leaves=30)
+# -- the pieces of the streaming writers are json.dumps texts ----------------
 
-
-@st.composite
-def shared_lists(draw):
-    """A value in which one list object is reached at two depths."""
-    shared = draw(st.lists(json_values, max_size=3))
-    return {"a": shared, "b": [draw(json_values), {"c": shared}]}
+# Ints up to past 4,300 digits, the interpreter's default limit on their text.
+big_ints = st.integers() | st.builds(lambda digits, sign: sign * 10 ** digits,
+                                     st.integers(4300, 5000), st.sampled_from((1, -1)))
+newlines = st.integers(0, 5).map(lambda depth: "\n" + "  " * depth)
 
 
 @settings(max_examples=100, deadline=None)
-@given(json_values | shared_lists())
-@example([[], {}, [[]], {"k": {}}, {"k": [[], {"j": []}]}])
-@example([1, True, 2, None, False])
-@example({"\u00e9\"\\\n\x00\x1f\u2028\U0001d11e": ["\"\\\t\x7f\u00ff", "\ud800"]})
-def test_encode_is_json_dumps_with_indent_2(value):
+@given(st.lists(big_ints, max_size=6) | st.lists(big_ints, max_size=6).map(tuple), newlines)
+@example([], "\n")
+@example((), "\n      ")
+@example([-1, 0, -(10 ** 4999), 10 ** 4999], "\n        ")  # 5,000 digits
+def test_ints_is_json_dumps_of_the_list_at_the_indent(values, newline):
     with _int_digit_limit(0):  # as `run` does
-        assert _encode(value) == json.dumps(value, indent=2)
+        assert cli._ints(values, newline) == json.dumps(list(values), indent=2).replace(
+            "\n", newline)
 
 
-def test_encode_writes_one_list_object_right_wherever_it_recurs():
-    ints = [3, -1, 40]
-    mixed = [ints, None, "s", [ints], ints]
-    value = {
-        "a": ints,
-        "b": [ints, {"c": ints, "d": [[ints]]}],
-        "e": mixed,
-        "f": [mixed, {"g": mixed}, ints],
-        "h": {"i": {"j": ints}},
-        "k": [[ints, ints], ints],
-    }
-    assert _encode(value) == json.dumps(value, indent=2)
+nested_values = st.recursive(
+    st.none() | st.booleans() | big_ints | st.text(),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20)
 
 
-@pytest.mark.parametrize("value", [1.5, (1,), [1, 2.0], {1: 2}, {"k": b"x"}, [[set()]]])
-def test_encode_refuses_other_types(value):
-    with pytest.raises(TypeError):
-        _encode(value)
-
-
-def test_encode_is_json_dumps_on_command_payloads(tmp_path, monkeypatch):
-    places = [{"id": "v2", "q": 2, "p": 2}, {"id": "v3", "q": 3, "p": 3},
-              {"id": "w4", "q": 4, "p": 2}, {"id": "w9", "q": 9, "p": 3}]
-    refined = write_json(tmp_path / "req.json", family_request(
-        places=places, family_places=["v2", "v3"], refine=["w4", "w9"]))
-    payloads = []
-    monkeypatch.setattr(cli, "_dump", lambda output, obj: payloads.append(obj))
-    chunks = cli._certificate_chunks
-
-    def family_chunks(cert):
-        # `family` streams its certificate; its text must be the payload's
-        payloads.append(reference_certificate_json(cert))
-        text = "".join(chunks(cert))
-        assert text == json.dumps(payloads[-1], indent=2) + "\n"
-        return [text]
-
-    monkeypatch.setattr(cli, "_certificate_chunks", family_chunks)
-    # `pairs` writes its entries without `_dump`; its oracle is
-    # test_pairs_stdout_is_json_dumps_of_one_dict_per_pair
-    for argv in (["family", "--input", refined],
-                 ["diagram", "twisted:C-B2"],
-                 ["diagram", "split:B3"]):
-        assert run_quietly(argv)[0] == 0, argv
-    certificate, _, diagram = payloads
-    assert certificate["members"][1]["refinements"]
-    # split:B3 has edges without an arrow (null) and both kinds of vertex
-    assert any(e["arrow"] is None for e in diagram["edges"])
-    assert {v["hyperspecial"] for v in diagram["vertices"]} == {True, False}
-    for payload in payloads:
-        assert _encode(payload) == json.dumps(payload, indent=2)
+@settings(max_examples=100, deadline=None)
+@given(nested_values, st.integers(0, 4))
+@example(["\n", "a\nb", "\"", "\u2028", "\U0001d11e", "\ud800"], 2)
+@example({"\n\"\u2028\U0001d11e": {"\n": ["\r\n"]}}, 3)
+def test_nested_is_the_values_text_inside_a_document(value, depth):
+    """`_nested(value, newline)` is the text json.dumps writes for value at that depth."""
+    document = value
+    for _ in range(depth):
+        document = [document]
+    newline = "\n" + "  " * depth
+    head = "".join("[\n" + "  " * (k + 1) for k in range(depth))
+    tail = "".join("\n" + "  " * k + "]" for k in reversed(range(depth)))
+    with _int_digit_limit(0):
+        assert head + cli._nested(value, newline) + tail == json.dumps(document, indent=2)

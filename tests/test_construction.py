@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -621,3 +622,15 @@ def test_family_and_certify_classify_each_type_once(monkeypatch):
     assert {t.mask for m in members for t in m.types} <= reps
     assert sorted(classified) == sorted(reps)
     assert d.component_labels.keys() == reps
+
+
+def test_the_readme_library_example_prints_what_it_states(capsys):
+    """README's Library block runs, and each `print` gives the comment line after it."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    stated = [lines[k + 1].removeprefix("# ") for k, line in enumerate(lines)
+              if line.startswith("print(")]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == stated
+    assert stated == ["(ParahoricTypeSpec([0]), ParahoricTypeSpec([2]))", "8 28"]

@@ -99,6 +99,10 @@ def test_group_spec_is_an_immutable_validated_value():
         GroupSpec.parse("split:B3")._replace(rank=2)
     with pytest.raises(UnsupportedTypeError):
         GroupSpec._make(("twisted", "A", 2, "C-B2"))
+    # a rank is an int: True == 1 and 3.0 == 3 would print as split:ATrue and split:B3.0
+    for fields in (("split", "A", True), ("split", "B", 3.0), ("twisted", "A", 3.0, "C-B2")):
+        with pytest.raises(UnsupportedTypeError):
+            GroupSpec(*fields)
 
 
 def test_finite_type_label_is_an_immutable_validated_value():
@@ -111,7 +115,10 @@ def test_finite_type_label_is_an_immutable_validated_value():
     with pytest.raises(AttributeError):
         a1.rank = 2
     for build in (lambda: FiniteTypeLabel("X", 1), lambda: FiniteTypeLabel("A", 0),
-                  lambda: a1._replace(rank=0), lambda: FiniteTypeLabel._make(("H", 3))):
+                  lambda: a1._replace(rank=0), lambda: FiniteTypeLabel._make(("H", 3)),
+                  # one family letter and an int rank
+                  lambda: FiniteTypeLabel("", 3), lambda: FiniteTypeLabel("AB", 3),
+                  lambda: FiniteTypeLabel("A", True), lambda: FiniteTypeLabel("B", 3.0)):
         with pytest.raises(UnsupportedTypeError):
             build()
 
