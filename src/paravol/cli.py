@@ -171,7 +171,7 @@ def _member_texts(members):
         assignment = "{" + _NESTED + ("," + _NESTED).join(parts) + _KEY + "}" if parts else "{}"
         refined = refinement_texts.get(m.refinements)
         if refined is None:
-            refined = refinement_texts[m.refinements] = _nested(list(m.refinements), _KEY)
+            refined = refinement_texts[m.refinements] = _nested(m.refinements, _KEY)
         yield ("{" + _KEY + '"assignment": ' + assignment + "," + _KEY
                + '"refinements": ' + refined + _ENTRY + "}")
 
