@@ -30,6 +30,11 @@ from .diagram import LABEL_ECHO_LIMIT, GroupSpec, _bits, build_local_index, echo
 from .errors import CertificateError, DomainError, OutputError, ParavolError, SchemaError
 from .parahoric import pairs_to_json
 
+# An input path is named in full up to this many characters and by its
+# length past them: far more than any temporary path a caller makes, and
+# short enough that every message stays under 1 KB.
+PATH_ECHO_LIMIT = 256
+
 # Input integers may have at most this many digits: the interpreter's
 # default limit on int-string conversion.  Results are exact and may be
 # longer, so commands run with that limit lifted (see `run`).
@@ -39,13 +44,15 @@ MAX_INPUT_DIGITS = 4300
 def _write(output, chunks):
     """Write an iterable of text chunks to the file `output`, or to stdout.
 
-    A failed write raises OutputError.  When stdout fails, its descriptor
-    is pointed at the null device first, so that the interpreter's flush
-    of what is left at exit finds nothing to report.
+    The file is written through a 1 MB buffer, so a multi-MB result takes
+    a few system calls, not one per 8 KB.  A failed write, the final flush
+    at close included, raises OutputError.  When stdout fails, its
+    descriptor is pointed at the null device first, so that the
+    interpreter's flush of what is left at exit finds nothing to report.
     """
     try:
         if output:
-            with open(output, "w") as fh:
+            with open(output, "w", buffering=1 << 20) as fh:
                 fh.writelines(chunks)
         else:
             sys.stdout.writelines(chunks)
@@ -292,15 +299,20 @@ def _int_digit_limit(n):
         sys.set_int_max_str_digits(limit)
 
 
+def _path(path, shown=str):
+    """An input path as an error message shows it: in full, or named by its length."""
+    return echo(path, "path", shown, PATH_ECHO_LIMIT)
+
+
 def _read_text(path):
     """The text of the file, with its newlines read as \\n."""
     if not os.path.exists(path):
-        raise SchemaError(f"no such file: {path}")
+        raise SchemaError(f"no such file: {_path(path)}")
     try:
         with open(path, encoding="utf-8") as fh:  # JSON text is UTF-8
             return fh.read()
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise SchemaError(f"{_path(path)}: not UTF-8 text: {exc}") from exc
 
 
 def _load_json(text, path):
@@ -310,9 +322,9 @@ def _load_json(text, path):
         with _int_digit_limit(MAX_INPUT_DIGITS):
             return json.loads(text, parse_float=_input_float, parse_constant=_input_float)
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        raise SchemaError(f"{_path(path)}: {exc}") from exc
     except RecursionError as exc:
-        raise SchemaError(f"{path}: JSON nested too deeply") from exc
+        raise SchemaError(f"{_path(path)}: JSON nested too deeply") from exc
     except ValueError as exc:
         raise SchemaError(f"integer with more than {MAX_INPUT_DIGITS} digits") from exc
 
@@ -549,13 +561,14 @@ def _written_end(text, cert):
     return pos
 
 
-def _check_section(expected, found, key):
+def _check_section(expected, found, key, bools):
     """Raise the mismatch naming the first entry of section `key` where found differs.
 
-    A call of its own, so that the decoded section is dropped before the
-    next one is decoded.
+    `bools` says whether the file's text may hold a bool; when it cannot,
+    found is not walked for one.  A call of its own, so that the decoded
+    section is dropped before the next one is decoded.
     """
-    if _differs(expected, found):
+    if expected != found or bools and _holds_bool(found):
         entry = _first_difference(expected, found, key)
         raise CertificateError(f"certificate mismatch: {entry} does not match recomputation")
 
@@ -565,8 +578,11 @@ def _certify_decoded(text, path):
 
     `_certify_canonical` has taken every file that is the writer's text
     followed by whitespace, so this file is compared entry by entry, with
-    the expected text decoded one top-level section at a time.
+    the expected text decoded one top-level section at a time.  A JSON
+    bool comes only from a literal true or false, so when the text holds
+    neither word, no section is walked for a bool.
     """
+    bools = "true" in text or "false" in text
     data = _load_json(text, path)
     members = _members_from_json(data)
     for key in ("ratios", "witnesses", "citations"):
@@ -574,7 +590,7 @@ def _certify_decoded(text, path):
     cert = certify_family(members)
     sections = dict(_certificate_sections(cert))
     for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
-        _check_section(json.loads("".join(sections[key])), data[key], key)
+        _check_section(json.loads("".join(sections[key])), data[key], key, bools)
     return cert
 
 
@@ -664,8 +680,11 @@ def run(argv):
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except OSError as exc:  # the input file could not be read
+        message = str(exc)
+        if exc.filename is not None:  # shown as its repr
+            message = message.replace(repr(exc.filename), _path(exc.filename, repr))
+        print(f"input error: {message}", file=sys.stderr)
         return 2
 
 

@@ -10,13 +10,16 @@ Certifying N members over m places does O(N*m) local work.  Equal
 covolume is transitive, so a family needs only each member's covolume to
 equal member 0's: N-1 exact ratios, after which every pairwise ratio is
 one.  A ratio walks the places once, taking each place's factor terms and
-refinement indices there.  Its local factors are computed once per
-distinct (place, member 0's type, other type).  A type's
+refinement indices there, and is tested as one integer comparison of its
+unreduced numerator and denominator.  Its local factors are computed once
+per distinct (place, member 0's type, other type).  A type's
 realized-automorphism orbit, from `LocalIndex.orbit_masks`, is found once
-per place, and the witnesses come from splitting the members by orbit at
-each place in turn.  A witness is kept as the index of its place in a row
-per member i over the later members j, so the N²-sized part is N(N-1)/2
-ints and no per-pair object.  `cli._certificate_chunks` is the one writer of
+per place, and the orbits met at each place are numbered.  Each member's
+numbers are packed into one int, place 0 in the highest field, so the
+witness place of two members is read off the bit length of their codes'
+xor.  A witness is kept as the index of its place in a row per member i
+over the later members j, so the N²-sized part is N(N-1)/2 ints and no
+per-pair object.  `cli._certificate_chunks` is the one writer of
 the v1 certificate text.  `certify` on the command line trusts nothing in a
 certificate file: it recomputes the family from the file's members and
 checks the file against that writer's text, chunk by chunk.  A file in
@@ -162,7 +165,8 @@ def refinement_index(place, t):
 
 
 def _check_comparable(a, b):
-    if a.group.label != b.group.label or len(a.places) != len(b.places):
+    if (a.group is not b.group and a.group.label != b.group.label
+            or len(a.places) != len(b.places)):
         raise IncomparableError("incomparable collections")
     for pa, pb in zip(a.places, b.places):
         if pa is not pb and pa.key() != pb.key():
@@ -185,15 +189,15 @@ def relative_covolume(a, b):
     is skipped.  The integer numerator and denominator are accumulated
     and reduced once, at the end.
     """
-    return _covolume_ratio(a, b, _place_terms)
+    return HalfPowerRational(Fraction(*_covolume_terms(a, b, _place_terms)))
 
 
 def _place_terms(pl, ta, tb):
     return factor_terms(pl.local_index, ta, tb, pl.q)
 
 
-def _covolume_ratio(a, b, terms):
-    """`relative_covolume`, with each place's factor terms from terms(place, ta, tb)."""
+def _covolume_terms(a, b, terms):
+    """`relative_covolume` as (num, den), not reduced, with factor terms from terms(pl, ta, tb)."""
     _check_comparable(a, b)
     num = den = 1
     for pl, ta, tb in zip(a.places, a.types, b.types):
@@ -207,7 +211,7 @@ def _covolume_ratio(a, b, terms):
             num *= refinement_index(pl, ta)
         if in_b and not (in_a and same):
             den *= refinement_index(pl, tb)
-    return HalfPowerRational(Fraction(num, den))
+    return num, den
 
 
 class FamilyCertificate(namedtuple("FamilyCertificate",
@@ -270,20 +274,24 @@ def certify_family(members):
     tested, so an incomparable member is reported ahead of an unequal
     covolume.  Members share their types, so the factor terms of each
     distinct (place, member 0's type, other type) are computed once.  A
-    failure names members 0 and j for the first j whose ratio is not one;
-    on success every matrix entry is one.  The witness for a pair is the
-    first place where the two types differ and are not conjugate.
+    ratio is one exactly when its unreduced numerator equals its
+    denominator, so a `Fraction` is built only for a failure, which names
+    members 0 and j for the first j whose ratio is not one; on success
+    every matrix entry is one.  The witness for a pair is the first place
+    where the two types differ and are not conjugate.
 
     The realized automorphisms form a group, so two types at a place are
     conjugate exactly when their orbits are equal, and each type is known
-    by its orbit's least mask, computed once per place and type.
-    At each place the members are split into sets by orbit.  For member i
-    the later members start as one set and the places are walked in
-    order: those whose orbit differs from i's at place k get their witness
-    there and the rest go on, so the scan is O(N·m) set operations in C
-    and the only per-pair work is a C-level lookup of each later member's
-    place index, which makes up member i's witness row.  A failure names
-    the first pair, in (i, j) order, that no place separates.
+    by its orbit's least mask, computed once per place and type.  At each
+    place the orbits met are numbered 0, 1, ... in order of appearance,
+    and each member's numbers are packed into one int: fields of w bits,
+    w the bit length of the largest number, place 0 in the highest.  The
+    xor of two members' codes is zero exactly when no place separates
+    them, and otherwise its bit length falls in the field of their first
+    differing place, which `first` maps back to that place's index.  Row
+    i is then one C-level pass over the later members' codes: xor, bit
+    length, lookup.  A failure names the first pair, in (i, j) order, that
+    no place separates.
     """
     members = tuple(members)
     if len(members) < 2:
@@ -299,42 +307,41 @@ def certify_family(members):
             found = memo[key] = _place_terms(pl, ta, tb)
         return found
 
-    row = [_covolume_ratio(members[0], m, terms) for m in members[1:]]
-    for j, ratio in enumerate(row, 1):
-        if not ratio.is_one:
+    fractions = [_covolume_terms(members[0], m, terms) for m in members[1:]]
+    for j, (num, den) in enumerate(fractions, 1):
+        if num != den:
+            ratio = HalfPowerRational(Fraction(num, den))
             raise _unequal_covolume(0, j, members[0], members[j], ratio)
     n = len(members)
     ratios = ((ONE,) * n,) * n
     types = [m.types for m in members]
-    columns = []  # per place, each member's orbit there
-    groups = []  # per place, orbit -> the set of members in it
+    numbers = []  # per place, vertex mask -> the number of its orbit there
     for k, pl in enumerate(members[0].places):
-        orbits = {}  # vertex mask -> least mask of its orbit
-        column = []
-        for t in (ts[k] for ts in types):
-            orbit = orbits.get(t.mask)
-            if orbit is None:
-                orbit = orbits[t.mask] = min(pl.local_index.orbit_masks(t.mask))
-            column.append(orbit)
-        by_orbit = {}
-        for i, orbit in enumerate(column):
-            by_orbit.setdefault(orbit, set()).add(i)
-        columns.append(column)
-        groups.append(by_orbit)
+        number = dict.fromkeys(ts[k].mask for ts in types)
+        orbits = {}  # least mask of an orbit -> its number
+        for mask in number:
+            least = min(pl.local_index.orbit_masks(mask))
+            number[mask] = orbits.setdefault(least, len(orbits))
+        numbers.append(number)
+    width = max((max(number.values()) for number in numbers), default=0).bit_length()
+    codes = []
+    for ts in types:
+        code = 0
+        for number, t in zip(numbers, ts):
+            code = code << width | number[t.mask]
+        codes.append(code)
+    # bit length of two codes' xor -> index of the place whose field holds
+    # its top bit; -1 for two equal codes
+    first = [-1]
+    for k in reversed(range(len(numbers))):
+        first += [k] * width
     rows = []
-    for i in range(n - 1):
-        rest = set(range(i + 1, n))
-        place_of = {}  # later member -> index of its witness place
-        for k, (column, by_orbit) in enumerate(zip(columns, groups)):
-            differ = rest - by_orbit[column[i]]
-            if differ:
-                place_of.update(dict.fromkeys(differ, k))
-                rest -= differ
-                if not rest:
-                    break
-        else:
-            raise CertificateError(f"no witness separating members {i} and {min(rest)}")
-        rows.append(tuple(map(place_of.__getitem__, range(i + 1, n))))
+    for i, code in enumerate(codes[:-1]):
+        row = tuple(map(first.__getitem__, map(int.bit_length, map(code.__xor__, codes[i + 1:]))))
+        if -1 in row:
+            j = i + 1 + row.index(-1)
+            raise CertificateError(f"no witness separating members {i} and {j}")
+        rows.append(row)
     return FamilyCertificate(members, ratios, tuple(rows))
 
 

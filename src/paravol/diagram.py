@@ -23,10 +23,10 @@ from .errors import ImproperTypeError, UnsupportedTypeError
 LABEL_ECHO_LIMIT = 64
 
 
-def echo(value, noun, shown=repr):
-    """`shown(value)`, or past LABEL_ECHO_LIMIT characters `a <noun> of <n> characters`."""
+def echo(value, noun, shown=repr, limit=LABEL_ECHO_LIMIT):
+    """`shown(value)`, or past `limit` characters `a <noun> of <n> characters`."""
     n = len(str(value))
-    return shown(value) if n <= LABEL_ECHO_LIMIT else f"a {noun} of {n} characters"
+    return shown(value) if n <= limit else f"a {noun} of {n} characters"
 
 
 def _immutable(self, name, *value):

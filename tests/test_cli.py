@@ -328,6 +328,29 @@ def test_certify_of_a_missing_file_or_a_directory_exits_2(tmp_path, capsys):
         2, "", f"input error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
 
+@pytest.mark.parametrize("command", ["ratio", "family", "certify"])
+def test_an_input_path_past_its_echo_limit_is_named_by_its_length(tmp_path, capsys, command):
+    # 256 characters are shown, so stderr stays under 1 KB
+    for path, shown in (("p" * 256, "p" * 256), ("p" * 257, "a path of 257 characters"),
+                        ("p" * 10 ** 5, "a path of 100000 characters")):
+        assert invoke(capsys, command, "--input", path) == (
+            2, "", f"input error: no such file: {shown}\n")
+    deep = tmp_path.joinpath(*["d" * 100] * 3)
+    deep.mkdir(parents=True)
+    shown = f"a path of {len(str(deep))} characters"
+    assert invoke(capsys, command, "--input", str(deep)) == (
+        2, "", f"input error: [Errno 21] Is a directory: {shown}\n")
+    for name, data, why in (("latin.json", b"\xff{}", "not UTF-8 text"),
+                            ("garbled.json", b"{not json", "Expecting"),
+                            ("deep.json", b"[" * 200_000 + b"]" * 200_000,
+                             "JSON nested too deeply")):
+        (deep / name).write_bytes(data)
+        shown = f"a path of {len(str(deep / name))} characters"
+        code, out, err = invoke(capsys, command, "--input", str(deep / name))
+        assert (code, out) == (2, "") and err.startswith(f"input error: {shown}: {why}")
+        assert len(err.encode()) < 1024
+
+
 def test_certify_decodes_the_expected_text_one_section_at_a_time(tmp_path, capsys,
                                                                  monkeypatch):
     # a file in another layout is compared with the expected text one
@@ -581,6 +604,30 @@ def test_certify_accepts_true_and_false_inside_strings(tmp_path, capsys, monkeyp
                             write_json(tmp_path / "bad.json", cert))
     assert (code, out) == (1, "")
     assert "certificate mismatch: ratios[0][1].num does not match" in err
+
+
+@pytest.mark.parametrize("ids, walks", [(("v2", "v3"), False), (("v2", "untrue"), True)],
+                         ids=["plain", "true-in-a-place-id"])
+def test_certify_walks_for_bools_only_when_the_text_holds_true_or_false(tmp_path, capsys,
+                                                                        monkeypatch, ids, walks):
+    places = [{"id": ids[0], "q": 2, "p": 2}, {"id": ids[1], "q": 3, "p": 3}]
+    req = write_json(tmp_path / "req.json", family_request(places=places, family_places=ids))
+    code, out, _ = invoke(capsys, "family", "--input", req)
+    assert code == 0
+    cert = json.loads(out)
+    walked, holds = [], cli._holds_bool
+    monkeypatch.setattr(cli, "_holds_bool", lambda value: walked.append(value) or holds(value))
+    # a compact copy takes the path that compares entries
+    compact = write_json(tmp_path / "compact.json", cert)
+    assert invoke(capsys, "certify", "--input", compact) == (
+        0, '{\n  "valid": true,\n  "members": 4,\n  "witnesses": 6\n}\n', "")
+    assert bool(walked) == walks
+    # an injected bool is a literal true or false, so the walk runs and names it
+    _witness_pair_bools(cert)
+    code, out, err = invoke(capsys, "certify", "--input", write_json(tmp_path / "bad.json", cert))
+    assert (code, out) == (1, "")
+    assert err == ("error: certificate mismatch: witnesses[0].pair[0] "
+                   "does not match recomputation\n")
 
 
 def test_certify_refuses_a_json_float(tmp_path, capsys):
@@ -1271,6 +1318,14 @@ def test_a_failing_stdout_exits_1_with_one_line_of_stderr():
                               timeout=60)
     assert (proc.returncode, proc.stderr) == (
         1, "error: cannot write the result to stdout: No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_a_full_output_file_exits_1_when_its_buffer_is_flushed(tmp_path, capsys):
+    # the certificate fits in the write buffer, so the write fails at close
+    req = write_json(tmp_path / "req.json", family_request())
+    assert invoke(capsys, "family", "--input", req, "--output", "/dev/full") == (
+        1, "", "error: cannot write the result to '/dev/full': No space left on device\n")
 
 
 def test_a_write_error_exits_1_and_a_read_error_exits_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Coherent collections, covolume ratios, refinements, certified families."""
 
+import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -467,6 +469,7 @@ def test_certify_matches_pairwise_scan_on_random_collections():
     seen = Counter()
     for trial in range(120):
         members = equal_volume_members(rng, trial)
+        seen[f"{field_width(members)}-bit fields"] += 1
         try:
             expected = pairwise_certify(members)
         except CertificateError as exc:
@@ -483,6 +486,8 @@ def test_certify_matches_pairwise_scan_on_random_collections():
         seen[d.group.form] += 1
         for i, j, pid, _, _ in witnesses(cert):
             k = index_of(members[0], pid)
+            if k in (0, len(members[0].places) - 1):
+                seen["witness at the first place" if k == 0 else "witness at the last place"] += 1
             if members[i].types[:k] != members[j].types[:k]:
                 seen["conjugate unequal types before the witness"] += 1
                 if d.group.form == "split" and d.group.family == "A":
@@ -491,19 +496,24 @@ def test_certify_matches_pairwise_scan_on_random_collections():
             seen["three types at one place"] += 1
     assert min(seen[key] for key in (
         "valid", "no witness", "split", "twisted", "conjugate unequal types before the witness",
-        "rotations before the witness", "three types at one place")) >= 3, seen
+        "rotations before the witness", "three types at one place", "1-bit fields",
+        "2-bit fields", "3-bit fields", "witness at the first place",
+        "witness at the last place")) >= 3, seen
 
 
 def equal_volume_members(rng, trial):
     """2 to 9 members of one group with equal covolume, a member maybe repeated.
 
-    Place v0 comes first: there each member takes a random type of one
-    orbit, so members differ there only by conjugate types (rotations, for
-    split type A).  Each later factor holds one place with an equal-volume
-    pair of non-conjugate orbits or, for a group without one, two places
-    of equal q that swap the Iwahori and default types.  Members take
-    distinct choices of orbit per factor, and at each place a random type
-    in the chosen orbit.  A repeated member takes its own random types.
+    At place v0 each member takes a random type of one orbit, so members
+    differ there only by conjugate types (rotations, for split type A).
+    Each other factor holds one place with an equal-volume pair of
+    non-conjugate orbits or r = 2 to 5 places of equal q where every
+    member takes the same r non-conjugate orbits in some order, so the
+    product of their volume factors is the same.  Members take distinct
+    choices per factor, and at each place a random type in the chosen
+    orbit.  A repeated member takes its own random types.  The places are
+    shuffled, so any of them may be the first or the last; with up to 5
+    orbits at a place, the packed orbit codes have fields 1 to 3 bits wide.
     """
     pool = ["split:A3", "split:A4", "split:B3", "split:C3", "split:D4",
             "twisted:C-BC1", "twisted:C-B2"]
@@ -515,33 +525,49 @@ def equal_volume_members(rng, trial):
 
     row = next(equal_volume_rows(d), None)
     bucket = None if row is None else [ParahoricTypeSpec(m) for m in (row[0], *row[2])]
+    reps = [ParahoricTypeSpec(m) for m in orbit_representatives(d)]
     places = [Place("v0", 2, 2, d)]
     factors = []  # per factor, its places and per choice the orbit at each
     qs = iter((3, 5, 7, 11, 13))
     for _ in range(rng.randint(1, 3)):
         q = next(qs)
-        if bucket is not None:
+        if bucket is not None and rng.random() < 0.5:
             places.append(Place(f"v{len(places)}", q, q, d))
             t1 = rng.choice(bucket)
             t2 = rng.choice([t for t in bucket if not conjugate_types(d, t1, t)])
             factors.append(([places[-1]], [[orbit(t1)], [orbit(t2)]]))
         else:
-            pair = [Place(f"v{len(places) + k}", q, q, d) for k in range(2)]
-            places.extend(pair)
-            a, b = orbit(IWAHORI), orbit(d.default_type())
-            factors.append((pair, [[a, b], [b, a]]))
+            where = [Place(f"v{len(places) + k}", q, q, d)
+                     for k in range(rng.randint(2, min(5, len(reps))))]
+            places.extend(where)
+            orbits = [orbit(t) for t in rng.sample(reps, len(where))]
+            factors.append((where, list(itertools.permutations(orbits))))
     free = orbit(rng.choice(proper_types(d)))
-    patterns = rng.sample(range(2 ** len(factors)), min(2 ** len(factors), rng.randint(2, 8)))
+    patterns = []
+    count = min(math.prod(len(choices) for _, choices in factors), rng.randint(2, 8))
+    while len(patterns) < count:
+        pattern = tuple(rng.randrange(len(choices)) for _, choices in factors)
+        if pattern not in patterns:
+            patterns.append(pattern)
     if rng.random() < 0.3:
         patterns.append(rng.choice(patterns))
+    rng.shuffle(places)
     members = []
-    for bits in patterns:
+    for pattern in patterns:
         overrides = {"v0": rng.choice(free)}
-        for k, (where, choices) in enumerate(factors):
-            for pl, types in zip(where, choices[bits >> k & 1]):
+        for c, (where, choices) in zip(pattern, factors):
+            for pl, types in zip(where, choices[c]):
                 overrides[pl.id] = rng.choice(types)
         members.append(make_collection(g, places, overrides))
     return members
+
+
+def field_width(members):
+    """Bits per place in the packed orbit codes: those of the most orbits at a place, less one."""
+    d = members[0].places[0].local_index
+    most = max(len({tuple(reference_orbit(d, t)) for t in types})
+               for types in zip(*(m.types for m in members)))
+    return (most - 1).bit_length()
 
 
 def test_unequal_covolume_message_names_pair_places_and_short_ratio():
