@@ -13,12 +13,20 @@ JSON output are recorded too, so a record with two columns shows whether
 both trees wrote the same bytes.  The default labels are
 those of perfbench's pairs_sweep workload.
 
-The same is recorded for `paravol family` on one place (q = 2) of each
-group in FAMILY_LABELS.  Such a family takes the first pair of the pair
-search, so its cost shows whether the search builds more than it hands out.
+Start-up, about 0.1 s, hides a gain of a few ms per label, so each pairs
+row also has an in-process column: the median and quartiles, in ms, of
+`cli.run(["pairs", <label>, "--q", "1009", "--output", FILE])` in this
+script's process, each call after a fresh import of `paravol` from the
+tree's source directory, as perfbench's `fresh_cli` imports it; the
+import is not timed.  Its output must be the process's byte for byte.
 
-    python3 bench/pairs.py --output bench/BENCH_11.json
-    python3 bench/pairs.py --output bench/BENCH_11.json --baseline-src OTHER/src
+The same, without the in-process column, is recorded for `paravol family`
+on one place (q = 2) of each group in FAMILY_LABELS.  Such a family takes
+the first pair of the pair search, so its cost shows whether the search
+builds more than it hands out.
+
+    python3 bench/pairs.py --output bench/BENCH_25.json
+    python3 bench/pairs.py --output bench/BENCH_25.json --baseline-src OTHER/src
     python3 bench/pairs.py --labels split:G2,twisted:C-B2 --output pairs.json
 
 The first times this tree (column "head").  The second also times the tree
@@ -31,11 +39,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import platform
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from scale import RUNS, SRC, spread, timed_peak
@@ -44,24 +54,51 @@ LABELS = ("split:E8", "split:E7", "split:E6", "split:F4", "split:G2",
           "split:A11", "split:B8", "split:C10", "split:D10",
           "twisted:C-BC1", "twisted:C-B2")
 Q = 1009
-FAMILY_LABELS = ("split:C12", "split:C14")
+# split:A14 has 15 rotations, the largest realized group under the search's cap.
+FAMILY_LABELS = ("split:C12", "split:C14", "split:A14")
 
 
-def measure(label, argv, time_key, trees, workdir):
+def in_process_ms(src, argv):
+    """Milliseconds of one `cli.run(argv)` after a fresh import of `paravol` from src."""
+    for name in [n for n in sys.modules if n == "paravol" or n.startswith("paravol.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        cli = importlib.import_module("paravol.cli")
+    finally:
+        sys.path.remove(str(src))
+    start = time.perf_counter()
+    code = cli.run(argv)
+    ms = (time.perf_counter() - start) * 1e3
+    if code != 0:
+        sys.exit(f"paravol {' '.join(argv)} in process with {src} exited {code}")
+    return ms
+
+
+def measure(label, argv, time_key, trees, workdir, in_process=False):
     """The row of `paravol <argv> --output FILE`: medians per tree, output size and digest."""
     samples = {name: [] for name in trees}
+    in_process_samples = {name: [] for name in trees}
     outputs = {}
     for _ in range(RUNS):
         for name, src in trees.items():
             output = workdir / f"out-{name}.json"
-            samples[name].append(timed_peak(src, [*argv, "--output", str(output)]))
+            command = [*argv, "--output", str(output)]
+            samples[name].append(timed_peak(src, command))
             outputs[name] = output.read_bytes()
+            if in_process:
+                in_process_samples[name].append(in_process_ms(src, command))
+                if output.read_bytes() != outputs[name]:
+                    sys.exit(f"paravol {' '.join(argv)} with {src}: "
+                             f"the in-process output differs from the process's")
     columns = {}
     for name in trees:
         column = columns[name] = {}
         for key, values, digits in ((time_key, [s for s, _ in samples[name]], 3),
-                                    ("peak_rss_mb", [mb for _, mb in samples[name]], 1)):
-            column[key], column[f"{key}_quartiles"] = spread(values, digits)
+                                    ("peak_rss_mb", [mb for _, mb in samples[name]], 1),
+                                    ("in_process_ms", in_process_samples[name], 2)):
+            if values:
+                column[key], column[f"{key}_quartiles"] = spread(values, digits)
         column["output_bytes"] = len(outputs[name])
         column["output_sha256"] = hashlib.sha256(outputs[name]).hexdigest()
     return {"label": label, "columns": columns}
@@ -84,7 +121,7 @@ def main(argv=None):
         workdir = Path(tmp)
         for label in args.labels.split(","):
             rows.append(measure(label, ["pairs", label, "--q", str(Q)], "pairs_s",
-                                trees, workdir))
+                                trees, workdir, in_process=True))
             print(json.dumps(rows[-1]), file=sys.stderr)
         request = workdir / "family-request.json"
         for label in FAMILY_LABELS:
@@ -100,6 +137,7 @@ def main(argv=None):
                           "family place v2>",
         "runs": RUNS,
         "statistic": "median wall seconds and peak RSS MB per process, start-up included, "
+                     "and for pairs median in-process ms of cli.run after a fresh import, "
                      "each with its first and third quartiles (inclusive method)",
         "host": {
             "machine": platform.machine(),

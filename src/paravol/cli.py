@@ -26,9 +26,9 @@ from .construction import (
     make_collection,
     relative_covolume,
 )
-from .diagram import LABEL_ECHO_LIMIT, GroupSpec, _bits, build_local_index, echo
+from .diagram import LABEL_ECHO_LIMIT, GroupSpec, _bits, build_local_index, echo, subset_table
 from .errors import CertificateError, DomainError, OutputError, ParavolError, SchemaError
-from .parahoric import pairs_to_json
+from .parahoric import MAX_SEARCH_VERTICES, pairs_to_json
 
 # An input path is named in full up to this many characters and by its
 # length past them: far more than any temporary path a caller makes, and
@@ -59,7 +59,7 @@ def _write(output, chunks):
             sys.stdout.flush()
     except OSError as exc:
         if output:
-            where = echo(output, "path")
+            where = _path(output, repr)
         else:
             where = "stdout"
             _drop_stdout()
@@ -111,6 +111,21 @@ class _MaskTexts(dict):
         return text
 
 
+class _SearchMaskTexts(_MaskTexts):
+    """`_MaskTexts` of masks below 2^15, joined from `subset_table`s of their low and high byte."""
+
+    __slots__ = ("lows", "highs")
+
+    def __init__(self):
+        parts = ["," + _KEY + "  " + str(v) for v in range(MAX_SEARCH_VERTICES)]
+        self.lows, self.highs = subset_table(parts[:8], ""), subset_table(parts[8:], "")
+        self[0] = "[]"
+
+    def __missing__(self, mask):
+        text = self[mask] = "[" + (self.lows[mask & 255] + self.highs[mask >> 8])[1:] + _KEY + "]"
+        return text
+
+
 def _pairs_chunks(label, rows, q):
     """The `pairs` output, one chunk per row of `parahoric.pairs_to_json`.
 
@@ -127,7 +142,7 @@ def _pairs_chunks(label, rows, q):
     and the tail.  The chunks go to the file as they come, so the output,
     up to 1 GB on split:C14, is never held whole.
     """
-    texts = _MaskTexts()
+    texts = _SearchMaskTexts()
     tails = {}  # order coefficients -> the text after "t2" of an entry with that factor
     yield '{\n  "diagram": ' + _quote(label) + ',\n  "pairs": '
     between, sep = "," + _ENTRY, "[" + _ENTRY

@@ -7,7 +7,7 @@ vertex v); the empty type is the Iwahori.  Two types are conjugate when
 they lie in one orbit of the realized diagram automorphisms:
 `LocalIndex.orbit_masks` maps a mask through one bit-image table per
 automorphism, and the pair search (`parahoric.orbit_representatives`)
-marks orbits through the same tables.
+reads images off two `subset_table`s of it, one per byte of the mask.
 """
 
 from __future__ import annotations
@@ -138,6 +138,14 @@ def _bits(mask):
         bits.append(low.bit_length() - 1)
         mask ^= low
     return tuple(bits)
+
+
+def subset_table(items, empty):
+    """Entry x < 2^len(items): `empty` plus `items[k]` at each set bit k of x, lowest k first."""
+    table = [empty]
+    for item in items:
+        table += [t + item for t in table]
+    return table
 
 
 class ParahoricTypeSpec:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagram import ParahoricTypeSpec, _bits, classify_mask
+from .diagram import ParahoricTypeSpec, classify_mask, subset_table
 from .errors import SearchCapError
 from .reductive import components_descriptor, quotient_descriptor
 
@@ -89,11 +89,11 @@ def orbit_representatives(d):
 
     Masks are met in lexicographic order of their vertex tuples, so the
     first mask met of an orbit is its least.  Each new representative
-    marks its images under the non-identity automorphisms in a bytearray
-    with one byte per mask; a diagram with no such automorphism (E8, F4,
-    G2, C-BC1) has every proper type as its own representative.  A
-    diagram of more than MAX_SEARCH_VERTICES vertices raises
-    SearchCapError before anything is allocated.
+    marks its images in a bytearray, one byte per mask, reading each off
+    two `subset_table`s of an automorphism, for the mask's low and high
+    byte; a diagram with no non-identity automorphism (E8, F4, G2, C-BC1)
+    has every proper type as its own representative.  Past MAX_SEARCH_VERTICES
+    vertices it raises SearchCapError before anything is allocated.
     """
     n = len(d.vertices)
     if n > MAX_SEARCH_VERTICES:
@@ -104,13 +104,14 @@ def orbit_representatives(d):
     others = [bits for bits in d.aut_images if bits != identity]
     if not others:
         return list(d.proper_masks())
+    tables = [(subset_table(bits[:8], 0), subset_table(bits[8:], 0)) for bits in others]
     seen = bytearray(1 << n)
     reps = []
     for mask in d.proper_masks():
         if not seen[mask]:
-            vertices = _bits(mask)
-            for bits in others:
-                seen[sum(map(bits.__getitem__, vertices))] = 1
+            low, high = mask & 255, mask >> 8
+            for lows, highs in tables:
+                seen[lows[low] + highs[high]] = 1
             reps.append(mask)
     return reps
 

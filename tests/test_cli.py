@@ -27,7 +27,7 @@ from test_reductive import LEAST_FACTOR_101, MERSENNE_PRODUCT
 from paravol import cli, construction, diagram
 from paravol.cli import _int_digit_limit, run
 from paravol.construction import Place, build_family, certify_family
-from paravol.diagram import build_local_index
+from paravol.diagram import _bits, build_local_index
 from paravol.parahoric import find_equal_volume_pairs, pairs_to_json
 from paravol.reductive import PRIMALITY_BOUND, quotient_descriptor
 
@@ -157,6 +157,15 @@ def test_pairs_hands_the_writer_one_chunk_per_row(monkeypatch):
     assert len(flat["pairs"]) > 10_000 and len(rows) == 888
     assert len(chunks) == len(rows) + 2
     assert chunks[1:-1] == expected
+
+
+def test_pairs_writer_texts_every_mask_of_the_search_as_ints_does():
+    # the empty mask, and masks whose vertices span both bytes (7 and 8)
+    texts = cli._SearchMaskTexts()
+    for mask in range(1 << 15):
+        assert texts[mask] == cli._ints(_bits(mask), cli._KEY)
+    assert len(texts) == 1 << 15
+    assert texts[0] == "[]" and texts[0b110000000] == "[\n        7,\n        8\n      ]"
 
 
 def test_pairs_writer_streams_the_rows():
@@ -326,6 +335,17 @@ def test_certify_of_a_missing_file_or_a_directory_exits_2(tmp_path, capsys):
         2, "", f"input error: no such file: {missing}\n")
     assert invoke(capsys, "certify", "--input", str(tmp_path)) == (
         2, "", f"input error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+def test_an_output_path_past_its_echo_limit_is_named_by_its_length(capsys):
+    # 256 characters are shown, quoted, as input paths are
+    for length in (88, 256, 257):
+        path = "/nonexistent/" + "/".join(["o" * 99] * 3)
+        path = path[:length - 5] + ".json"
+        shown = repr(path) if length <= 256 else "a path of 257 characters"
+        assert len(path) == length
+        assert invoke(capsys, "diagram", "split:A1", "--output", path) == (
+            1, "", f"error: cannot write the result to {shown}: No such file or directory\n")
 
 
 @pytest.mark.parametrize("command", ["ratio", "family", "certify"])

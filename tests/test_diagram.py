@@ -1,7 +1,10 @@
 """Affine diagram construction, automorphisms, induced subdiagram labels."""
 
 import copy
+import functools
+import operator
 import pickle
+import random
 
 import pytest
 
@@ -19,6 +22,7 @@ from paravol.diagram import (
     build_local_index,
     canonical_labels,
     induced_subdiagram,
+    subset_table,
 )
 from paravol.errors import ImproperTypeError, UnsupportedTypeError
 
@@ -138,6 +142,27 @@ def test_vertices_of_a_mask_are_its_set_bits_lowest_first():
     assert ParahoricTypeSpec(1 << 150 | 1).vertices == (0, 150)
     # a negative mask has no set bits, and its orbit ends rather than looping
     assert build_local_index("split:B3").orbit_masks(-1) == [0, 0]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_subset_table_sums_the_items_at_the_set_bits_lowest_first(n):
+    rng = random.Random(n)
+    ints = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(n)]
+    disjoint = [1 << v for v in rng.sample(range(20), n)]
+    tuples = [tuple(rng.randrange(100) for _ in range(rng.randrange(3))) for _ in range(n)]
+    for items, empty in ((ints, 7), (disjoint, 0), (tuples, ()), (tuples, ("e",))):
+        table = subset_table(items, empty)
+        assert len(table) == 1 << n
+        for x, entry in enumerate(table):
+            total = empty
+            for k in range(n):
+                if x >> k & 1:
+                    total = total + items[k]
+            assert entry == total
+    # on ints of disjoint bits a sum is their union
+    assert subset_table(disjoint, 0) == [
+        functools.reduce(operator.or_, (b for k, b in enumerate(disjoint) if x >> k & 1), 0)
+        for x in range(1 << n)]
 
 
 def test_parahoric_type_spec_is_an_immutable_set_of_vertices():

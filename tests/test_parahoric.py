@@ -253,6 +253,15 @@ def test_pairs_json_shape():
     assert next(pairs_to_json(d))[3] is None
 
 
+@pytest.mark.parametrize("label", ["split:A14", "split:D13"])
+def test_search_at_the_cap_matches_the_tuple_reference(label):
+    # split:A14 has 15 vertices and 15 rotations, the largest realized group
+    # the search can meet, and its masks fill both bytes; each label takes
+    # about 0.2 s, the reference's share included, on a 2-core x86-64 host
+    d = build_local_index(label)
+    assert orbit_representatives(d) == masks(reference_orbit_representatives(d))
+
+
 def test_pair_search_is_capped_at_15_vertices():
     # split:C14 has 15 vertices, and a one-place family there searches it
     assert len(orbit_representatives(build_local_index("split:C14"))) == 16_511
