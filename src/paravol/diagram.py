@@ -197,8 +197,11 @@ class LocalIndex:
 
     `neighbours` is each vertex's neighbour bitmask and `aut_images` each
     realized automorphism's bit-image table, the bit of the image of each
-    vertex; the memos `component_labels` and `component_classes` die with
-    the index and stay out of its repr and copies.
+    vertex.  Two memos die with the index and stay out of its repr and
+    copies: `component_labels`, a type's component labels by its mask,
+    which `reductive.quotient_descriptor` fills, and `component_classes`,
+    a connected vertex set's labels by its mask, which `classify_component`
+    fills (the pair search calls it on every connected proper set).
     """
 
     __slots__ = ("group", "vertices", "edges", "marks", "hyperspecial", "realized_auts",
@@ -494,12 +497,10 @@ def classify_mask(d, mask):
     """Sorted component labels of the subdiagram induced on a proper type's vertex mask.
 
     The caller vouches that the mask is proper.  The mask is split into
-    connected components along `d.neighbours`, and each component is
-    classified once per index: `d.component_classes` holds its label(s) by
-    its mask, and a few dozen components make up every type of a diagram.
+    connected components along `d.neighbours`, and each is classified by
+    `classify_component`.
     """
     neighbours = d.neighbours
-    classes = d.component_classes
     labels = []
     while mask:
         comp = grown = mask & -mask
@@ -512,14 +513,28 @@ def classify_mask(d, mask):
             grown = reach & mask & ~comp
             comp |= grown
         mask ^= comp
-        found = classes.get(comp)
-        if found is None:
-            vertices = {v for v in d.vertices if comp >> v & 1}
-            edges = [e for e in d.edges if e.u in vertices and e.v in vertices]
-            found = classes[comp] = _classify_component(vertices, edges)
-        labels += found
+        labels += classify_component(d, comp)
     labels.sort()
     return tuple(labels)
+
+
+def classify_component(d, comp):
+    """The label(s) of a connected proper vertex set's induced subdiagram, by its mask.
+
+    The caller vouches that the set is connected and proper.  Each orbit
+    of sets under the realized automorphisms is classified once per index:
+    an automorphism keeps the decorated edges, so a set's images share its
+    label(s), and `d.component_classes` holds them by each image's mask.
+    A few dozen to a few hundred sets make up every type of a diagram.
+    """
+    classes = d.component_classes
+    found = classes.get(comp)
+    if found is None:
+        edges = [e for e in d.edges if comp >> e.u & 1 and comp >> e.v & 1]
+        found = _classify_component(set(_bits(comp)), edges)
+        for image in d.orbit_masks(comp):
+            classes[image] = found
+    return found
 
 
 def induced_subdiagram(d, t):

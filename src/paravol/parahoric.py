@@ -7,18 +7,23 @@ is a whole number, so every ratio is an exact rational.
 
 The equal-volume search works on vertex masks (plain ints) from the orbit
 search to the rows it hands out; only `find_equal_volume_pairs` and a
-family's chosen pair wrap them in types.  `pairs_to_json` adds each volume
-factor's order, computed once per volume key, and leaves all text to the
-`pairs` writer, `cli._pairs_chunks`.
+family's chosen pair wrap them in types.  It buckets the orbit
+representatives on a packed int per volume key, read off a table that
+holds every proper type's and is filled from the diagram's connected
+vertex sets, so no representative is classified.  `pairs_to_json` adds
+each volume factor's order, computed once per volume key, and leaves all
+text to the `pairs` writer, `cli._pairs_chunks`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .diagram import ParahoricTypeSpec, classify_mask, subset_table
+from .diagram import ParahoricTypeSpec, _bits, classify_component, classify_mask, subset_table
 from .errors import SearchCapError
 from .reductive import components_descriptor, quotient_descriptor
+from .roots import fundamental_degrees, group_dimension
 
 
 class HalfPowerRational:
@@ -84,6 +89,14 @@ def factor_ratio(d, t1, t2, place):
 MAX_SEARCH_VERTICES = 15
 
 
+def _check_searchable(d):
+    n = len(d.vertices)
+    if n > MAX_SEARCH_VERTICES:
+        raise SearchCapError(
+            f"the pair search is capped at {MAX_SEARCH_VERTICES} vertices "
+            f"({(1 << MAX_SEARCH_VERTICES) - 1:,} proper types); {d.group.label} has {n}")
+
+
 def orbit_representatives(d):
     """The least vertex mask of each realized-automorphism orbit of proper types, in order.
 
@@ -95,11 +108,8 @@ def orbit_representatives(d):
     has every proper type as its own representative.  Past MAX_SEARCH_VERTICES
     vertices it raises SearchCapError before anything is allocated.
     """
+    _check_searchable(d)
     n = len(d.vertices)
-    if n > MAX_SEARCH_VERTICES:
-        raise SearchCapError(
-            f"the pair search is capped at {MAX_SEARCH_VERTICES} vertices "
-            f"({(1 << MAX_SEARCH_VERTICES) - 1:,} proper types); {d.group.label} has {n}")
     identity = tuple(1 << v for v in range(n))
     others = [bits for bits in d.aut_images if bits != identity]
     if not others:
@@ -116,29 +126,117 @@ def orbit_representatives(d):
     return reps
 
 
+# A packed volume key holds the count of each degree e in the FIELD_BITS
+# bits from FIELD_BITS * (e - 1) up, and the dimension above them all.  The
+# counts sum to the relative rank, at most MAX_SEARCH_VERTICES - 1 = 14,
+# so no field carries into the next.
+FIELD_BITS = 4
+# The largest degree of a simple component on at most 14 vertices, E8's
+# (B14's and C14's is 28).
+LARGEST_DEGREE = 30
+DIM_SHIFT = FIELD_BITS * LARGEST_DEGREE
+# What one rank of central torus adds to a key: a degree 1 and a dimension.
+TORUS_KEY = 1 + (1 << DIM_SHIFT)
+
+
+@lru_cache(maxsize=None)
+def _label_key(label):
+    """What a simple component adds to a packed key, less the torus rank it takes up."""
+    degrees = fundamental_degrees(label.family, label.rank)
+    return (sum(1 << FIELD_BITS * (e - 1) for e in degrees)
+            + (group_dimension(label.family, label.rank) << DIM_SHIFT)
+            - label.rank * TORUS_KEY)
+
+
+def _connected_masks(d):
+    """(mask, free vertices) for each connected proper vertex set.
+
+    A set's free vertices lie above its lowest vertex, outside it and not
+    next to it.  Each set is grown from its lowest vertex through the
+    neighbours above that vertex, so it is met once; the sets come in
+    decreasing order of their lowest vertex.
+    """
+    n = len(d.vertices)
+    full = (1 << n) - 1
+    neighbours = d.neighbours
+    found = []
+    for v in reversed(range(n)):
+        above = full ^ ((2 << v) - 1)
+        grown = {1 << v: neighbours[v]}  # connected set -> the union of its vertices' neighbours
+        stack = [1 << v]
+        while stack:
+            comp = stack.pop()
+            reach = grown[comp]
+            for w in _bits(reach & above & ~comp):
+                bigger = comp | 1 << w
+                if bigger not in grown:
+                    grown[bigger] = reach | neighbours[w]
+                    stack.append(bigger)
+        found += [(comp, above & ~(comp | reach)) for comp, reach in grown.items()
+                  if comp != full]
+    return found
+
+
+def packed_volume_keys(d):
+    """The packed volume key of each proper type, in a list indexed by its vertex mask.
+
+    A key packs a type's `volume_key`, (dim, degrees), into fields that
+    never overflow, so two types' packed keys are equal exactly when their
+    volume keys are.  A key adds up over the components of a type, each
+    adding its dimension and degrees and taking away the rank of torus it
+    takes up.  So each connected proper vertex set C is classified once
+    (`diagram.classify_component`) and the table is filled from them:
+    key[m] = key[m ^ C] + (key[C] - key[0]) for each mask m whose lowest
+    component is C, which is C plus a submask of C's free vertices
+    (`_connected_masks`), all above C's lowest.  key[0], the Iwahori's, is
+    the relative rank's worth of torus.  Past MAX_SEARCH_VERTICES vertices
+    it raises SearchCapError before anything is allocated.
+    """
+    _check_searchable(d)
+    sets = _connected_masks(d)
+    keys = [d.relative_rank * TORUS_KEY] * ((1 << len(d.vertices)) - 1)
+    for comp, free in sets:  # so each key[rest] is filled before it is read
+        add = sum(map(_label_key, classify_component(d, comp))).__add__
+        # the submasks of free are those of its top run of set bits, w to
+        # top - 1, the multiples of 2^w below 2^top, which are one slice,
+        # plus each submask `rest` of its bits below w
+        top = free.bit_length()
+        w = (~free & ((1 << top) - 1)).bit_length()
+        span, stride = 1 << top, 1 << w
+        for rest in subset_table([1 << v for v in _bits(free & (stride - 1))], 0):
+            keys[comp + rest:comp + rest + span:stride] = map(add, keys[rest:rest + span:stride])
+    return keys
+
+
 def equal_volume_rows(d):
     """Pairs of non-conjugate types whose volume factors agree identically in q, by first type.
 
-    Orbit representatives are bucketed by their `volume_key`; any two
-    types in distinct buckets differ in volume, any two in distinct orbits
-    are non-conjugate.  Each representative is classified once, on its
-    mask.  Yields (t1's mask, its descriptor, the masks of the t2 paired
-    with it) for each representative with a later member in its bucket:
-    the t2 are those later members, a slice of the bucket.
+    Orbit representatives are bucketed by their packed volume key
+    (`packed_volume_keys`); any two types in distinct buckets differ in
+    volume, any two in distinct orbits are non-conjugate.  Yields (t1's
+    mask, its descriptor, the masks of the t2 paired with it) for each
+    representative with a later member in its bucket: the t2 are those
+    later members, a slice of the bucket.  A bucket's descriptor is built
+    once, from its first member, and only for a bucket that yields a row.
     Representatives come in lexicographic order, so the rows' pairs are
     sorted by (t1, t2).
     """
+    reps = orbit_representatives(d)
+    keys = packed_volume_keys(d)
     buckets = {}
-    placed = []  # (representative, descriptor, its bucket, its place there)
-    for mask in orbit_representatives(d):
-        components = d.component_labels[mask] = classify_mask(d, mask)
-        desc = components_descriptor(d, components)
-        bucket = buckets.setdefault(desc.volume_key, [])
-        placed.append((mask, desc, bucket, len(bucket)))
-        bucket.append(mask)
-    for mask, desc, bucket, k in placed:
-        if k + 1 < len(bucket):
-            yield mask, desc, bucket[k + 1:]
+    for mask in reps:
+        buckets.setdefault(keys[mask], []).append(mask)
+    met = {}  # packed key -> how many members of its bucket have been met
+    descriptors = {}  # packed key -> its bucket's descriptor
+    for mask in reps:
+        key = keys[mask]
+        k = met[key] = met.get(key, 0) + 1
+        bucket = buckets[key]
+        if k < len(bucket):
+            desc = descriptors.get(key)
+            if desc is None:  # mask is the bucket's first member
+                desc = descriptors[key] = components_descriptor(d, classify_mask(d, mask))
+            yield mask, desc, bucket[k:]
 
 
 def find_equal_volume_pairs(d):

@@ -53,12 +53,13 @@ def quotient_descriptor(d, t):
 
     Two memos, each with the lifetime of what it is keyed by.  The index
     `d` owns `component_labels`, from a type's vertex mask to its induced
-    component labels, so each (index, type) is classified once and the
-    dict dies with the index.  A vertex list becomes a type through
+    component labels, so each (index, type) is split into components once
+    and the dict dies with the index; each component is classified once
+    per index, in `d.component_classes`, which the pair search fills with
+    every connected vertex set.  A vertex list becomes a type through
     `check_proper` first, and `induced_subdiagram` checks a type on a
     miss, so an improper type raises on every call and is never stored.
-    The pair search stores the labels of the types it classifies there
-    too.  The descriptor itself is memoized by its value, (components,
+    The descriptor itself is memoized by its value, (components,
     torus_rank), so each quotient's degrees are gathered once per process;
     that memo holds at most the finitely many quotient types of the ranks
     in use.

@@ -195,6 +195,28 @@ def reference_split_affine_edges(family, rank):
 
 WEYL_CAP = 60_000
 
+# The degrees of the Weyl group of each irreducible root system, the
+# exponents of Bourbaki's Plates I-IX (Lie Groups and Lie Algebras, ch. VI)
+# each plus one; Humphreys, Reflection Groups and Coxeter Groups, table 3.1.
+EXCEPTIONAL_WEYL_DEGREES = {
+    ("E", 6): (2, 5, 6, 8, 9, 12),
+    ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+    ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30),
+    ("F", 4): (2, 6, 8, 12),
+    ("G", 2): (2, 6),
+}
+
+
+def bourbaki_weyl_degrees(family, rank):
+    """The degrees of the Weyl group of type family + rank, from Bourbaki's plates."""
+    if family == "A":
+        return tuple(range(2, rank + 2))
+    if family in ("B", "C"):
+        return tuple(range(2, 2 * rank + 1, 2))
+    if family == "D":
+        return tuple(sorted((*range(2, 2 * rank - 1, 2), rank)))
+    return EXCEPTIONAL_WEYL_DEGREES[family, rank]
+
 
 def cartan_from_edges(d, vertices):
     """Integer Cartan matrix A[i][j] = <alpha_i, alpha_j coroot> of the vertices.

@@ -22,7 +22,7 @@ from oracle_helpers import (
 )
 from test_acceptance import random_collections
 
-from paravol import construction, diagram, parahoric
+from paravol import construction, diagram
 from paravol.construction import (
     CITATIONS,
     CoherentCollection,
@@ -630,24 +630,26 @@ def test_certify_family_local_work_is_linear(monkeypatch):
 def test_family_and_certify_classify_each_type_once(monkeypatch):
     g, d, places = setup_group("split:B3", 2, 3, 5, 7, 4, 9)
     classified = []
-    classify = diagram.classify_mask
+    classify = diagram._classify_component
 
-    def counted_classify(d, mask):
-        classified.append(mask)
-        return classify(d, mask)
+    def counted_classify(comp, edges):
+        classified.append(frozenset(comp))
+        return classify(comp, edges)
 
-    # the search calls it directly, `quotient_descriptor` through
-    # `induced_subdiagram`
-    monkeypatch.setattr(diagram, "classify_mask", counted_classify)
-    monkeypatch.setattr(parahoric, "classify_mask", counted_classify)
+    monkeypatch.setattr(diagram, "_classify_component", counted_classify)
     members = build_family(g, places, ["v0", "v1", "v2", "v3"], refine=("v4", "v5"))
     certify_family(members)
-    # the pair search reads every orbit representative, the certificate
-    # every member type; the index classifies each of them once
-    reps = set(orbit_representatives(d))
-    assert {t.mask for m in members for t in m.types} <= reps
-    assert sorted(classified) == sorted(reps)
-    assert d.component_labels.keys() == reps
+    # the pair search keys every type from its connected vertex sets, and
+    # the certificate reads each member type's components; the index
+    # classifies each connected set at most once, all at one index here,
+    # and stores the labels of its images under the automorphisms too.
+    # split:B3's diagram is a star, vertex 2 joined to 0, 1 and 3, and its
+    # automorphism swaps 0 and 1: its 10 connected proper sets (4 vertices,
+    # 3 edges, 3 paths of three) lie in 7 orbits
+    assert {t.mask for m in members for t in m.types} <= set(orbit_representatives(d))
+    assert len(classified) == len(set(classified)) == 7
+    assert {sum(1 << v for v in comp) for comp in classified} < d.component_classes.keys()
+    assert len(d.component_classes) == 10
 
 
 def test_the_readme_library_example_prints_what_it_states(capsys):

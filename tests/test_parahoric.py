@@ -1,6 +1,7 @@
 """Exact ratio arithmetic, conjugacy of types, symbolic equal-volume search."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,17 +17,22 @@ from oracle_helpers import (
 )
 from test_golden import LABELS, LARGE_PAIRS_LABELS
 
-from paravol.diagram import GroupSpec, build_local_index, induced_subdiagram
+from paravol.diagram import GroupSpec, ParahoricTypeSpec, build_local_index, induced_subdiagram
 from paravol.errors import ImproperTypeError, SearchCapError
 from paravol.parahoric import (
+    DIM_SHIFT,
+    FIELD_BITS,
+    LARGEST_DEGREE,
     ONE,
     HalfPowerRational,
     conjugate_types,
     factor_ratio,
     find_equal_volume_pairs,
     orbit_representatives,
+    packed_volume_keys,
     pairs_to_json,
 )
+from paravol.reductive import quotient_descriptor
 from paravol.construction import Place
 
 
@@ -195,7 +201,6 @@ def test_find_pairs_twisted():
 
 
 def test_found_pairs_are_sound():
-    from paravol.reductive import quotient_descriptor
 
     for label in ("split:A5", "split:B3", "split:C3", "split:D4", "split:G2",
                   "twisted:C-B2"):
@@ -222,9 +227,6 @@ def test_search_matches_the_tuple_references(label):
     pairs = find_equal_volume_pairs(d)
     reps = reference_orbit_representatives(d)
     assert orbit_representatives(d) == masks(reps)
-    # the labels the search stored for its representatives, by vertex mask
-    assert d.component_labels == {
-        sum(1 << v for v in t): reference_component_labels(d, t) for t in reps}
     for t in proper_types(build_local_index(label)):
         assert induced_subdiagram(d, t) == reference_component_labels(d, t.vertices)
     assert pair_tuples(pairs) == reference_pairs(d)
@@ -262,6 +264,29 @@ def test_search_at_the_cap_matches_the_tuple_reference(label):
     assert orbit_representatives(d) == masks(reference_orbit_representatives(d))
 
 
+@pytest.mark.parametrize("label", sorted({*LABELS, *LARGE_PAIRS_LABELS})
+                         + ["split:A14", "split:B14", "split:C14", "split:D14"])
+def test_packed_keys_split_the_masks_as_the_volume_keys_do(label):
+    # equal packed keys exactly when equal (dim, degrees), and each key's
+    # fields read back its type's dim and degree counts, so a field that
+    # overflowed into the next fails at the cap.  The four 15-vertex labels
+    # take about 0.6 s each on a 2-core x86-64 host
+    d = build_local_index(label)
+    keys = packed_volume_keys(d)
+    assert len(keys) == (1 << len(d.vertices)) - 1
+    field = (1 << FIELD_BITS) - 1
+    by_key, by_volume = {}, {}
+    for mask, key in enumerate(keys):
+        volume = quotient_descriptor(d, ParahoricTypeSpec(mask)).volume_key
+        if key not in by_key:
+            by_key[key] = volume
+            counts = [key >> FIELD_BITS * (e - 1) & field for e in range(1, LARGEST_DEGREE + 1)]
+            assert (key >> DIM_SHIFT, Counter(dict(enumerate(counts, 1)))) == (
+                volume[0], Counter(volume[1]))
+        assert by_key[key] == volume
+        assert by_volume.setdefault(volume, key) == key
+
+
 def test_pair_search_is_capped_at_15_vertices():
     # split:C14 has 15 vertices, and a one-place family there searches it
     assert len(orbit_representatives(build_local_index("split:C14"))) == 16_511
@@ -269,6 +294,8 @@ def test_pair_search_is_capped_at_15_vertices():
         orbit_representatives(build_local_index("split:A15"))
     with pytest.raises(SearchCapError):
         find_equal_volume_pairs(build_local_index("split:D100"))
+    with pytest.raises(SearchCapError, match=r"split:A15 has 16$"):
+        packed_volume_keys(build_local_index("split:A15"))
 
 
 def test_pairs_compute_each_quotient_once(monkeypatch):
@@ -280,15 +307,16 @@ def test_pairs_compute_each_quotient_once(monkeypatch):
     first_types = {t1 for t1, _ in pairs}
     assert len(first_types) < len(pairs)  # 19 distinct t1 over 32 pairs
 
-    # the search looks up one descriptor per orbit representative, the
-    # rows carry it, and nothing looks one up per pair
+    # the search builds one descriptor per bucket that yields a row, the
+    # rows carry it, and nothing looks one up per representative or pair
     looked_up = []
     descriptor = parahoric.components_descriptor
     monkeypatch.setattr(parahoric, "components_descriptor",
                         lambda d, c: looked_up.append(c) or descriptor(d, c))
     monkeypatch.setattr(parahoric, "quotient_descriptor", None)
     rows = list(pairs_to_json(d, q=7))
-    assert len(looked_up) == len(parahoric.orbit_representatives(d))
+    keys = parahoric.packed_volume_keys(d)
+    assert len(looked_up) == len({keys[t.mask] for t in first_types}) == len(set(looked_up))
     assert {t.mask for t in first_types} <= set(parahoric.orbit_representatives(d))
     assert len(rows) == len(first_types)
     assert {row[0] for row in rows} == {t.mask for t in first_types}
