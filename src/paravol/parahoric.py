@@ -233,10 +233,9 @@ def equal_volume_rows(d):
         k = met[key] = met.get(key, 0) + 1
         bucket = buckets[key]
         if k < len(bucket):
-            desc = descriptors.get(key)
-            if desc is None:  # mask is the bucket's first member
-                desc = descriptors[key] = components_descriptor(d, classify_mask(d, mask))
-            yield mask, desc, bucket[k:]
+            if k == 1:
+                descriptors[key] = components_descriptor(d, classify_mask(d, mask))
+            yield mask, descriptors[key], bucket[k:]
 
 
 def find_equal_volume_pairs(d):
