@@ -16,9 +16,12 @@ those of perfbench's pairs_sweep workload.
 Start-up, about 0.1 s, hides a gain of a few ms per label, so each row
 also has an in-process column: the median and quartiles, in ms, of
 `cli.run(["pairs", <label>, "--q", "1009", "--output", FILE])` in this
-script's process, each call after a fresh import of `paravol` from the
-tree's source directory, as perfbench's `fresh_cli` imports it; the
-import is not timed.  Its output must be the process's byte for byte.
+script's process, IN_PROCESS_RUNS calls after each timed process, each
+call after a fresh import of `paravol` from the tree's source directory,
+as perfbench's `fresh_cli` imports it; the import is not timed.  A call
+takes 2-30 ms, and on a shared host its spread over 10 calls can hide a
+1 ms change, so it is sampled more often than the process.  Its output
+must be the process's byte for byte.
 
 The same is recorded for `paravol family` on one place (q = 2) of each
 group in FAMILY_LABELS.  Such a family takes the first pair of the pair
@@ -54,6 +57,7 @@ LABELS = ("split:E8", "split:E7", "split:E6", "split:F4", "split:G2",
           "split:A11", "split:B8", "split:C10", "split:D10",
           "twisted:C-BC1", "twisted:C-B2")
 Q = 1009
+IN_PROCESS_RUNS = 3
 # split:A14 has 15 rotations, the largest realized group under the search's cap.
 FAMILY_LABELS = ("split:C12", "split:C14", "split:A14")
 
@@ -86,10 +90,11 @@ def measure(label, argv, time_key, trees, workdir):
             command = [*argv, "--output", str(output)]
             samples[name].append(timed_peak(src, command))
             outputs[name] = output.read_bytes()
-            in_process_samples[name].append(in_process_ms(src, command))
-            if output.read_bytes() != outputs[name]:
-                sys.exit(f"paravol {' '.join(argv)} with {src}: "
-                         f"the in-process output differs from the process's")
+            for _ in range(IN_PROCESS_RUNS):
+                in_process_samples[name].append(in_process_ms(src, command))
+                if output.read_bytes() != outputs[name]:
+                    sys.exit(f"paravol {' '.join(argv)} with {src}: "
+                             f"the in-process output differs from the process's")
     columns = {}
     for name in trees:
         column = columns[name] = {}
@@ -134,6 +139,7 @@ def main(argv=None):
         "family_command": "paravol family --input <label, one place v2 with q = p = 2, "
                           "family place v2>",
         "runs": RUNS,
+        "in_process_runs": RUNS * IN_PROCESS_RUNS,
         "statistic": "median wall seconds and peak RSS MB per process, start-up included, "
                      "and median in-process ms of cli.run after a fresh import, "
                      "each with its first and third quartiles (inclusive method)",

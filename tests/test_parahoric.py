@@ -201,7 +201,6 @@ def test_find_pairs_twisted():
 
 
 def test_found_pairs_are_sound():
-
     for label in ("split:A5", "split:B3", "split:C3", "split:D4", "split:G2",
                   "twisted:C-B2"):
         d = build_local_index(label)
