@@ -184,8 +184,9 @@ def packed_volume_keys(d):
     never overflow, so two types' packed keys are equal exactly when their
     volume keys are.  A key adds up over the components of a type, each
     adding its dimension and degrees and taking away the rank of torus it
-    takes up.  So each connected proper vertex set C is classified once
-    (`diagram.classify_component`) and the table is filled from them:
+    takes up.  So the connected proper vertex sets are classified, once
+    per automorphism orbit (`diagram.classify_component`), and the table
+    is filled from them:
     key[m] = key[m ^ C] + (key[C] - key[0]) for each mask m whose lowest
     component is C, which is C plus a submask of C's free vertices
     (`_connected_masks`), all above C's lowest.  key[0], the Iwahori's, is
@@ -195,11 +196,11 @@ def packed_volume_keys(d):
     _check_searchable(d)
     sets = _connected_masks(d)
     keys = [d.relative_rank * TORUS_KEY] * ((1 << len(d.vertices)) - 1)
-    for comp, free in sets:  # so each key[rest] is filled before it is read
+    for comp, free in sets:  # by decreasing lowest vertex, so key[rest] is filled when read
         add = sum(map(_label_key, classify_component(d, comp))).__add__
-        # the submasks of free are those of its top run of set bits, w to
-        # top - 1, the multiples of 2^w below 2^top, which are one slice,
-        # plus each submask `rest` of its bits below w
+        # a submask of free is a submask `rest` of its bits below w plus a
+        # multiple of 2^w below 2^top, a submask of its top run of set bits
+        # w to top - 1; the multiples are one slice of stride 2^w
         top = free.bit_length()
         w = (~free & ((1 << top) - 1)).bit_length()
         span, stride = 1 << top, 1 << w
