@@ -28,14 +28,20 @@ group in FAMILY_LABELS.  Such a family takes the first pair of the pair
 search, so its cost shows whether the search builds more than it hands
 out.
 
-    python3 bench/pairs.py --output bench/BENCH_26.json
-    python3 bench/pairs.py --output bench/BENCH_26.json --baseline-src OTHER/src
+    python3 bench/pairs.py --output bench/BENCH_27.json
+    python3 bench/pairs.py --output bench/BENCH_27.json --baseline-src OTHER/src
     python3 bench/pairs.py --labels split:G2,twisted:C-B2 --output pairs.json
 
 The first times this tree (column "head").  The second also times the tree
 whose source directory is OTHER/src (column "baseline").  The two trees are
-run alternately, run by run, so a drift in host speed hits both columns
-alike.
+run alternately in rounds, one process and its in-process calls per tree in
+each round, the first tree of a round swapped from one round to the next,
+so a drift in host speed hits both columns alike.  On a shared host the
+medians of one tree can move by a third between two records, so a record
+with two columns also holds a paired statistic per row: for each round, the
+median of head's in-process calls less the median of baseline's, with the
+median and quartiles of those differences and the number of rounds in
+which head was faster.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ import importlib
 import json
 import os
 import platform
+import statistics
 import sys
 import tempfile
 import time
@@ -80,21 +87,29 @@ def in_process_ms(src, argv):
 
 
 def measure(label, argv, time_key, trees, workdir):
-    """The row of `paravol <argv> --output FILE`: medians per tree, output size and digest."""
+    """The row of `paravol <argv> --output FILE`: medians per tree, output size and digest.
+
+    With two trees the row also has "paired", the per-round differences
+    of the in-process medians, head less baseline.
+    """
     samples = {name: [] for name in trees}
     in_process_samples = {name: [] for name in trees}
+    round_medians = {name: [] for name in trees}  # per round, the median of its in-process calls
     outputs = {}
-    for _ in range(RUNS):
-        for name, src in trees.items():
+    for r in range(RUNS):
+        for name, src in list(trees.items())[::-1 if r % 2 else 1]:
             output = workdir / f"out-{name}.json"
             command = [*argv, "--output", str(output)]
             samples[name].append(timed_peak(src, command))
             outputs[name] = output.read_bytes()
+            calls = []
             for _ in range(IN_PROCESS_RUNS):
-                in_process_samples[name].append(in_process_ms(src, command))
+                calls.append(in_process_ms(src, command))
                 if output.read_bytes() != outputs[name]:
                     sys.exit(f"paravol {' '.join(argv)} with {src}: "
                              f"the in-process output differs from the process's")
+            in_process_samples[name] += calls
+            round_medians[name].append(statistics.median(calls))
     columns = {}
     for name in trees:
         column = columns[name] = {}
@@ -104,7 +119,13 @@ def measure(label, argv, time_key, trees, workdir):
             column[key], column[f"{key}_quartiles"] = spread(values, digits)
         column["output_bytes"] = len(outputs[name])
         column["output_sha256"] = hashlib.sha256(outputs[name]).hexdigest()
-    return {"label": label, "columns": columns}
+    row = {"label": label, "columns": columns}
+    if "baseline" in trees:
+        diffs = [h - b for h, b in zip(round_medians["head"], round_medians["baseline"])]
+        median, quartiles = spread(diffs, 2)
+        row["paired"] = {"in_process_diff_ms": median, "in_process_diff_ms_quartiles": quartiles,
+                         "head_faster_rounds": sum(diff < 0 for diff in diffs), "rounds": RUNS}
+    return row
 
 
 def main(argv=None):
@@ -142,7 +163,10 @@ def main(argv=None):
         "in_process_runs": RUNS * IN_PROCESS_RUNS,
         "statistic": "median wall seconds and peak RSS MB per process, start-up included, "
                      "and median in-process ms of cli.run after a fresh import, "
-                     "each with its first and third quartiles (inclusive method)",
+                     "each with its first and third quartiles (inclusive method); "
+                     "with a baseline, 'paired' per row: per round, head's median "
+                     "in-process ms less baseline's, the median and quartiles of "
+                     "those differences and the rounds head won",
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),

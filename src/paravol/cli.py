@@ -139,7 +139,9 @@ def _pairs_chunks(label, rows, q):
     and the closing brace) once per volume factor, keyed by the row's
     coefficient tuple, and each mask's vertex list text once.  A row is
     then one chunk: a separator and the entries, each the head, a t2 text
-    and the tail.  The chunks go to the file as they come, so the output,
+    and the tail, built by one join whose first item carries the separator
+    and the head and whose last carries the tail, so the row's text is
+    copied once.  The chunks go to the file as they come, so the output,
     up to 1 GB on split:C14, is never held whole.
     """
     texts = _SearchMaskTexts()
@@ -155,7 +157,10 @@ def _pairs_chunks(label, rows, q):
                 tail += "," + _KEY + '"order_at_q": ' + int.__repr__(value)
             tail = tails[coeffs] = tail + _ENTRY + "}"
         head = "{" + _KEY + '"t1": ' + texts[t1] + "," + _KEY + '"t2": '
-        yield sep + head + (tail + between + head).join(map(texts.__getitem__, t2s)) + tail
+        items = list(map(texts.__getitem__, t2s))
+        items[0] = sep + head + items[0]
+        items[-1] += tail
+        yield (tail + between + head).join(items)
         sep = between
     end = "\n  ]" if sep == between else "[]"
     if q is not None:

@@ -10,8 +10,9 @@ search to the rows it hands out; only `find_equal_volume_pairs` and a
 family's chosen pair wrap them in types.  It buckets the orbit
 representatives on a packed int per volume key, read off a table that
 holds every proper type's and is filled from the diagram's connected
-vertex sets, so no representative is classified.  `pairs_to_json` adds
-each volume factor's order, computed once per volume key, and leaves all
+vertex sets, so no representative is classified and no descriptor is
+built.  `pairs_to_json` reads each volume factor's dimension and degrees
+off its packed key and computes its order once per key, and leaves all
 text to the `pairs` writer, `cli._pairs_chunks`.
 """
 
@@ -20,9 +21,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .diagram import ParahoricTypeSpec, _bits, classify_component, classify_mask, subset_table
+from .diagram import ParahoricTypeSpec, _bits, classify_component, subset_table
 from .errors import SearchCapError
-from .reductive import components_descriptor, quotient_descriptor
+from .reductive import order_polynomial, order_value, quotient_descriptor
 from .roots import fundamental_degrees, group_dimension
 
 
@@ -131,6 +132,7 @@ def orbit_representatives(d):
 # counts sum to the relative rank, at most MAX_SEARCH_VERTICES - 1 = 14,
 # so no field carries into the next.
 FIELD_BITS = 4
+FIELD = (1 << FIELD_BITS) - 1
 # The largest degree of a simple component on at most 14 vertices, E8's
 # (B14's and C14's is 28).
 LARGEST_DEGREE = 30
@@ -209,18 +211,36 @@ def packed_volume_keys(d):
     return keys
 
 
+def key_order(key, q=None):
+    """(dim, order coefficients, order at q or None) of the quotients with this packed key.
+
+    The dim is the key's top field and each degree's count is its field,
+    read up to the highest non-zero one; the order is multiplied out and
+    evaluated as a descriptor's is (`reductive.order_polynomial`,
+    `reductive.order_value`).  The coefficients are a tuple.
+    """
+    dim, fields = key >> DIM_SHIFT, key & ((1 << DIM_SHIFT) - 1)
+    degrees = []
+    e = 1
+    while fields:
+        degrees += [e] * (fields & FIELD)
+        fields >>= FIELD_BITS
+        e += 1
+    return (dim, tuple(order_polynomial(dim, degrees)),
+            None if q is None else order_value(dim, degrees, q))
+
+
 def equal_volume_rows(d):
     """Pairs of non-conjugate types whose volume factors agree identically in q, by first type.
 
     Orbit representatives are bucketed by their packed volume key
     (`packed_volume_keys`); any two types in distinct buckets differ in
     volume, any two in distinct orbits are non-conjugate.  Yields (t1's
-    mask, its descriptor, the masks of the t2 paired with it) for each
+    mask, its packed key, the masks of the t2 paired with it) for each
     representative with a later member in its bucket: the t2 are those
-    later members, a slice of the bucket.  A bucket's descriptor is built
-    once, from its first member, and only for a bucket that yields a row.
-    Representatives come in lexicographic order, so the rows' pairs are
-    sorted by (t1, t2).
+    later members, a slice of the bucket.  No type is classified here and
+    no descriptor is built.  Representatives come in lexicographic order,
+    so the rows' pairs are sorted by (t1, t2).
     """
     reps = orbit_representatives(d)
     keys = packed_volume_keys(d)
@@ -228,15 +248,12 @@ def equal_volume_rows(d):
     for mask in reps:
         buckets.setdefault(keys[mask], []).append(mask)
     met = {}  # packed key -> how many members of its bucket have been met
-    descriptors = {}  # packed key -> its bucket's descriptor
     for mask in reps:
         key = keys[mask]
         k = met[key] = met.get(key, 0) + 1
         bucket = buckets[key]
         if k < len(bucket):
-            if k == 1:
-                descriptors[key] = components_descriptor(d, classify_mask(d, mask))
-            yield mask, descriptors[key], bucket[k:]
+            yield mask, key, bucket[k:]
 
 
 def find_equal_volume_pairs(d):
@@ -250,16 +267,14 @@ def pairs_to_json(d, q=None):
 
     Each row is (t1's mask, dim, order coefficients, order at q or None,
     the masks of its t2, in order).  Thousands of pairs share fewer volume
-    factors (both types of a pair share one), so each distinct volume
-    key's coefficient tuple and order at q are computed once, and every
-    row of that key carries the same tuple.  The text of the masks is the
-    writer's work (`cli._pairs_chunks`).
+    factors (both types of a pair share one), so each distinct packed
+    key's dim, coefficient tuple and order at q are read off it once
+    (`key_order`), and every row of that key carries the same tuple.  The
+    text of the masks is the writer's work (`cli._pairs_chunks`).
     """
-    orders = {}  # volume key -> (order_coeffs, order_at_q)
-    for t1, desc, t2s in equal_volume_rows(d):
-        key = desc.volume_key
+    orders = {}  # packed key -> (dim, order_coeffs, order_at_q)
+    for t1, key, t2s in equal_volume_rows(d):
         found = orders.get(key)
         if found is None:
-            found = orders[key] = (tuple(desc.order_coeffs()),
-                                   None if q is None else desc.order_at(q))
-        yield (t1, desc.dim, *found, t2s)
+            found = orders[key] = key_order(key, q)
+        yield (t1, *found, t2s)

@@ -3,17 +3,19 @@
 Over F_q a reductive quotient has order q^N * prod(q^d - 1), one factor per
 fundamental degree d of each component and a d = 1 for each rank of its
 central torus, where N = dim - sum(d) (Steinberg; Carter, Finite Groups of
-Lie Type, 2.9).  A descriptor keeps the sorted degrees and evaluates that
-product at q.  Two (dim, degrees) agree exactly when the order polynomials
-do: Phi_e(0) is not 0, so the product fixes N, and the cyclotomic Phi_e
-divides it once per degree that e divides, so Moebius inversion recovers
-each degree's count.
+Lie Type, 2.9).  A descriptor keeps the sorted degrees.  `order_polynomial`
+multiplies that product out and `order_value` evaluates it at q, for a
+descriptor and for the pair search's packed volume keys alike.  Two (dim,
+degrees) agree exactly when the order polynomials do: Phi_e(0) is not 0,
+so the product fixes N, and the cyclotomic Phi_e divides it once per
+degree that e divides, so Moebius inversion recovers each degree's count.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import sub
 
 from . import diagram as dg
 from . import roots
@@ -32,20 +34,27 @@ class ReductiveQuotientDescriptor(
 
     def order_at(self, q):
         """The order q^N * prod(q^d - 1) at residue size q."""
-        value = q ** (self.dim - sum(self.degrees))
-        for d in self.degrees:
-            value *= q ** d - 1
-        return value
+        return order_value(self.dim, self.degrees, q)
 
-    def order_coeffs(self):
-        """The order as a polynomial in q, coefficients lowest first."""
-        coeffs = [1]
-        for d in self.degrees:
-            # times q^d - 1: shift up by d, then subtract the unshifted terms
-            coeffs = [0] * d + coeffs
-            for i in range(len(coeffs) - d):
-                coeffs[i] -= coeffs[i + d]
-        return [0] * (self.dim - sum(self.degrees)) + coeffs
+
+def order_polynomial(dim, degrees):
+    """The order q^N * prod(q^d - 1), N = dim - sum(degrees), as coefficients lowest first.
+
+    The degrees may come in any order, each as often as it counts.
+    """
+    coeffs = [1]
+    for e in degrees:
+        # times q^e - 1: the terms shifted up by e less the unshifted terms
+        coeffs = list(map(sub, [0] * e + coeffs, coeffs + [0] * e))
+    return [0] * (dim - sum(degrees)) + coeffs
+
+
+def order_value(dim, degrees, q):
+    """The order q^N * prod(q^d - 1), N = dim - sum(degrees), at residue size q."""
+    value = q ** (dim - sum(degrees))
+    for e in degrees:
+        value *= q ** e - 1
+    return value
 
 
 def quotient_descriptor(d, t):

@@ -30,8 +30,13 @@ from test_reductive import finite_group
 
 from paravol.construction import Place
 from paravol.diagram import IWAHORI, GroupSpec, ParahoricTypeSpec, build_local_index
-from paravol.parahoric import factor_ratio, orbit_representatives
-from paravol.reductive import quotient_descriptor
+from paravol.parahoric import (
+    factor_ratio,
+    key_order,
+    orbit_representatives,
+    packed_volume_keys,
+)
+from paravol.reductive import order_polynomial, quotient_descriptor
 from paravol.roots import cartan_matrix, check_rank, highest_root, positive_roots
 
 # determinant-1 matrix counts over prime fields, computed by brute_sl_count
@@ -80,14 +85,33 @@ def test_volume_keys_partition_quotients_as_multiplied_out_orders_do():
     keys = {}  # reference coefficients -> the volume keys with them
     for desc in descs:
         coeffs = reference_order_coeffs(desc.components, desc.torus_rank)
-        expanded = desc.order_coeffs()
-        assert expanded == list(coeffs), desc
+        assert order_polynomial(*desc.volume_key) == list(coeffs), desc
         for q in (2, 3, 7, 1009):
-            assert desc.order_at(q) == horner(expanded, q), (desc, q)
+            assert desc.order_at(q) == horner(coeffs, q), (desc, q)
         keys.setdefault(coeffs, set()).add(desc.volume_key)
     # one key per order, and as many keys as orders: the partitions agree
     assert all(len(found) == 1 for found in keys.values())
     assert len({desc.volume_key for desc in descs}) == len(keys)
+
+
+@pytest.mark.parametrize("label", sorted({*LABELS, *LARGE_PAIRS_LABELS})
+                         + ["split:A14", "split:B14", "split:C14", "split:D14"])
+def test_packed_key_orders_match_the_reference_and_the_descriptors(label):
+    # what the pair search writes for each distinct packed key, read off the
+    # key, against the order multiplied out from the components of a type
+    # with that key and against that type's descriptor
+    d = build_local_index(label)
+    first = {}  # packed key -> the least mask with it
+    for mask, key in enumerate(packed_volume_keys(d)):
+        first.setdefault(key, mask)
+    for key, mask in first.items():
+        desc = quotient_descriptor(d, ParahoricTypeSpec(mask))
+        coeffs = reference_order_coeffs(desc.components, desc.torus_rank)
+        assert key_order(key) == (desc.dim, coeffs, None), (label, mask)
+        assert len(coeffs) - 1 == desc.dim
+        for q in (2, 7, 1009, 10 ** 18 + 3):
+            assert key_order(key, q) == (desc.dim, coeffs, horner(coeffs, q)), (label, mask, q)
+            assert desc.order_at(q) == horner(coeffs, q), (label, mask, q)
 
 
 # |W| and the number of reflections (the longest length) of finite Weyl groups

@@ -13,6 +13,7 @@ from oracle_helpers import (
     reference_component_labels,
     reference_orbit,
     reference_orbit_representatives,
+    reference_order_coeffs,
     reference_pairs,
 )
 from test_golden import LABELS, LARGE_PAIRS_LABELS
@@ -209,7 +210,8 @@ def test_found_pairs_are_sound():
             assert not conjugate_types(d, t1, t2)
             d1 = quotient_descriptor(d, t1)
             d2 = quotient_descriptor(d, t2)
-            assert d1.dim == d2.dim and d1.order_coeffs() == d2.order_coeffs()
+            assert d1.dim == d2.dim and (reference_order_coeffs(d1.components, d1.torus_rank)
+                                         == reference_order_coeffs(d2.components, d2.torus_rank))
 
 
 def pair_tuples(pairs):
@@ -299,30 +301,44 @@ def test_pair_search_is_capped_at_15_vertices():
 
 def test_pairs_compute_each_quotient_once(monkeypatch):
     import paravol.parahoric as parahoric
-    from paravol import roots
+    from paravol import diagram, reductive, roots
 
     d = build_local_index("split:D6")
     pairs = find_equal_volume_pairs(d)
     first_types = {t1 for t1, _ in pairs}
     assert len(first_types) < len(pairs)  # 19 distinct t1 over 32 pairs
+    # the rows, from each t1's descriptor and the reference order
+    expected = {}
+    for t1, t2 in pairs:
+        desc = quotient_descriptor(d, t1)
+        row = expected.setdefault(t1.mask, [
+            t1.mask, desc.dim, reference_order_coeffs(desc.components, desc.torus_rank),
+            desc.order_at(7), []])
+        row[4].append(t2.mask)
 
-    # the search builds one descriptor per bucket that yields a row, the
-    # rows carry it, and nothing looks one up per representative or pair
-    looked_up = []
-    descriptor = parahoric.components_descriptor
-    monkeypatch.setattr(parahoric, "components_descriptor",
-                        lambda d, c: looked_up.append(c) or descriptor(d, c))
-    monkeypatch.setattr(parahoric, "quotient_descriptor", None)
+    # the rows are read off the packed keys: nothing classifies a type or
+    # builds a descriptor, and each key that yields a row is multiplied
+    # out once
+    def refuse(*args):
+        raise AssertionError("a type was classified or a descriptor built")
+
+    for module in (diagram, reductive, parahoric):  # wherever the search could look them up
+        for name in ("classify_mask", "components_descriptor", "quotient_descriptor"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    expanded = []
+    polynomial = parahoric.order_polynomial
+    monkeypatch.setattr(parahoric, "order_polynomial",
+                        lambda dim, degrees: expanded.append(dim) or polynomial(dim, degrees))
     rows = list(pairs_to_json(d, q=7))
     keys = parahoric.packed_volume_keys(d)
-    assert len(looked_up) == len({keys[t.mask] for t in first_types}) == len(set(looked_up))
+    assert [list(row) for row in rows] == list(expected.values())
+    assert len(expanded) == len({keys[t.mask] for t in first_types}) == 10
     assert {t.mask for t in first_types} <= set(parahoric.orbit_representatives(d))
-    assert len(rows) == len(first_types)
-    assert {row[0] for row in rows} == {t.mask for t in first_types}
     monkeypatch.undo()
 
-    # the descriptors are memoized by quotient type, not by diagram object:
-    # no degree table is read again
+    # each component label's share of a packed key is memoized by the
+    # label, not by diagram object: no degree table is read again
     read = []
     degrees = roots.fundamental_degrees
     monkeypatch.setattr(roots, "fundamental_degrees",
