@@ -7,8 +7,9 @@ for three labels above rank 8 (thousands of pairs each), `pairs` without
 pair), `family` and `certify` round trips (with a refinement, with the
 two-place swap and on a twisted group), fixed `ratio` requests, `family`
 and `certify` on the 64-member request shape the benchmark's family
-workload sends, a `ratio` at each A-D rank cap and, last, the `diagram`
-at each A-D rank cap, the largest JSON documents written in one piece.
+workload sends, a `ratio` at each A-D rank cap, the `diagram` at each
+A-D rank cap, the largest JSON documents written in one piece, and, last,
+`family` and `certify` on split:D100 with types that hold vertices up to 97.
 `tests/golden.json` holds the SHA-256 of each stdout, not the output
 itself.
 
@@ -89,6 +90,18 @@ CAP_RATIOS = tuple(
 
 # Recorded after CAP_RATIOS: the diagram at each A-D rank cap.
 CAP_DIAGRAMS = ("split:A150", "split:B100", "split:C100", "split:D100")
+
+# Recorded after CAP_DIAGRAMS: a family whose types hold vertices past 15,
+# up to 97, so its witnesses carry masks wider than any search mask.  4
+# members, 6 witnesses.
+WIDE_FAMILIES = (
+    ("split:D100 wide masks", {
+        "group": "split:D100",
+        "places": [_place("v2", 2, 2), _place("v3", 3, 3)],
+        "family_places": ["v2", "v3"],
+        "pairs": {"v2": [[50], [51]], "v3": [[2, 97], [3, 60]]},
+    }),
+)
 
 SWAP_FAMILY = {
     "group": "split:A4",
@@ -180,6 +193,11 @@ def corpus(workdir):
         record(f"ratio {name} cap", ["ratio", "--input", write(f"cap-ratio-{k}.json", req)])
     for label in CAP_DIAGRAMS:
         record(f"diagram {label}", ["diagram", label])
+    for k, (name, req) in enumerate(WIDE_FAMILIES):
+        cert = record(f"family {name}",
+                      ["family", "--input", write(f"wide-family-{k}.json", req)])
+        record(f"certify {name}",
+               ["certify", "--input", write(f"wide-certificate-{k}.json", cert)])
     return entries
 
 
