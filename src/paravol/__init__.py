@@ -41,7 +41,6 @@ from .errors import (
 )
 from .parahoric import (
     HalfPowerRational,
-    ONE,
     conjugate_types,
     factor_ratio,
     find_equal_volume_pairs,

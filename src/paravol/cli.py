@@ -28,7 +28,7 @@ from .construction import (
 )
 from .diagram import LABEL_ECHO_LIMIT, GroupSpec, _bits, build_local_index, echo, subset_table
 from .errors import CertificateError, DomainError, OutputError, ParavolError, SchemaError
-from .parahoric import MAX_SEARCH_VERTICES, pairs_to_json
+from .parahoric import HalfPowerRational, pairs_to_json
 
 # An input path is named in full up to this many characters and by its
 # length past them: far more than any temporary path a caller makes, and
@@ -102,27 +102,26 @@ _ENTRY, _KEY = "\n    ", "\n      "
 
 
 class _MaskTexts(dict):
-    """The text of each vertex mask's vertex list, built on its first lookup."""
+    """The text of each vertex mask's vertex list, built on its first lookup.
 
-    __slots__ = ()
-
-    def __missing__(self, mask):
-        text = self[mask] = _ints(_bits(mask), _KEY)
-        return text
-
-
-class _SearchMaskTexts(_MaskTexts):
-    """`_MaskTexts` of masks below 2^15, joined from `subset_table`s of their low and high byte."""
+    A mask below 2^16, as every mask of the pair search is, is joined from
+    `subset_table`s of its low and high byte.  A wider one, which only a
+    certificate over a large diagram holds, is written from its vertices.
+    """
 
     __slots__ = ("lows", "highs")
 
     def __init__(self):
-        parts = ["," + _KEY + "  " + str(v) for v in range(MAX_SEARCH_VERTICES)]
+        parts = ["," + _KEY + "  " + str(v) for v in range(16)]
         self.lows, self.highs = subset_table(parts[:8], ""), subset_table(parts[8:], "")
         self[0] = "[]"
 
     def __missing__(self, mask):
-        text = self[mask] = "[" + (self.lows[mask & 255] + self.highs[mask >> 8])[1:] + _KEY + "]"
+        if mask >> 16:
+            text = _ints(_bits(mask), _KEY)
+        else:
+            text = "[" + (self.lows[mask & 255] + self.highs[mask >> 8])[1:] + _KEY + "]"
+        self[mask] = text
         return text
 
 
@@ -144,7 +143,7 @@ def _pairs_chunks(label, rows, q):
     copied once.  The chunks go to the file as they come, so the output,
     up to 1 GB on split:C14, is never held whole.
     """
-    texts = _SearchMaskTexts()
+    texts = _MaskTexts()
     tails = {}  # order coefficients -> the text after "t2" of an entry with that factor
     yield '{\n  "diagram": ' + _quote(label) + ',\n  "pairs": '
     between, sep = "," + _ENTRY, "[" + _ENTRY
@@ -203,20 +202,10 @@ def _member_texts(members):
                + '"refinements": ' + refined + _ENTRY + "}")
 
 
-def _ratio_row_texts(rows):
-    """Each ratio row's text, from one text per distinct row and ratio object."""
-    texts = {}  # id of a ratio or row -> its text; `rows` keeps each alive
-
-    def ratio(r):
-        if id(r) not in texts:
-            texts[id(r)] = _nested(r.to_json(), _KEY)
-        return texts[id(r)]
-
-    for row in rows:
-        if id(row) not in texts:
-            texts[id(row)] = (
-                "[" + _KEY + ("," + _KEY).join(map(ratio, row)) + _ENTRY + "]" if row else "[]")
-        yield texts[id(row)]
+def _ratio_rows(n):
+    """The row texts of n members' ratio matrix: n copies of one row of n ratios, each 1."""
+    one = _nested(HalfPowerRational(1).to_json(), _KEY)
+    return ["[" + _KEY + ("," + _KEY).join([one] * n) + _ENTRY + "]"] * n
 
 
 def _witness_chunks(cert):
@@ -272,7 +261,7 @@ def _certificate_sections(cert):
                     _ENTRY)
             for pl in first.places)),
         ("members", _list_chunks(_member_texts(cert.members))),
-        ("ratios", _list_chunks(_ratio_row_texts(cert.ratios))),
+        ("ratios", _list_chunks(_ratio_rows(len(cert.members)))),
         ("witnesses", _witness_chunks(cert)),
         ("citations", _list_chunks(map(_quote, cert.citations))),
     )
@@ -289,8 +278,8 @@ def _certificate_chunks(cert):
     ...]}; "ratios", the N×N matrix of ratio objects; "witnesses", each
     {"pair": [i, j], "place", "t1", "t2"} for i < j; and "citations".
     Its N² part is built from pieces made once and reused: an assignment
-    line per (place id, type), a text per ratio row object and per ratio
-    object, and per (witness place, t1) the text of every member j as the
+    line per (place id, type), one ratio row text, as every ratio is 1,
+    and per (witness place, t1) the text of every member j as the
     second of a pair (`_witness_chunks`).  The whole text, the witness
     dicts and their "pair" lists never exist at once.
     """

@@ -9,22 +9,24 @@ optionally times indices of torsion-free congruence refinements.
 Certifying N members over m places does O(N*m) local work.  Equal
 covolume is transitive, so a family needs only each member's covolume to
 equal member 0's: N-1 exact ratios, after which every pairwise ratio is
-one.  A ratio walks the places once, taking each place's factor terms and
-refinement indices there, and is tested as one integer comparison of its
-unreduced numerator and denominator.  Its local factors are computed once
-per distinct (place, member 0's type, other type).  A type's
-realized-automorphism orbit, from `LocalIndex.orbit_masks`, is found once
-per place, and the orbits met at each place are numbered.  Each member's
-numbers are packed into one int, place 0 in the highest field, so the
-witness place of two members is read off the bit length of their codes'
-xor.  A witness is kept as the index of its place in a row per member i
-over the later members j, so the N²-sized part is N(N-1)/2 ints and no
-per-pair object.  `cli._certificate_chunks` is the one writer of
-the v1 certificate text.  `certify` on the command line trusts nothing in a
-certificate file: it recomputes the family from the file's members and
-checks the file against that writer's text, chunk by chunk.  A file in
-that layout has only its head, the members, decoded; any other file is
-decoded whole and compared entry by entry with the expected text, decoded
+one, so a certificate keeps no ratio: the v1 writer writes the all-ones
+matrix from the member count.  A ratio walks the places once, taking
+each place's factor terms and refinement indices there, and is tested as
+one integer comparison of its unreduced numerator and denominator.  Its
+local factors are computed once per distinct (place, member 0's type,
+other type).  A type's realized-automorphism orbit, from
+`LocalIndex.orbit_masks`, is found once per place, and the orbits met at
+each place are numbered.  Each member's numbers are packed into one int,
+place 0 in the highest field, so the witness place of two members is
+read off the bit length of their codes' xor.  A witness is kept as the
+index of its place in a row per member i over the later members j, so
+the N²-sized part is N(N-1)/2 ints and no per-pair object.
+`cli._certificate_chunks` is the one writer of the v1 certificate text.
+`certify` on the command line trusts nothing in a certificate file: it
+recomputes the family from the file's members and checks the file
+against that writer's text, chunk by chunk.  A file in that layout has
+only its head, the members, decoded; any other file is decoded whole
+and compared entry by entry with the expected text, decoded
 one top-level key at a time.
 """
 
@@ -44,13 +46,7 @@ from .errors import (
     SearchCapError,
     UnknownPlaceError,
 )
-from .parahoric import (
-    ONE,
-    HalfPowerRational,
-    conjugate_types,
-    equal_volume_rows,
-    factor_terms,
-)
+from .parahoric import HalfPowerRational, conjugate_types, equal_volume_rows, factor_terms
 from .reductive import PrimalityBoundError, prime_power_base, quotient_descriptor
 
 CITATIONS = (
@@ -214,10 +210,9 @@ def _covolume_terms(a, b, terms):
     return num, den
 
 
-class FamilyCertificate(namedtuple("FamilyCertificate",
-                                   "members ratios witness_places citations",
+class FamilyCertificate(namedtuple("FamilyCertificate", "members witness_places citations",
                                    defaults=(CITATIONS,))):
-    """Members, their ratio matrix and a non-conjugacy witness per member pair i < j.
+    """Members of equal covolume and a non-conjugacy witness per member pair i < j.
 
     `witness_places` holds one row per member i but the last: the index,
     in the members' place order, of the witness place of each later
@@ -277,7 +272,7 @@ def certify_family(members):
     ratio is one exactly when its unreduced numerator equals its
     denominator, so a `Fraction` is built only for a failure, which names
     members 0 and j for the first j whose ratio is not one; on success
-    every matrix entry is one.  The witness for a pair is the first place
+    every pairwise ratio is one.  The witness for a pair is the first place
     where the two types differ and are not conjugate.
 
     The realized automorphisms form a group, so two types at a place are
@@ -312,8 +307,6 @@ def certify_family(members):
         if num != den:
             ratio = HalfPowerRational(Fraction(num, den))
             raise _unequal_covolume(0, j, members[0], members[j], ratio)
-    n = len(members)
-    ratios = ((ONE,) * n,) * n
     types = [m.types for m in members]
     numbers = []  # per place, vertex mask -> the number of its orbit there
     for k, pl in enumerate(members[0].places):
@@ -342,7 +335,7 @@ def certify_family(members):
             j = i + 1 + row.index(-1)
             raise CertificateError(f"no witness separating members {i} and {j}")
         rows.append(row)
-    return FamilyCertificate(members, ratios, tuple(rows))
+    return FamilyCertificate(members, tuple(rows))
 
 
 def build_family(group, places, family_ids, pairs=None, fallback_swap=False,

@@ -8,6 +8,10 @@ they lie in one orbit of the realized diagram automorphisms:
 `LocalIndex.orbit_masks` maps a mask through one bit-image table per
 automorphism, and the pair search (`parahoric.orbit_representatives`)
 reads images off two `subset_table`s of it, one per byte of the mask.
+A type's induced subdiagram is split into connected vertex sets
+(`induced_subdiagram`), and each set is classified once per orbit and
+index, in the one memo `LocalIndex.component_classes`
+(`classify_component`).
 """
 
 from __future__ import annotations
@@ -197,15 +201,13 @@ class LocalIndex:
 
     `neighbours` is each vertex's neighbour bitmask and `aut_images` each
     realized automorphism's bit-image table, the bit of the image of each
-    vertex.  Two memos die with the index and stay out of its repr and
-    copies: `component_labels`, a type's component labels by its mask,
-    which `reductive.quotient_descriptor` fills, and `component_classes`,
-    a connected vertex set's labels by its mask, which `classify_component`
-    fills (the pair search calls it on every connected proper set).
+    vertex.  `component_classes`, a connected vertex set's labels by its
+    mask, is the memo `classify_component` fills; it dies with the index
+    and stays out of its repr and copies.
     """
 
     __slots__ = ("group", "vertices", "edges", "marks", "hyperspecial", "realized_auts",
-                 "neighbours", "aut_images", "component_labels", "component_classes")
+                 "neighbours", "aut_images", "component_classes")
     __setattr__ = __delattr__ = _immutable
 
     def __init__(self, group, vertices, edges, marks, hyperspecial, realized_auts):
@@ -216,7 +218,7 @@ class LocalIndex:
         aut_images = tuple(tuple(1 << w for w in g) for g in realized_auts)
         for name, value in zip(self.__slots__, (group, vertices, edges, marks, hyperspecial,
                                                 realized_auts, tuple(neighbours), aut_images,
-                                                {}, {})):
+                                                {})):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):  # copy and pickle rebuild through __init__
@@ -493,13 +495,14 @@ def _arm_lengths(center, comp, edges):
     return arms
 
 
-def classify_mask(d, mask):
-    """Sorted component labels of the subdiagram induced on a proper type's vertex mask.
+def induced_subdiagram(d, t):
+    """Sorted component labels of the decorated subgraph induced on the type.
 
-    The caller vouches that the mask is proper.  The mask is split into
-    connected components along `d.neighbours`, and each is classified by
-    `classify_component`.
+    The type, or list of vertex ids, is checked proper first.  Its mask is
+    then split into connected components along `d.neighbours`, and each is
+    classified by `classify_component`.
     """
+    mask = d.check_proper(t).mask
     neighbours = d.neighbours
     labels = []
     while mask:
@@ -535,8 +538,3 @@ def classify_component(d, comp):
         for image in d.orbit_masks(comp):
             classes[image] = found
     return found
-
-
-def induced_subdiagram(d, t):
-    """Component labels of the decorated subgraph induced on the type."""
-    return classify_mask(d, d.check_proper(t).mask)

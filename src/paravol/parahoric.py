@@ -55,8 +55,6 @@ class HalfPowerRational:
         return {"num": r.numerator, "den": r.denominator, "half_exponents": {}}
 
 
-ONE = HalfPowerRational(1)
-
 
 def conjugate_types(d, t1, t2):
     """Whether some realized diagram automorphism carries t1 to t2."""

@@ -3,12 +3,15 @@
 Over F_q a reductive quotient has order q^N * prod(q^d - 1), one factor per
 fundamental degree d of each component and a d = 1 for each rank of its
 central torus, where N = dim - sum(d) (Steinberg; Carter, Finite Groups of
-Lie Type, 2.9).  A descriptor keeps the sorted degrees.  `order_polynomial`
-multiplies that product out and `order_value` evaluates it at q, for a
-descriptor and for the pair search's packed volume keys alike.  Two (dim,
-degrees) agree exactly when the order polynomials do: Phi_e(0) is not 0,
-so the product fixes N, and the cyclotomic Phi_e divides it once per
-degree that e divides, so Moebius inversion recovers each degree's count.
+Lie Type, 2.9).  `quotient_descriptor` reads a type's components off
+`diagram.induced_subdiagram` and builds the descriptor, which keeps the
+sorted degrees, once per distinct (components, relative rank).
+`order_polynomial` multiplies that product out and `order_value`
+evaluates it at q, for a descriptor and for the pair search's packed
+volume keys alike.  Two (dim, degrees) agree exactly when the order
+polynomials do: Phi_e(0) is not 0, so the product fixes N, and the
+cyclotomic Phi_e divides it once per degree that e divides, so Moebius
+inversion recovers each degree's count.
 """
 
 from __future__ import annotations
@@ -60,34 +63,19 @@ def order_value(dim, degrees, q):
 def quotient_descriptor(d, t):
     """Components, central torus rank, dimension and degrees for a type.
 
-    Two memos, each with the lifetime of what it is keyed by.  The index
-    `d` owns `component_labels`, from a type's vertex mask to its induced
-    component labels, so each (index, type) is split into components once
-    and the dict dies with the index; each component is classified once
-    per index, in `d.component_classes`, which the pair search fills with
-    every connected vertex set.  A vertex list becomes a type through
-    `check_proper` first, and `induced_subdiagram` checks a type on a
-    miss, so an improper type raises on every call and is never stored.
-    The descriptor itself is memoized by its value, (components,
-    torus_rank), so each quotient's degrees are gathered once per process;
-    that memo holds at most the finitely many quotient types of the ranks
-    in use.
+    `induced_subdiagram` checks the type, or list of vertex ids, so an
+    improper one raises on every call, and gives its component labels,
+    each connected vertex set classified once per index.  The descriptor
+    is memoized by its value, (components, relative rank), so each
+    quotient's degrees are gathered once per process; that memo holds at
+    most the finitely many quotient types of the ranks in use.
     """
-    if not isinstance(t, dg.ParahoricTypeSpec):
-        t = d.check_proper(t)
-    components = d.component_labels.get(t.mask)
-    if components is None:
-        components = d.component_labels[t.mask] = dg.induced_subdiagram(d, t)
-    return components_descriptor(d, components)
-
-
-def components_descriptor(d, components):
-    """The descriptor of a type of `d` whose induced subdiagram has these component labels."""
-    return _descriptor(components, d.relative_rank - sum(c.rank for c in components))
+    return _descriptor(dg.induced_subdiagram(d, t), d.relative_rank)
 
 
 @lru_cache(maxsize=None)
-def _descriptor(components, torus_rank):
+def _descriptor(components, relative_rank):
+    torus_rank = relative_rank - sum(c.rank for c in components)
     degrees = [1] * torus_rank
     dim = torus_rank
     for c in components:

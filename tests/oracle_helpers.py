@@ -26,7 +26,8 @@ which the oracles above check.
 member pair, into a tuple (i, j, place id, t_i, t_j) per pair i < j, in
 (i, j) order.  `reference_certificate_json` is the v1 certificate as
 plain decoded JSON, every list and dict built afresh from the
-certificate's fields and those tuples: the streamed writer
+certificate's fields and those tuples, its ratio matrix the N×N ones that
+a certified family of N members has: the streamed writer
 `cli._certificate_chunks` must write its `json.dumps`.
 
 `reference_prime_power_base` is the residue-size check by trial division
@@ -398,9 +399,8 @@ def reference_certificate_json(cert):
         "members": [{"assignment": {pl.id: list(t.vertices) for pl, t in zip(m.places, m.types)},
                      "refinements": list(m.refinements)}
                     for m in cert.members],
-        "ratios": [[{"num": r.rational.numerator, "den": r.rational.denominator,
-                     "half_exponents": {}} for r in row]
-                   for row in cert.ratios],
+        "ratios": [[{"num": 1, "den": 1, "half_exponents": {}} for _ in cert.members]
+                   for _ in cert.members],
         "witnesses": [{"pair": [i, j], "place": pid, "t1": list(t1.vertices),
                        "t2": list(t2.vertices)}
                       for i, j, pid, t1, t2 in witnesses(cert)],

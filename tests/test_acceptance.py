@@ -130,7 +130,7 @@ def test_acceptance_4_a4_obstruction_and_swap_fallback():
         members = build_family(g, places, ["u1", "u2"], fallback_swap=True)
         assert len(members) == 2
         cert = certify_family(members)
-        assert all(r.is_one for row in cert.ratios for r in row)
+        assert all(relative_covolume(a, b).is_one for a in members for b in members)
         assert len(witnesses(cert)) == 1
         i, j, pid, t1, t2 = witnesses(cert)[0]
         assert (i, j, pid) == (0, 1, "u1")
@@ -150,11 +150,11 @@ def test_acceptance_5_b3_family_of_eight_with_refinement():
         assert len(members) == 8
         cert = certify_family(members)
         assert len(witnesses(cert)) == 28
-        assert all(r.is_one for row in cert.ratios for r in row)
+        assert all(relative_covolume(a, b).is_one for a in members for b in members)
 
         refined = build_family(g, places, family_ids, refine=("w4", "w9"))
-        cert_refined = certify_family(refined)
-        assert all(r.is_one for row in cert_refined.ratios for r in row)
+        certify_family(refined)
+        assert all(relative_covolume(a, b).is_one for a in refined for b in refined)
         expected = refinement_index(places[3], d.default_type()) * refinement_index(
             places[4], d.default_type())
         for plain, tight in zip(members, refined):
@@ -175,7 +175,7 @@ def test_acceptance_6_twisted_pairs_and_families():
             members = build_family(g, [pl], ["r"])
             assert len(members) == 2
             cert = certify_family(members)
-            assert cert.ratios[0][1].is_one
+            assert relative_covolume(members[0], members[1]).is_one
             assert witnesses(cert)[0][2] == "r"
 
 

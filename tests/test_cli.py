@@ -162,11 +162,16 @@ def test_pairs_hands_the_writer_one_chunk_per_row(monkeypatch):
 
 def test_pairs_writer_texts_every_mask_of_the_search_as_ints_does():
     # the empty mask, and masks whose vertices span both bytes (7 and 8)
-    texts = cli._SearchMaskTexts()
-    for mask in range(1 << 15):
+    texts = cli._MaskTexts()
+    for mask in range(1 << 16):
         assert texts[mask] == cli._ints(_bits(mask), cli._KEY)
-    assert len(texts) == 1 << 15
+    assert len(texts) == 1 << 16
     assert texts[0] == "[]" and texts[0b110000000] == "[\n        7,\n        8\n      ]"
+    # a certificate's masks may be wider than the byte tables: vertices 15
+    # and 16 straddle their top, 100 and 150 lie far past it
+    for vertices in ((15, 16), (16,), (0, 16), (100, 150), (3, 15, 100)):
+        mask = sum(1 << v for v in vertices)
+        assert texts[mask] == cli._ints(vertices, cli._KEY)
 
 
 def test_pairs_writer_streams_the_rows():

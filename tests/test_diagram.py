@@ -198,7 +198,7 @@ def test_local_index_is_equal_and_hashed_by_identity():
         f"marks={d.marks!r}, hyperspecial={d.hyperspecial!r}, "
         f"realized_auts={d.realized_auts!r})")
     assert d.aut_images == tuple(tuple(1 << w for w in g) for g in d.realized_auts)
-    for name in ("group", "neighbours", "aut_images", "component_labels", "other"):
+    for name in ("group", "neighbours", "aut_images", "component_classes", "other"):
         with pytest.raises(AttributeError):
             setattr(d, name, None)
     # a copy is a new index with the same fields and fresh memos

@@ -183,36 +183,31 @@ def test_quotient_descriptor_rejects_improper():
         quotient_descriptor(d, (0, 1, 2))
 
 
-def test_quotient_descriptor_memo_keeps_the_proper_check(monkeypatch):
+def test_quotient_descriptor_memo_keeps_the_proper_check():
     d = build_local_index("split:A2")
     for t in proper_types(d):
         quotient_descriptor(d, t)
-    assert len(d.component_labels) == 7
-    classified = []
-    induced = dg.induced_subdiagram
-    monkeypatch.setattr(dg, "induced_subdiagram",
-                        lambda d, t: classified.append(t) or induced(d, t))
-    # an unsorted or repeated vertex list is the same type: a memo hit
+    # an unsorted or repeated vertex list is the same type, and the
+    # descriptor is memoized by its value
     assert quotient_descriptor(d, (2, 0, 2)) is quotient_descriptor(d, (0, 2))
-    assert classified == []
-    for improper in ((0, 1, 2), (2, 1, 0), (0, 1, 2, 2), (3,), (0, 5)):
-        with pytest.raises(ImproperTypeError):
-            quotient_descriptor(d, improper)
-    assert classified == []  # each improper list was refused before the memo
-    whole = dg.ParahoricTypeSpec(0b111)
-    with pytest.raises(ImproperTypeError):  # a type is checked on its miss
-        quotient_descriptor(d, whole)
-    assert classified == [whole]
-    assert len(d.component_labels) == 7  # none was stored
+    improper = ((0, 1, 2), (2, 1, 0), (0, 1, 2, 2), (3,), (0, 5),
+                dg.ParahoricTypeSpec(0b111), dg.ParahoricTypeSpec(0b1000))
+    for _ in range(2):  # refused on every call, not only the first
+        for t in improper:
+            with pytest.raises(ImproperTypeError):
+                quotient_descriptor(d, t)
+    assert 0b111 not in d.component_classes  # the whole diagram was never classified
 
 
 def test_component_memo_belongs_to_one_index():
     first = build_local_index("split:B3")
     quotient_descriptor(first, (0,))
-    assert first.component_labels == {0b1: (FiniteTypeLabel("A", 1),)}  # by vertex mask
+    # {0} and its image {1} under the swap of vertices 0 and 1, by vertex mask
+    a1 = (FiniteTypeLabel("A", 1),)
+    assert first.component_classes == {0b1: a1, 0b10: a1}
     second = build_local_index("split:B3")
-    assert second.component_labels == {}
-    assert "component_labels" not in repr(second)
+    assert second.component_classes == {}
+    assert "component_classes" not in repr(second)
 
 
 def test_prime_power_base():
