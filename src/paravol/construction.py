@@ -117,9 +117,9 @@ def make_collection(group, places, overrides=None, refinements=(), checked=None)
     """Assemble a collection; absent places carry the diagram's default type.
 
     `checked` may be a dict that calls share: each (place, given vertices)
-    is then turned into a type and checked once over all of them.  Unknown
-    and equal-characteristic refinement places are reported in sorted-id
-    order, each id's unknown check first.
+    is then turned into a type and checked once over all of them.  Unknown,
+    repeated and equal-characteristic refinement places are reported in
+    sorted-id order, each id's unknown check first.
     """
     places = tuple(places)
     by_id = {pl.id: pl for pl in places}
@@ -146,6 +146,8 @@ def make_collection(group, places, overrides=None, refinements=(), checked=None)
             raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
         p = by_id[pid].p
         if p in chars:
+            if chars[p] == pid:
+                raise DomainError(f"duplicate refinement place id: {_id(pid)}")
             raise EqualCharacteristicError(
                 f"equal residue characteristic: places {_id(chars[p])} and {_id(pid)} share p={p}")
         chars[p] = pid

@@ -56,6 +56,18 @@ def family_request(**extra):
     return req
 
 
+def test_a_refinement_place_listed_twice_is_named_once(capsys, tmp_path):
+    ratio = {"group": "split:B3", "places": family_request()["places"],
+             "collections": [{"assignment": {}, "refinements": ["v2", "v2"]},
+                             {"assignment": {}}]}
+    family = family_request(places=family_request()["places"] + [{"id": "w5", "q": 5, "p": 5}],
+                            refine=["w5", "w5"])
+    for command, req, pid in (("ratio", ratio, "v2"), ("family", family, "w5")):
+        code, out, err = invoke(capsys, command, "--input", write_json(tmp_path / "r.json", req))
+        assert (code, out) == (1, "")
+        assert err == f"error: duplicate refinement place id: {pid}\n"
+
+
 def test_diagram_command(capsys):
     code, out, err = invoke(capsys, "diagram", "split:C2")
     assert code == 0 and err == ""

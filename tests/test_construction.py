@@ -259,9 +259,12 @@ def test_refinement_requires_distinct_characteristics():
     with pytest.raises(EqualCharacteristicError) as info:
         make_collection(g, places, refinements=("v0", "v1"))
     assert str(info.value) == "equal residue characteristic: places v0 and v1 share p=2"
-    with pytest.raises(EqualCharacteristicError) as info:
-        make_collection(g, places, refinements=("v0", "v0"))
-    assert str(info.value) == "equal residue characteristic: places v0 and v0 share p=2"
+    # a place listed twice is a duplicate, named once, not two places of one p
+    for twice in (("v0", "v0"), ("v2", "v0", "v2")):
+        with pytest.raises(DomainError) as info:
+            make_collection(g, places, refinements=twice)
+        assert not isinstance(info.value, EqualCharacteristicError)
+        assert str(info.value) == f"duplicate refinement place id: {twice[-1]}"
     assert make_collection(g, places, refinements=("v2", "v0")).refinements == ("v0", "v2")
     with pytest.raises(UnknownPlaceError):
         make_collection(g, places, refinements=("v0", "nope"))
