@@ -767,8 +767,10 @@ def fuzz_seed(command):
         return refined_certificate((2, 3))
     places = [{"id": "v2", "q": 2, "p": 2}, {"id": "v3", "q": 3, "p": 3},
               {"id": "w4", "q": 4, "p": 2}, {"id": "w9", "q": 9, "p": 3}]
+    # the family seed names v3's pair, split:B3's first, so that mutations
+    # reach pairs ids and types
     seed = RATIO_SEED if command == "ratio" else family_request(
-        places=places, refine=["w4", "w9"])
+        places=places, refine=["w4", "w9"], pairs={"v3": [[0], [2]]})
     text = json.dumps(seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.json"
@@ -899,10 +901,10 @@ def test_mutated_inputs_exit_0_1_or_2_without_a_traceback(mutated):
 
 @pytest.mark.parametrize("command", ("ratio", "family", "certify"))
 def test_every_long_string_or_key_exits_0_1_or_2_without_a_traceback(command):
-    # each string value and each key of the seed in turn, 189 inputs over
+    # each string value and each key of the seed in turn, 191 inputs over
     # the three seeds: place ids and indices, assignment keys,
-    # family_places and refine entries, citations; about 0.8 s in all on
-    # a 2-core x86-64 host
+    # family_places and refine entries, the pairs key and its place id,
+    # citations; about 0.8 s in all on a 2-core x86-64 host
     text = fuzz_seed(command)
     for spot in long_text_spots(json.loads(text)):
         data = json.loads(text)
