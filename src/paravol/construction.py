@@ -9,25 +9,24 @@ optionally times indices of torsion-free congruence refinements.
 Certifying N members over m places does O(N*m) local work.  Equal
 covolume is transitive, so a family needs only each member's covolume to
 equal member 0's: N-1 exact ratios, after which every pairwise ratio is
-one, so a certificate keeps no ratio: the v1 writer writes the all-ones
-matrix from the member count.  A ratio walks the places once, taking
-each place's factor terms and refinement indices there, and is tested as
-one integer comparison of its unreduced numerator and denominator.  Its
-local factors are computed once per distinct (place, member 0's type,
-other type).  A type's realized-automorphism orbit, from
-`LocalIndex.orbit_masks`, is found once per place, and the orbits met at
-each place are numbered.  Each member's numbers are packed into one int,
-place 0 in the highest field, so the witness place of two members is
-read off the bit length of their codes' xor.  A witness is kept as the
-index of its place in a row per member i over the later members j, so
-the N²-sized part is N(N-1)/2 ints and no per-pair object.
-`cli._certificate_chunks` is the one writer of the v1 certificate text.
-`certify` on the command line trusts nothing in a certificate file: it
-recomputes the family from the file's members and checks the file
-against that writer's text, chunk by chunk.  A file in that layout has
-only its head, the members, decoded; any other file is decoded whole
-and compared entry by entry with the expected text, decoded
-one top-level key at a time.
+one.  A ratio walks the places once, taking each place's factor terms and
+refinement indices there, and is tested as one integer comparison of its
+unreduced numerator and denominator.  Its local factors are computed once
+per distinct (place, member 0's type, other type).  A type's
+realized-automorphism orbit, from `LocalIndex.orbit_masks`, is found once
+per place, and the orbits met at each place are numbered.  Each member's
+numbers are packed into one int, place 0 in the highest field, so the
+witness place of two members is read off the bit length of their codes'
+xor.  A witness is kept as the index of its place in a row per member i
+over the later members j, so the N²-sized part is N(N-1)/2 ints and no
+per-pair object.  `cli._certificate_chunks` is the one writer of
+the v1 certificate text.  `certify` on the command line trusts nothing in a
+certificate file: it recomputes the family from the file's members and
+checks the file against that writer's text, chunk by chunk.  A file in
+that layout has only its head, the members, decoded; any other file is
+decoded whole and compared entry by entry with the expected text, decoded
+one top-level key at a time.  A certificate keeps no ratio, as each is
+one: the writer writes the all-ones matrix from the member count.
 """
 
 from __future__ import annotations

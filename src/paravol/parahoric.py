@@ -55,7 +55,6 @@ class HalfPowerRational:
         return {"num": r.numerator, "den": r.denominator, "half_exponents": {}}
 
 
-
 def conjugate_types(d, t1, t2):
     """Whether some realized diagram automorphism carries t1 to t2."""
     t1, t2 = d.check_proper(t1), d.check_proper(t2)

@@ -57,11 +57,11 @@ def family_request(**extra):
 
 
 def test_a_refinement_place_listed_twice_is_named_once(capsys, tmp_path):
-    ratio = {"group": "split:B3", "places": family_request()["places"],
+    places = family_request()["places"] + [{"id": "w5", "q": 5, "p": 5}]
+    ratio = {"group": "split:B3", "places": places,
              "collections": [{"assignment": {}, "refinements": ["v2", "v2"]},
                              {"assignment": {}}]}
-    family = family_request(places=family_request()["places"] + [{"id": "w5", "q": 5, "p": 5}],
-                            refine=["w5", "w5"])
+    family = family_request(places=places, refine=["w5", "w5"])
     for command, req, pid in (("ratio", ratio, "v2"), ("family", family, "w5")):
         code, out, err = invoke(capsys, command, "--input", write_json(tmp_path / "r.json", req))
         assert (code, out) == (1, "")
