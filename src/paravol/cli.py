@@ -104,20 +104,22 @@ _ENTRY, _KEY = "\n    ", "\n      "
 class _MaskTexts(dict):
     """The text of each vertex mask's vertex list, built on its first lookup.
 
-    A mask below 2^16, as every mask of the pair search is, is joined from
+    The tables are sized for diagrams of at most n vertices: a mask below
+    2^min(n, 16), as every mask of the pair search is, is joined from
     `subset_table`s of its low and high byte.  A wider one, which only a
     certificate over a large diagram holds, is written from its vertices.
     """
 
-    __slots__ = ("lows", "highs")
+    __slots__ = ("lows", "highs", "width")
 
-    def __init__(self):
-        parts = ["," + _KEY + "  " + str(v) for v in range(16)]
+    def __init__(self, n):
+        parts = ["," + _KEY + "  " + str(v) for v in range(min(n, 16))]
         self.lows, self.highs = subset_table(parts[:8], ""), subset_table(parts[8:], "")
+        self.width = len(parts)
         self[0] = "[]"
 
     def __missing__(self, mask):
-        if mask >> 16:
+        if mask >> self.width:
             text = _ints(_bits(mask), _KEY)
         else:
             text = "[" + (self.lows[mask & 255] + self.highs[mask >> 8])[1:] + _KEY + "]"
@@ -125,11 +127,11 @@ class _MaskTexts(dict):
         return text
 
 
-def _pairs_chunks(label, rows, q):
-    """The `pairs` output, one chunk per row of `parahoric.pairs_to_json`.
+def _pairs_chunks(d, rows, q):
+    """The `pairs` output of the diagram d, one chunk per row of `parahoric.pairs_to_json`.
 
     The text is `json.dumps(payload, indent=2) + "\\n"` byte for byte, where
-    the payload is {"diagram": label, "pairs": [entry, ...]} with "q": q
+    the payload is {"diagram": d's label, "pairs": [entry, ...]} with "q": q
     last when q is given, and each entry holds "t1", "t2", "dim",
     "order_coeffs" and, when q is given, "order_at_q".  A row is a t1
     mask, its volume factor and the masks of its t2.  Its entries differ
@@ -143,9 +145,9 @@ def _pairs_chunks(label, rows, q):
     copied once.  The chunks go to the file as they come, so the output,
     up to 1 GB on split:C14, is never held whole.
     """
-    texts = _MaskTexts()
+    texts = _MaskTexts(len(d.vertices))
     tails = {}  # order coefficients -> the text after "t2" of an entry with that factor
-    yield '{\n  "diagram": ' + _quote(label) + ',\n  "pairs": '
+    yield '{\n  "diagram": ' + _quote(d.group.label) + ',\n  "pairs": '
     between, sep = "," + _ENTRY, "[" + _ENTRY
     for t1, dim, coeffs, value, t2s in rows:
         tail = tails.get(coeffs)
@@ -224,7 +226,7 @@ def _witness_chunks(cert):
     places, n = members[0].places, len(members)
     types = [m.types for m in members]
     digits = list(map(str, range(n)))
-    masks = _MaskTexts()
+    masks = _MaskTexts(max(len(pl.local_index.vertices) for pl in places))
     tails = {}  # (place index, t1 mask) -> per member j, the witness text from j on
 
     def tail(k, mask):
@@ -415,7 +417,7 @@ def cmd_pairs(args):
               f"types for {d.group.label}{note}", file=sys.stderr)
     else:
         rows = chain((head,), rows)
-    _write(args.output, _pairs_chunks(d.group.label, rows, args.q))
+    _write(args.output, _pairs_chunks(d, rows, args.q))
     return 0
 
 

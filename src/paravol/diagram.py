@@ -236,8 +236,12 @@ class LocalIndex:
         """The type of t, given as a type or as vertex ids, if proper here; else ImproperTypeError.
 
         Each vertex id is checked against the diagram before it becomes a
-        bit, so no id, however large or negative, reaches a shift.
+        bit, so no id, however large or negative, reaches a shift.  A type's
+        mask is never negative and the vertices are 0..n-1, so a type whose
+        mask is below the whole vertex set's is proper and returned as is.
         """
+        if isinstance(t, ParahoricTypeSpec) and t.mask < (1 << len(self.vertices)) - 1:
+            return t
         ids = set(t.vertices if isinstance(t, ParahoricTypeSpec) else t)
         if not ids <= set(self.vertices):
             shown = echo(f"ParahoricTypeSpec({sorted(ids)})", "type", str)

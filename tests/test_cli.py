@@ -149,8 +149,8 @@ def test_pairs_stdout_is_json_dumps_of_one_dict_per_pair(label, q):
     assert code == 0
     assert out == expected
     # the writer alone, on the rows of the search (none for split:A4)
-    rows = pairs_to_json(build_local_index(label), q)
-    assert "".join(cli._pairs_chunks(label, rows, q)) == expected
+    d = build_local_index(label)
+    assert "".join(cli._pairs_chunks(d, pairs_to_json(d, q), q)) == expected
 
 
 def test_pairs_hands_the_writer_one_chunk_per_row(monkeypatch):
@@ -173,17 +173,21 @@ def test_pairs_hands_the_writer_one_chunk_per_row(monkeypatch):
 
 
 def test_pairs_writer_texts_every_mask_of_the_search_as_ints_does():
-    # the empty mask, and masks whose vertices span both bytes (7 and 8)
-    texts = cli._MaskTexts()
-    for mask in range(1 << 16):
-        assert texts[mask] == cli._ints(_bits(mask), cli._KEY)
-    assert len(texts) == 1 << 16
-    assert texts[0] == "[]" and texts[0b110000000] == "[\n        7,\n        8\n      ]"
-    # a certificate's masks may be wider than the byte tables: vertices 15
-    # and 16 straddle their top, 100 and 150 lie far past it
-    for vertices in ((15, 16), (16,), (0, 16), (100, 150), (3, 15, 100)):
-        mask = sum(1 << v for v in vertices)
-        assert texts[mask] == cli._ints(vertices, cli._KEY)
+    # tables sized for n vertices text every mask as _ints does, those
+    # up to 2^(n+1) too; the empty mask, and masks whose vertices span
+    # both bytes (7 and 8)
+    for n in (2, 8, 9, 12, 16):
+        texts = cli._MaskTexts(n)
+        assert (len(texts.lows), len(texts.highs)) == (1 << min(n, 8), 1 << max(0, n - 8))
+        for mask in range(1 << min(n + 1, 16)):
+            assert texts[mask] == cli._ints(_bits(mask), cli._KEY)
+        assert len(texts) == 1 << min(n + 1, 16)
+        assert texts[0] == "[]" and texts[0b110000000] == "[\n        7,\n        8\n      ]"
+        # a certificate's masks may be wider than the byte tables: vertices
+        # 15 and 16 straddle their top, 100 and 150 lie far past it
+        for vertices in ((15, 16), (16,), (0, 16), (100, 150), (3, 15, 100)):
+            mask = sum(1 << v for v in vertices)
+            assert texts[mask] == cli._ints(vertices, cli._KEY)
 
 
 def test_pairs_writer_streams_the_rows():
@@ -195,7 +199,7 @@ def test_pairs_writer_streams_the_rows():
             read.append(row)
             yield row
 
-    chunks = cli._pairs_chunks("split:B3", rows(), 2)
+    chunks = cli._pairs_chunks(build_local_index("split:B3"), rows(), 2)
     assert next(chunks) == '{\n  "diagram": "split:B3",\n  "pairs": '
     assert read == []
     for k, entries in enumerate((2, 1, 1), 1):  # t1 [0], [0, 1], [2]

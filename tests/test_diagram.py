@@ -330,6 +330,22 @@ def test_check_proper():
         d.check_proper((7,))
 
 
+def test_check_proper_answers_a_type_as_its_vertex_list():
+    # a type below the whole vertex set's mask is returned as is; every
+    # other mask gives the error its vertex list gives
+    d = build_local_index("split:A14")
+    for mask in range((1 << 15) + 2):
+        t = ParahoricTypeSpec(mask)
+        try:
+            expected = d.check_proper(list(t.vertices))
+        except ImproperTypeError as error:
+            with pytest.raises(ImproperTypeError) as got:
+                d.check_proper(t)
+            assert str(got.value) == str(error)
+        else:
+            assert d.check_proper(t) == expected
+
+
 @pytest.mark.parametrize("vertices, message", [
     ([-1], "improper type: unknown vertices in ParahoricTypeSpec([-1])"),
     ([4], "improper type: unknown vertices in ParahoricTypeSpec([4])"),
