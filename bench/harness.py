@@ -26,9 +26,11 @@ baseline's.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import importlib
+import io
 import json
 import os
 import platform
@@ -45,7 +47,8 @@ PARAVOL = ["-m", "paravol"]
 # In a step's arguments, the file holding the row's request and the tree's output file.
 INPUT, OUTPUT = "<input>", "<output>"
 STATISTIC = ("median and inclusive quartiles of each step's wall seconds and peak RSS MB per "
-             "process, a timed-out run the slowest, and of in-process ms, GC off in each call; "
+             "process, a timed-out run the slowest, and of in-process ms, a call's steps "
+             "summed, GC off in each step; "
              "'paired': per round, head's in-process median, else its steps' seconds summed, "
              "less baseline's, with the rounds head won and the rounds both finished")
 
@@ -112,7 +115,8 @@ def in_process_ms(src, argv):
 
     The import is not timed.  The cyclic GC collects the garbage of earlier
     calls and imports before the call and is off during it, so where a
-    collection lands does not move the time.
+    collection lands does not move the time.  What the command writes to
+    stdout goes to a buffer, not to this script's stdout.
     """
     for name in [n for n in sys.modules if n == "paravol" or n.startswith("paravol.")]:
         del sys.modules[name]
@@ -124,9 +128,10 @@ def in_process_ms(src, argv):
     gc.collect()
     gc.disable()
     try:
-        start = time.perf_counter()
-        code = cli.run(argv)
-        ms = (time.perf_counter() - start) * 1e3
+        with contextlib.redirect_stdout(io.StringIO()):
+            start = time.perf_counter()
+            code = cli.run(argv)
+            ms = (time.perf_counter() - start) * 1e3
     finally:
         gc.enable()
     if code != 0:
@@ -169,10 +174,11 @@ def measure(row, trees, runs, steps, request=None, timeout=None, in_process_runs
     tree's output file.  A column holds, per step, `<step>_s` and
     `<step>_peak_rss_mb` with their quartiles over `runs` rounds, the
     number of processes that ran past `timeout` seconds and, when the
-    steps write OUTPUT, its size and SHA-256.  With `in_process_runs`, the
-    row's one step is a `paravol` command, its arguments PARAVOL and the
-    CLI's, called that many times in this process after each of its
-    processes; each call's output must be the process's byte for byte.
+    steps write OUTPUT, its size and SHA-256.  With `in_process_runs`,
+    each step is a `paravol` command, its arguments PARAVOL and the CLI's,
+    and after each round of processes the row's steps are called in turn
+    that many times in this process, a call's time the sum of its steps';
+    the output file each call leaves must be the processes' byte for byte.
     """
     samples = {name: {step: [] for step in steps} for name in trees}
     calls = {name: [] for name in trees}
@@ -186,9 +192,9 @@ def measure(row, trees, runs, steps, request=None, timeout=None, in_process_runs
             output = Path(tmp) / f"output-{name}"
             output.unlink(missing_ok=True)
             paths[OUTPUT] = str(output)
+            argvs = [[paths.get(a, a) for a in argv] for argv in steps.values()]
             done = {}
-            for step, argv in steps.items():
-                argv = [paths.get(a, a) for a in argv]
+            for step, argv in zip(steps, argvs):
                 done[step] = timed_peak(src, argv, timeout)
                 samples[name][step].append(done[step])
             finished = None not in done.values()
@@ -199,10 +205,10 @@ def measure(row, trees, runs, steps, request=None, timeout=None, in_process_runs
                 continue
             ms = []
             for _ in range(in_process_runs):
-                ms.append(in_process_ms(src, argv[len(PARAVOL):]))
+                ms.append(sum(in_process_ms(src, argv[len(PARAVOL):]) for argv in argvs))
                 if output.read_bytes() != outputs[name]:
-                    sys.exit(f"python {' '.join(argv)} with {src}: "
-                             f"the in-process output differs from the process's")
+                    sys.exit(f"{' then '.join(steps)} with {src}: "
+                             f"the in-process output differs from the processes'")
             calls[name] += ms
             main[name].append(statistics.median(ms))
     columns = {}

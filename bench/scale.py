@@ -7,6 +7,16 @@ as `harness` describes.  The certificate's size and SHA-256 are recorded
 too, so a record with two columns shows whether both trees wrote the same
 bytes.
 
+Start-up, about 0.1 s a process, is most of a row's time, and on a shared
+2-core host the paired difference of two such processes moved by tens of
+ms between records of one change, so each row also has an in-process
+column: the median and quartiles, in ms, of `family` then `certify`, each
+called through `cli.run` in this script's process after a fresh import
+of `paravol` from the tree's source directory (not timed), IN_PROCESS_RUNS
+times after each round of processes.  The certificate each call writes
+must be the processes' byte for byte.  A row's paired statistic compares
+the rounds' in-process medians.
+
     python3 bench/scale.py --output bench/BENCH_3.json
     python3 bench/scale.py --output bench/BENCH_3.json --baseline-src OTHER/src
 
@@ -29,6 +39,7 @@ MIN_M = 4
 # Rounds per row.  On a shared 2-core host, the medians of 3 runs of one
 # tree differed by 40% from record to record.
 RUNS = 10
+IN_PROCESS_RUNS = 3
 STEPS = {"family": [*PARAVOL, "family", "--input", INPUT, "--output", OUTPUT],
          "certify": [*PARAVOL, "certify", "--input", OUTPUT]}
 
@@ -50,11 +61,12 @@ def main(argv=None):
     if not MIN_M <= args.max_m <= len(FAMILY_Q):
         parser.error(f"--max-m must be between {MIN_M} and {len(FAMILY_Q)}")
     trees = harness.trees(args)
-    rows = [harness.measure({"m": m, "members": 2 ** m}, trees, RUNS, STEPS, family_request(m))
+    rows = [harness.measure({"m": m, "members": 2 ** m}, trees, RUNS, STEPS, family_request(m),
+                            in_process_runs=IN_PROCESS_RUNS)
             for m in range(MIN_M, args.max_m + 1)]
     return harness.write(args.output,
                          {"group": GROUP, "refine": [pl["id"] for pl in REFINE_PLACES],
-                          "runs": RUNS},
+                          "runs": RUNS, "in_process_runs": RUNS * IN_PROCESS_RUNS},
                          {"rows": rows})
 
 

@@ -11,7 +11,14 @@ reads images off two `subset_table`s of it, one per byte of the mask.
 A type's induced subdiagram is split into connected vertex sets
 (`induced_subdiagram`), and each set is classified once per orbit and
 index, in the one memo `LocalIndex.component_classes`
-(`classify_component`).
+(`classify_component`): a proper subdiagram of an affine diagram is of
+finite type, so its vertex count, its degrees within the set (read off
+`LocalIndex.neighbours`) and its one multiple edge, if any, name it.
+The realized automorphisms of split type A are the cycle's rotations.
+Every other diagram is a tree, and its full decorated automorphism group
+is found by mapping the vertices in a breadth-first order, each to a
+neighbour of its parent's image along an edge of the same shape
+(`_graph_automorphisms`).
 """
 
 from __future__ import annotations
@@ -118,17 +125,6 @@ class FiniteTypeLabel(namedtuple("FiniteTypeLabel", "family rank")):
 
     def __str__(self):
         return f"{self.family}{self.rank}"
-
-
-def canonical_labels(family, rank):
-    """Labels for one diagram component, low-rank coincidences folded in."""
-    if family in ("B", "C") and rank == 1:
-        family = "A"
-    if family == "D" and rank == 2:
-        return (FiniteTypeLabel("A", 1), FiniteTypeLabel("A", 1))
-    if family == "D" and rank == 3:
-        family, rank = "A", 3
-    return (FiniteTypeLabel(family, rank),)
 
 
 Edge = namedtuple("Edge", "u v mult arrow")  # arrow: the short vertex, None for equal lengths
@@ -361,60 +357,45 @@ def _split_affine_data(family, rank):
     return tuple(range(n + 1)), tuple(sorted(edges)), marks
 
 
-def _edge_role(x, e):
-    return 0 if e.arrow is None else (1 if e.arrow == x else 2)
-
-
-def _vertex_invariants(vertices, edges, marks, hyperspecial):
-    """Per-vertex class key: decorations plus incident edge shapes."""
-    incident = {v: [] for v in vertices}
-    for e in edges:
-        incident[e.u].append((e.mult, _edge_role(e.u, e)))
-        incident[e.v].append((e.mult, _edge_role(e.v, e)))
-    return {
-        v: (marks[v], hyperspecial[v], tuple(sorted(incident[v])))
-        for v in vertices
-    }
-
-
 def _graph_automorphisms(vertices, edges, marks, hyperspecial):
-    """All permutations preserving edges with decorations, marks and flags."""
-    n = len(vertices)
-    inv = _vertex_invariants(vertices, edges, marks, hyperspecial)
-    candidates = {v: [w for w in vertices if inv[w] == inv[v]] for v in vertices}
-    emap = {(e.u, e.v): e for e in edges}
-    adj = {v: [] for v in vertices}
+    """All permutations preserving edges with decorations, marks and flags, sorted.
+
+    Every diagram searched is a tree (type A's cycle takes its rotations
+    instead), with n - 1 edges on n vertices.  A bijection of the vertices
+    that keeps marks and flags and maps the edge from each vertex to its
+    parent, in a breadth-first order from vertex 0, to an edge of the same
+    shape maps the n - 1 edges to n - 1 distinct edges, so onto all of them:
+    it is an automorphism.  The search maps vertex 0 to each vertex in turn
+    and then each later vertex to an unused neighbour of its parent's image.
+    """
+    assert len(edges) == len(vertices) - 1
+    shape = {v: {} for v in vertices}  # shape[u][v]: the edge u-v as seen from u
     for e in edges:
-        adj[e.u].append((e.v, e.mult, _edge_role(e.u, e)))
-        adj[e.v].append((e.u, e.mult, _edge_role(e.v, e)))
-    order = sorted(vertices, key=lambda v: (len(candidates[v]), v))
-    sigma = {}
-    used = set()
+        shape[e.u][e.v] = (e.mult, e.arrow == e.u, e.arrow == e.v)
+        shape[e.v][e.u] = (e.mult, e.arrow == e.v, e.arrow == e.u)
+    order, parent = [vertices[0]], {vertices[0]: None}
+    for v in order:
+        for u in shape[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    image = {}
     found = []
 
     def extend(k):
-        if k == n:
-            found.append(tuple(sigma[v] for v in vertices))
+        if k == len(order):
+            found.append(tuple(image[v] for v in vertices))
             return
         v = order[k]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            ok = True
-            for u, mult, role in adj[v]:
-                if u not in sigma:
-                    continue
-                a, b = w, sigma[u]
-                e = emap.get((a, b) if a < b else (b, a))
-                if e is None or e.mult != mult or _edge_role(w, e) != role:
-                    ok = False
-                    break
-            if ok:
-                sigma[v] = w
-                used.add(w)
+        p = parent[v]
+        near = vertices if p is None else shape[image[p]]
+        for w in near:
+            if (w not in image.values() and marks[w] == marks[v]
+                    and hyperspecial[w] == hyperspecial[v]
+                    and (p is None or near[w] == shape[p][v])):
+                image[v] = w
                 extend(k + 1)
-                used.discard(w)
-                del sigma[v]
+                del image[v]
 
     extend(0)
     return tuple(sorted(found))
@@ -443,60 +424,37 @@ def build_local_index(spec):
     return LocalIndex(spec, vertices, edges, marks, hyper, auts)
 
 
-def _classify_component(comp, edges):
-    """Finite type label(s) of one connected decorated component."""
-    k = len(comp)
-    if k == 1:
-        return canonical_labels("A", 1)
-    deg = {v: 0 for v in comp}
-    for e in edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
-    mults = sorted(e.mult for e in edges)
-    if mults[-1] == 1:
-        forks = [v for v in comp if deg[v] == 3]
-        if not forks and max(deg.values()) <= 2:
-            return canonical_labels("A", k)
-        if len(forks) == 1 and max(deg.values()) == 3:
-            arms = sorted(_arm_lengths(forks[0], comp, edges))
-            if arms[0] == arms[1] == 1:
-                return canonical_labels("D", k)
-            if arms == [1, 2, 2] and k == 6:
-                return canonical_labels("E", 6)
-            if arms == [1, 2, 3] and k == 7:
-                return canonical_labels("E", 7)
-            if arms == [1, 2, 4] and k == 8:
-                return canonical_labels("E", 8)
-    elif mults == [3] and k == 2:
-        return canonical_labels("G", 2)
-    elif mults.count(2) == 1 and mults[-1] == 2 and max(deg.values()) <= 2:
-        if k == 2:
-            return canonical_labels("B", 2)
-        double = next(e for e in edges if e.mult == 2)
-        leaves = [x for x in (double.u, double.v) if deg[x] == 1]
-        if leaves:
-            return canonical_labels("B" if double.arrow == leaves[0] else "C", k)
-        if k == 4:
-            return canonical_labels("F", 4)
-    raise UnsupportedTypeError(f"unsupported type: unclassifiable component {sorted(comp)}")
+def _component_labels(d, comp):
+    """The label of a connected proper vertex set's induced subdiagram, by its mask, in a 1-tuple.
 
-
-def _arm_lengths(center, comp, edges):
-    adj = {v: [] for v in comp}
-    for e in edges:
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    arms = []
-    for start in adj[center]:
-        length, prev, cur = 1, center, start
-        while True:
-            nxt = [w for w in adj[cur] if w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    return arms
+    Every proper subdiagram of an affine diagram is of finite type, so the
+    set's degrees and its one multiple edge, if any, name it.  Without a
+    multiple edge it is a path (A), or has a branch vertex with two or
+    three one-vertex arms (D) or one (E6, E7 or E8).  With one it is G2
+    when the edge is triple, B2 on two vertices, B or C when an end of the
+    double edge is a leaf, by which end is short, and F4 otherwise.
+    """
+    k = comp.bit_count()
+    degree = {v: (d.neighbours[v] & comp).bit_count() for v in _bits(comp)}
+    multiple = [e for e in d.edges if e.mult > 1 and comp >> e.u & 1 and comp >> e.v & 1]
+    if multiple:
+        (e,) = multiple
+        if e.mult == 3:
+            family = "G"
+        elif k == 2:
+            family = "B"
+        elif degree[e.u] == 1 or degree[e.v] == 1:
+            family = "B" if degree[e.arrow] == 1 else "C"
+        else:
+            family = "F"
+    else:
+        branch = [v for v, n in degree.items() if n == 3]
+        if not branch:
+            family = "A"
+        else:
+            arms = [u for u in _bits(d.neighbours[branch[0]] & comp) if degree[u] == 1]
+            family = "D" if len(arms) > 1 else "E"
+    return (FiniteTypeLabel(family, k),)
 
 
 def induced_subdiagram(d, t):
@@ -537,8 +495,7 @@ def classify_component(d, comp):
     classes = d.component_classes
     found = classes.get(comp)
     if found is None:
-        edges = [e for e in d.edges if comp >> e.u & 1 and comp >> e.v & 1]
-        found = _classify_component(set(_bits(comp)), edges)
+        found = _component_labels(d, comp)
         for image in d.orbit_masks(comp):
             classes[image] = found
     return found

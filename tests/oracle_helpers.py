@@ -18,8 +18,12 @@ factored orders and the key they are compared by.
 The references at the end are the pair search as it was written on vertex
 tuples: orbits from a set of every type seen, components by breadth-first
 search over vertex sets, and the sorted list of every pair, bucketed by
-reference orders.  They check the engine's bitmask search.  They reuse the
-engine's classifier of one connected component and its degree table,
+reference orders.  They check the engine's bitmask search.  Each
+component is classified by `_classify_component`, the classifier as it
+was written on vertex sets and edge lists, each arm of a branch vertex
+walked vertex by vertex and low-rank coincidences folded in by
+`canonical_labels`: it checks the engine's mask classifier
+(`diagram.classify_component`).  They reuse the engine's degree table,
 which the oracles above check.
 
 `witnesses` expands a certificate's witness rows, one place index per
@@ -46,7 +50,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from paravol.diagram import ParahoricTypeSpec, _classify_component, _edge
+from paravol.diagram import FiniteTypeLabel, ParahoricTypeSpec, _edge
+from paravol.errors import UnsupportedTypeError
 from paravol.roots import cartan_matrix, fundamental_degrees, positive_roots
 
 
@@ -341,6 +346,73 @@ def reference_orbit_representatives(d):
         seen.update(tuple(sorted(g[v] for v in t)) for g in d.realized_auts)
         reps.append(t)
     return reps
+
+
+def canonical_labels(family, rank):
+    """Labels for one diagram component, low-rank coincidences folded in."""
+    if family in ("B", "C") and rank == 1:
+        family = "A"
+    if family == "D" and rank == 2:
+        return (FiniteTypeLabel("A", 1), FiniteTypeLabel("A", 1))
+    if family == "D" and rank == 3:
+        family, rank = "A", 3
+    return (FiniteTypeLabel(family, rank),)
+
+
+def _classify_component(comp, edges):
+    """Finite type label(s) of one connected decorated component."""
+    k = len(comp)
+    if k == 1:
+        return canonical_labels("A", 1)
+    deg = {v: 0 for v in comp}
+    for e in edges:
+        deg[e.u] += 1
+        deg[e.v] += 1
+    mults = sorted(e.mult for e in edges)
+    if mults[-1] == 1:
+        forks = [v for v in comp if deg[v] == 3]
+        if not forks and max(deg.values()) <= 2:
+            return canonical_labels("A", k)
+        if len(forks) == 1 and max(deg.values()) == 3:
+            arms = sorted(_arm_lengths(forks[0], comp, edges))
+            if arms[0] == arms[1] == 1:
+                return canonical_labels("D", k)
+            if arms == [1, 2, 2] and k == 6:
+                return canonical_labels("E", 6)
+            if arms == [1, 2, 3] and k == 7:
+                return canonical_labels("E", 7)
+            if arms == [1, 2, 4] and k == 8:
+                return canonical_labels("E", 8)
+    elif mults == [3] and k == 2:
+        return canonical_labels("G", 2)
+    elif mults.count(2) == 1 and mults[-1] == 2 and max(deg.values()) <= 2:
+        if k == 2:
+            return canonical_labels("B", 2)
+        double = next(e for e in edges if e.mult == 2)
+        leaves = [x for x in (double.u, double.v) if deg[x] == 1]
+        if leaves:
+            return canonical_labels("B" if double.arrow == leaves[0] else "C", k)
+        if k == 4:
+            return canonical_labels("F", 4)
+    raise UnsupportedTypeError(f"unsupported type: unclassifiable component {sorted(comp)}")
+
+
+def _arm_lengths(center, comp, edges):
+    adj = {v: [] for v in comp}
+    for e in edges:
+        adj[e.u].append(e.v)
+        adj[e.v].append(e.u)
+    arms = []
+    for start in adj[center]:
+        length, prev, cur = 1, center, start
+        while True:
+            nxt = [w for w in adj[cur] if w != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        arms.append(length)
+    return arms
 
 
 def reference_component_labels(d, t):

@@ -84,8 +84,13 @@ def fake_paravol(tmp_path):
     package = tmp_path / "paravol"
     package.mkdir()
     (package / "__init__.py").write_text("")
+    # it prints its arguments, and `write FILE` writes "out" to FILE
     (package / "cli.py").write_text("import gc\nSEEN = []\n\n\ndef run(argv):\n"
-                                    "    SEEN.append(gc.isenabled())\n    return 0\n")
+                                    "    SEEN.append(gc.isenabled())\n    print(*argv)\n"
+                                    "    if argv[0] == 'write':\n"
+                                    "        open(argv[1], 'w').write('out')\n    return 0\n")
+    (package / "__main__.py").write_text("import sys\nfrom paravol.cli import run\n"
+                                         "sys.exit(run(sys.argv[1:]))\n")
     kept = {n: m for n, m in sys.modules.items() if n == "paravol" or n.startswith("paravol.")}
     yield tmp_path
     for name in [n for n in sys.modules if n == "paravol" or n.startswith("paravol.")]:
@@ -96,6 +101,25 @@ def fake_paravol(tmp_path):
 def test_an_in_process_call_runs_with_the_collector_off(fake_paravol):
     assert harness.in_process_ms(fake_paravol, ["x"]) >= 0
     assert sys.modules["paravol.cli"].SEEN == [False] and gc.isenabled()
+
+
+def test_an_in_process_row_times_every_step_and_sums_them(fake_paravol, monkeypatch, capsys):
+    timed = []
+    in_process_ms = harness.in_process_ms
+
+    def recorded(src, argv):
+        timed.append((argv[0], in_process_ms(src, argv)))
+        return timed[-1][1]
+
+    monkeypatch.setattr(harness, "in_process_ms", recorded)
+    steps = {"write": [*harness.PARAVOL, "write", harness.OUTPUT],
+             "read": [*harness.PARAVOL, "read", harness.OUTPUT]}
+    row = harness.measure({}, {"head": fake_paravol}, 1, steps, in_process_runs=1)
+    assert [step for step, _ in timed] == ["write", "read"]
+    column = row["columns"]["head"]
+    assert column["in_process_ms"] == round(sum(ms for _, ms in timed), 2)
+    assert column["output_bytes"] == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_scale_refuses_a_max_m_past_the_places(tmp_path, capsys):

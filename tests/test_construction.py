@@ -638,13 +638,13 @@ def test_certify_family_local_work_is_linear(monkeypatch):
 def test_family_and_certify_classify_each_type_once(monkeypatch):
     g, d, places = setup_group("split:B3", 2, 3, 5, 7, 4, 9)
     classified = []
-    classify = diagram._classify_component
+    classify = diagram._component_labels
 
-    def counted_classify(comp, edges):
-        classified.append(frozenset(comp))
-        return classify(comp, edges)
+    def counted_classify(index, comp):
+        classified.append(comp)
+        return classify(index, comp)
 
-    monkeypatch.setattr(diagram, "_classify_component", counted_classify)
+    monkeypatch.setattr(diagram, "_component_labels", counted_classify)
     members = build_family(g, places, ["v0", "v1", "v2", "v3"], refine=("v4", "v5"))
     certify_family(members)
     # the pair search keys every type from its connected vertex sets, and
@@ -656,7 +656,7 @@ def test_family_and_certify_classify_each_type_once(monkeypatch):
     # 3 edges, 3 paths of three) lie in 7 orbits
     assert {t.mask for m in members for t in m.types} <= set(orbit_representatives(d))
     assert len(classified) == len(set(classified)) == 7
-    assert {sum(1 << v for v in comp) for comp in classified} < d.component_classes.keys()
+    assert set(classified) < d.component_classes.keys()
     assert len(d.component_classes) == 10
 
 

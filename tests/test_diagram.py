@@ -8,7 +8,13 @@ import random
 
 import pytest
 
-from oracle_helpers import brute_force_decorated_autos, proper_types, reference_orbit
+from oracle_helpers import (
+    brute_force_decorated_autos,
+    canonical_labels,
+    proper_types,
+    reference_component_labels,
+    reference_orbit,
+)
 from test_golden import LABELS
 
 from paravol import roots
@@ -19,12 +25,15 @@ from paravol.diagram import (
     GroupSpec,
     LocalIndex,
     ParahoricTypeSpec,
+    _bits,
+    _component_labels,
+    _graph_automorphisms,
     build_local_index,
-    canonical_labels,
     induced_subdiagram,
     subset_table,
 )
 from paravol.errors import ImproperTypeError, UnsupportedTypeError
+from paravol.parahoric import _connected_masks
 
 
 def labels(d, t):
@@ -286,8 +295,37 @@ def test_split_a_rotations_are_among_decorated_automorphisms():
         assert len(brute) == 2 * (n + 1)  # dihedral, rotations realized only
 
 
+def test_automorphism_group_orders_up_to_the_caps():
+    # the decorated diagrams' groups (Bourbaki, Lie groups, ch. VI, plates)
+    orders = {f"split:{f}{r}": order for f, order in (("B", 2), ("C", 2), ("D", 8))
+              for r in range(roots.RANK_BOUNDS[f][0], roots.RANK_BOUNDS[f][1] + 1)}
+    orders |= {"split:D4": 24, "split:E6": 6, "split:E7": 2, "split:E8": 1, "split:F4": 1,
+               "split:G2": 1, "twisted:C-BC1": 1, "twisted:C-B2": 2}
+    for label, order in orders.items():
+        d = build_local_index(label)
+        assert len(d.realized_auts) == order, label
+        for g in d.realized_auts:  # each keeps marks, flags and decorated edges
+            assert [(d.marks[w], d.hyperspecial[w]) for w in g] == list(zip(d.marks,
+                                                                           d.hyperspecial))
+            images = {Edge(*sorted((g[e.u], g[e.v])), e.mult,
+                           None if e.arrow is None else g[e.arrow]) for e in d.edges}
+            assert images == set(d.edges), label
+
+
+def test_automorphism_search_keeps_each_edge_shape():
+    # on the built diagrams the marks and the tree already fix each edge's
+    # image; these three-vertex paths differ only in their edges' shapes
+    for edges in (((0, 1, 2, 0), (1, 2, 2, 1)), ((0, 1, 1, None), (1, 2, 2, 1)),
+                  ((0, 1, 2, 0), (1, 2, 2, 2))):
+        d = LocalIndex(None, (0, 1, 2), tuple(Edge(*e) for e in edges), (1, 1, 1),
+                       (False,) * 3, ())
+        found = _graph_automorphisms(d.vertices, d.edges, d.marks, d.hyperspecial)
+        assert found == tuple(brute_force_decorated_autos(d))
+
+
 def test_automorphisms_form_a_group():
-    for label in ("split:A4", "split:B3", "split:D4", "split:C2", "twisted:C-B2"):
+    for label in ("split:A4", "split:B3", "split:D4", "split:C2", "twisted:C-B2",
+                  "split:B100", "split:C100", "split:D100"):
         d = build_local_index(label)
         auts = set(d.realized_auts)
         identity = tuple(d.vertices)
@@ -419,6 +457,31 @@ def test_induced_subdiagram_forks():
     e8 = build_local_index("split:E8")
     assert labels(e8, (1, 2, 3, 4, 5, 6, 7, 8)) == ("E8",)
     assert labels(e8, (0, 2, 3, 4, 5, 6, 7, 8)) == ("D8",)
+
+
+def test_mask_classifier_matches_the_set_and_edge_reference():
+    small = [f"split:{f}{r}" for f, (lo, hi) in roots.RANK_BOUNDS.items()
+             for r in range(lo, min(hi, 14) + 1)]
+    count = 0
+    for label in small + ["twisted:C-BC1", "twisted:C-B2"]:
+        d = build_local_index(label)
+        for comp, _ in _connected_masks(d):
+            assert _component_labels(d, comp) == reference_component_labels(d, _bits(comp))
+            count += 1
+    assert count == 3492
+    # at each A-D cap, seeded connected sets, each grown a neighbour at a time
+    rng = random.Random(30)
+    for family in "ABCD":
+        d = build_local_index(f"split:{family}{roots.RANK_BOUNDS[family][1]}")
+        n = len(d.vertices)
+        for _ in range(500):
+            v = rng.randrange(n)
+            comp, reach = 1 << v, d.neighbours[v]
+            for _ in range(rng.randrange(n - 1)):
+                w = rng.choice(_bits(reach & ~comp))
+                comp |= 1 << w
+                reach |= d.neighbours[w]
+            assert _component_labels(d, comp) == reference_component_labels(d, _bits(comp))
 
 
 def test_canonical_label_coincidences():
