@@ -178,7 +178,8 @@ def measure(row, trees, runs, steps, request=None, timeout=None, in_process_runs
     each step is a `paravol` command, its arguments PARAVOL and the CLI's,
     and after each round of processes the row's steps are called in turn
     that many times in this process, a call's time the sum of its steps';
-    the output file each call leaves must be the processes' byte for byte.
+    the output file, deleted before each call and not timed, must then be
+    the processes' byte for byte.
     """
     samples = {name: {step: [] for step in steps} for name in trees}
     calls = {name: [] for name in trees}
@@ -205,6 +206,9 @@ def measure(row, trees, runs, steps, request=None, timeout=None, in_process_runs
                 continue
             ms = []
             for _ in range(in_process_runs):
+                # a write that reopens a file written moments before waits for that
+                # write to reach the disk, so each call writes a new file
+                output.unlink(missing_ok=True)
                 ms.append(sum(in_process_ms(src, argv[len(PARAVOL):]) for argv in argvs))
                 if output.read_bytes() != outputs[name]:
                     sys.exit(f"{' then '.join(steps)} with {src}: "

@@ -17,6 +17,13 @@ times after each round of processes.  The certificate each call writes
 must be the processes' byte for byte.  A row's paired statistic compares
 the rounds' in-process medians.
 
+Each m also has a row of `compact_rows`: `certify` alone, as processes
+only, on a compact `json.dumps` copy of this tree's certificate.  Such a
+copy is not `family`'s text, so `certify` decodes it whole; its paired
+statistic compares process seconds, since the in-process calls run with
+the cyclic GC off and a change in what the collector costs during a
+decode cannot show in them.
+
     python3 bench/scale.py --output bench/BENCH_3.json
     python3 bench/scale.py --output bench/BENCH_3.json --baseline-src OTHER/src
 
@@ -27,7 +34,10 @@ OTHER/src (column "baseline").
 
 from __future__ import annotations
 
+import json
 import sys
+import tempfile
+from pathlib import Path
 
 import harness
 from harness import INPUT, OUTPUT, PARAVOL
@@ -42,6 +52,7 @@ RUNS = 10
 IN_PROCESS_RUNS = 3
 STEPS = {"family": [*PARAVOL, "family", "--input", INPUT, "--output", OUTPUT],
          "certify": [*PARAVOL, "certify", "--input", OUTPUT]}
+COMPACT_STEPS = {"certify": [*PARAVOL, "certify", "--input", INPUT]}
 
 
 def family_request(m):
@@ -54,6 +65,16 @@ def family_request(m):
     }
 
 
+def certificate(m):
+    """The certificate this tree's `family` writes for `family_request(m)`, decoded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        request, output = Path(tmp) / "request.json", Path(tmp) / "certificate.json"
+        request.write_text(json.dumps(family_request(m)))
+        harness.timed_peak(harness.SRC, [*PARAVOL, "family", "--input", str(request),
+                                         "--output", str(output)])
+        return json.loads(output.read_text())
+
+
 def main(argv=None):
     parser = harness.parser(__doc__)
     parser.add_argument("--max-m", type=int, default=8)
@@ -64,10 +85,14 @@ def main(argv=None):
     rows = [harness.measure({"m": m, "members": 2 ** m}, trees, RUNS, STEPS, family_request(m),
                             in_process_runs=IN_PROCESS_RUNS)
             for m in range(MIN_M, args.max_m + 1)]
+    # measure writes the request with json.dumps: the compact copy
+    compact_rows = [harness.measure({"m": m, "members": 2 ** m}, trees, RUNS, COMPACT_STEPS,
+                                    certificate(m))
+                    for m in range(MIN_M, args.max_m + 1)]
     return harness.write(args.output,
                          {"group": GROUP, "refine": [pl["id"] for pl in REFINE_PLACES],
                           "runs": RUNS, "in_process_runs": RUNS * IN_PROCESS_RUNS},
-                         {"rows": rows})
+                         {"rows": rows, "compact_rows": compact_rows})
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ that cannot be written, 2 on unreadable or schema-invalid input.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -326,12 +327,27 @@ def _read_text(path):
         raise SchemaError(f"{_path(path)}: not UTF-8 text: {exc}") from exc
 
 
+def _decode(text, **options):
+    """`json.loads(text, **options)` with the cyclic GC off, turned back on after if it was on.
+
+    Decoded JSON holds no reference cycle, so a collection during a decode
+    frees nothing: it only scans the growing tree again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text, **options)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load_json(text, path):
     """The JSON decoded from the text of the file `path`, refusing floats and huge integers."""
     try:
         # the C scanner builds each int and refuses one past the limit
         with _int_digit_limit(MAX_INPUT_DIGITS):
-            return json.loads(text, parse_float=_input_float, parse_constant=_input_float)
+            return _decode(text, parse_float=_input_float, parse_constant=_input_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{_path(path)}: {exc}") from exc
     except RecursionError as exc:
@@ -601,7 +617,7 @@ def _certify_decoded(text, path):
     cert = certify_family(members)
     sections = dict(_certificate_sections(cert))
     for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
-        _check_section(json.loads("".join(sections[key])), data[key], key, bools)
+        _check_section(_decode("".join(sections[key])), data[key], key, bools)
     return cert
 
 

@@ -237,6 +237,13 @@ def _digits(n):
     return k + 1 if n >= 10 ** k else k
 
 
+# The most members a family may have.  Its v1 certificate holds N² ratios
+# and witnesses: at N = 512 (m = 9 family places on split:B3, refined) the
+# file is 41 MB, and `certify` of a compact copy, decoded whole, took
+# 0.94 s at a 285 MB peak; at N = 1,024 such a copy took 4.2 s and 1.04 GB.
+MAX_FAMILY_MEMBERS = 512
+
+
 # A ratio longer than this (numerator plus denominator digits) is described
 # by its digit counts, so an error message stays a few lines long.
 SHORT_RATIO_DIGITS = 40
@@ -352,7 +359,8 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
     ratios still cancel exactly.  refine names exactly two extra places for
     an identical torsion-free refinement of every member.  One base
     collection is validated; each member is the base with the family
-    places retyped.
+    places retyped.  A family of more than MAX_FAMILY_MEMBERS members is
+    refused before any pair search or member is built.
     """
     places = tuple(places)
     by_id = {pl.id: pl for pl in places}
@@ -361,6 +369,10 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
             raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
     if len(set(family_ids)) != len(family_ids):
         raise DomainError("duplicate family place ids")
+    factors = len(family_ids) // 2 if fallback_swap else len(family_ids)
+    if 2 ** factors > MAX_FAMILY_MEMBERS:
+        raise DomainError(f"a family of 2^{factors} members is past the bound of "
+                          f"{MAX_FAMILY_MEMBERS} members")
     if refine:
         if len(refine) != 2:
             raise DomainError(f"refine must name exactly two places, got {len(refine)}")

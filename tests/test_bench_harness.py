@@ -122,6 +122,22 @@ def test_an_in_process_row_times_every_step_and_sums_them(fake_paravol, monkeypa
     assert capsys.readouterr().out == ""
 
 
+def test_each_in_process_call_writes_a_new_output_file(fake_paravol, monkeypatch):
+    # reopening a file written moments before waits for that write to reach the disk
+    existed = []
+    in_process_ms = harness.in_process_ms
+
+    def recorded(src, argv):
+        existed.append(os.path.exists(argv[1]))
+        return in_process_ms(src, argv)
+
+    monkeypatch.setattr(harness, "in_process_ms", recorded)
+    steps = {"write": [*harness.PARAVOL, "write", harness.OUTPUT]}
+    row = harness.measure({}, {"head": fake_paravol}, 2, steps, in_process_runs=2)
+    assert existed == [False] * 4
+    assert row["columns"]["head"]["output_bytes"] == 3
+
+
 def test_scale_refuses_a_max_m_past_the_places(tmp_path, capsys):
     with pytest.raises(SystemExit) as done:
         scale.main(["--max-m", "9", "--output", str(tmp_path / "scale.json")])

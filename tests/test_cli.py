@@ -1,6 +1,7 @@
 """End-to-end command line behavior: outputs, exit codes, determinism."""
 
 import functools
+import gc
 import io
 import json
 import os
@@ -28,6 +29,7 @@ from paravol import cli, construction, diagram
 from paravol.cli import _int_digit_limit, run
 from paravol.construction import Place, build_family, certify_family
 from paravol.diagram import _bits, build_local_index
+from paravol.errors import SchemaError
 from paravol.parahoric import find_equal_volume_pairs, pairs_to_json
 from paravol.reductive import PRIMALITY_BOUND, quotient_descriptor
 
@@ -527,6 +529,46 @@ def test_family_pairs_must_name_family_places(tmp_path, capsys):
     assert (code, out) == (1, "") and "u1" in err and "fallback swap" in err
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+def family_of(k, fallback_swap=False):
+    """A split:B3 request varying k places, at the first k primes or, swapped, all at q = 7."""
+    places = [{"id": f"u{j}", "q": 7, "p": 7} if fallback_swap else {"id": f"v{q}", "q": q, "p": q}
+              for j, q in enumerate(PRIMES[:k])]
+    return family_request(places=places, family_places=[pl["id"] for pl in places],
+                          fallback_swap=fallback_swap)
+
+
+def test_a_twenty_place_family_exits_1_at_once(tmp_path, capsys):
+    req = write_json(tmp_path / "req.json", family_of(20))
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "family", "--input", req)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == "error: a family of 2^20 members is past the bound of 512 members\n"
+
+
+@pytest.mark.parametrize("fallback_swap", [False, True], ids=["pairs", "swapped"])
+def test_a_family_at_its_member_bound_builds_and_one_factor_more_exits_1(
+        tmp_path, capsys, monkeypatch, fallback_swap):
+    assert construction.MAX_FAMILY_MEMBERS == 2 ** 9
+    per_factor = 2 if fallback_swap else 1  # places per factor of two members
+    at_bound = family_of(9 * per_factor, fallback_swap)
+    group = diagram.GroupSpec.parse("split:B3")
+    places = [Place(pl["id"], pl["q"], pl["p"], build_local_index(group))
+              for pl in at_bound["places"]]
+    members = build_family(group, places, at_bound["family_places"], fallback_swap=fallback_swap)
+    assert len(members) == 512
+    # past the bound, the count is refused before any pair search or member is built
+    monkeypatch.setattr(construction, "equal_volume_rows", None)
+    monkeypatch.setattr(construction, "make_collection", None)
+    req = write_json(tmp_path / "req.json", family_of(10 * per_factor, fallback_swap))
+    code, out, err = invoke(capsys, "family", "--input", req)
+    assert (code, out) == (1, "")
+    assert err == "error: a family of 2^10 members is past the bound of 512 members\n"
+
+
 def test_tampered_certificate_exits_1(tmp_path, capsys):
     req = write_json(tmp_path / "req.json", family_request())
     cert_path = tmp_path / "cert.json"
@@ -683,6 +725,50 @@ def test_certify_refuses_a_json_float(tmp_path, capsys):
     assert (code, out) == (2, "") and "number 1.0 is not an integer" in err
 
 
+# Truncated JSON, nesting past the recursion limit, a float and a 4,301-digit
+# integer, each with the error it maps to.
+JSON_ERRORS = (
+    ('{"a": [1,', "in.json: Expecting value"),
+    ("[" * 200000 + "]" * 200000, "JSON nested too deeply"),
+    ("[1.5]", "number 1.5 is not an integer"),
+    ("[" + "1" * 4301 + "]", "integer with more than 4300 digits"),
+)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_load_json_leaves_the_collector_as_it_found_it(enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli._load_json('{"a": [1, 2]}', "in.json") == {"a": [1, 2]}
+        assert gc.isenabled() is enabled
+        for text, message in JSON_ERRORS:
+            with pytest.raises(SchemaError, match=re.escape(message)):
+                cli._load_json(text, "in.json")
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_load_json_decodes_a_certificate_without_collecting():
+    # decoded JSON holds no cycle, so the decode runs with the collector off;
+    # one collection may start when it is turned back on
+    text = json.dumps(json.loads(refined_certificate((2, 3, 5, 7, 11, 13))))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        data = cli._load_json(text, "compact.json")
+    finally:
+        gc.callbacks.remove(count)
+    assert len(data["members"]) == 64 and len(starts) <= 1
+
+
 def run_quietly(argv):
     """run's (exit code, stdout, stderr); a command line argparse refuses exits with 2."""
     out, err = io.StringIO(), io.StringIO()
@@ -832,13 +918,23 @@ def lengthen_text(data, path, as_key):
 @st.composite
 def mutated_inputs(draw, commands=("ratio", "family", "certify"), dumps=json.dumps):
     """A seed input with one key dropped or added, one value retyped, wrapped or made long,
-    or cut short; `dumps` encodes the changed input."""
+    or cut short, or a family seed with one family place repeated under new ids; `dumps`
+    encodes the changed input."""
     command = draw(st.sampled_from(commands))
     text = fuzz_seed(command)
-    mutation = draw(st.sampled_from(("drop", "swap", "wrap", "truncate", "rank", "long")))
+    mutation = draw(st.sampled_from(("drop", "swap", "wrap", "truncate", "rank", "long")
+                                    + (("repeat",) if command == "family" else ())))
     if mutation == "truncate":
         return command, text[:draw(st.integers(0, len(text) - 1))]
     data = json.loads(text)
+    if mutation == "repeat":  # a family place again under new ids: 2^3 to 2^22 members
+        place = draw(st.sampled_from([pl for pl in data["places"]
+                                      if pl["id"] in data["family_places"]]))
+        copies = [dict(place, id=f"{place['id']}-{k}")
+                  for k in range(draw(st.sampled_from((1, 8, 20))))]
+        data["places"] += copies
+        data["family_places"] += [pl["id"] for pl in copies]
+        return command, dumps(data)
     if mutation == "rank":  # a rank string past every bound, up to a million digits
         digits = draw(st.sampled_from((4, 4301, 10 ** 6)))
         data["group"] = "split:" + draw(st.sampled_from("ABCD")) + "9" * digits
