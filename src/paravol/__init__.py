@@ -31,6 +31,7 @@ from .errors import (
     CertificateError,
     DomainError,
     EqualCharacteristicError,
+    FamilySizeError,
     ImproperTypeError,
     IncomparableError,
     InvalidResidueError,

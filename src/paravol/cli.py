@@ -24,12 +24,14 @@ from .construction import (
     _residue_base,
     build_family,
     certify_family,
+    check_member_count,
     make_collection,
     relative_covolume,
 )
 from .diagram import LABEL_ECHO_LIMIT, GroupSpec, _bits, build_local_index, echo, subset_table
-from .errors import CertificateError, DomainError, OutputError, ParavolError, SchemaError
-from .parahoric import HalfPowerRational, pairs_to_json
+from .errors import (CertificateError, DomainError, FamilySizeError, OutputError,
+                     ParavolError, SchemaError)
+from .parahoric import pairs_to_json
 
 # An input path is named in full up to this many characters and by its
 # length past them: far more than any temporary path a caller makes, and
@@ -96,6 +98,11 @@ def _nested(value, newline):
 
 def _dump(output, obj):
     _write(output, (json.dumps(obj, indent=2), "\n"))
+
+
+def _ratio_json(ratio):
+    """The v1 ratio object of a `Fraction` or int; no ratio has a sqrt(q), so no half exponent."""
+    return {"num": ratio.numerator, "den": ratio.denominator, "half_exponents": {}}
 
 
 # The newlines before a `pairs` entry and before each of its keys.
@@ -207,7 +214,7 @@ def _member_texts(members):
 
 def _ratio_rows(n):
     """The row texts of n members' ratio matrix: n copies of one row of n ratios, each 1."""
-    one = _nested(HalfPowerRational(1).to_json(), _KEY)
+    one = _nested(_ratio_json(1), _KEY)
     return ["[" + _KEY + ("," + _KEY).join([one] * n) + _ENTRY + "]"] * n
 
 
@@ -382,17 +389,17 @@ def _int_list(value, ctx):
     return value
 
 
-def _places_from_json(items, group_label, ctx="places"):
+def _places_from_json(items, group_label):
     if not isinstance(items, list) or not items:
-        raise SchemaError(f"{ctx}: expected a non-empty list")
+        raise SchemaError("places: expected a non-empty list")
     index = build_local_index(group_label)
     places = []
     for k, entry in enumerate(items):
-        pid = _get(entry, "id", f"{ctx}[{k}]", str)
-        q = _get(entry, "q", f"{ctx}[{k}]", int)
-        p = _get(entry, "p", f"{ctx}[{k}]", int)
+        pid = _get(entry, "id", f"places[{k}]", str)
+        q = _get(entry, "q", f"places[{k}]", int)
+        p = _get(entry, "p", f"places[{k}]", int)
         if "index" in entry and entry["index"] != group_label:
-            raise SchemaError(f"{ctx}[{k}]: place index {echo(entry['index'], 'place index')} "
+            raise SchemaError(f"places[{k}]: place index {echo(entry['index'], 'place index')} "
                               f"does not match group {group_label!r}")
         places.append(Place(pid, q, p, index))
     return places
@@ -454,7 +461,7 @@ def cmd_ratio(args):
         raise SchemaError("input: collections must list exactly two entries")
     a = _collection_from_json(colls[0], group, places, "collections[0]")
     b = _collection_from_json(colls[1], group, places, "collections[1]")
-    _dump(args.output, relative_covolume(a, b).to_json())
+    _dump(args.output, _ratio_json(relative_covolume(a, b)))
     return 0
 
 
@@ -479,12 +486,10 @@ def cmd_family(args):
         raise SchemaError("input: fallback_swap must be true or false")
     fallback = fallback or args.fallback_swap
     refine = data.get("refine")
-    if args.refine:
+    if args.refine is not None:
         refine = args.refine.split(",")
     if refine is not None:
-        if not isinstance(refine, list) or len(refine) != 2 or not all(
-            isinstance(x, str) for x in refine
-        ):
+        if type(refine) is not list or len(refine) != 2 or not all(type(x) is str for x in refine):
             raise SchemaError("input: refine must list exactly two place ids")
         refine = tuple(refine)
     members = build_family(group, places, list(family_ids), pairs, fallback, refine)
@@ -544,6 +549,7 @@ def _members_from_json(data):
     member_entries = _get(data, "members", "certificate", list)
     if len(member_entries) < 2:
         raise SchemaError("certificate: members must list at least two entries")
+    check_member_count(len(member_entries))
     checked = {}
     return [
         _collection_from_json(entry, group, places, f"members[{k}]", checked)
@@ -563,15 +569,18 @@ def _certify_canonical(text, path):
     rebuilt from it and certified, and the file must then be the writer's
     text for them, chunk by chunk, followed by nothing but JSON whitespace.
     Such a file is valid JSON that holds no bool, and decoding it whole
-    would yield these members again.  Any other outcome, an error that a
-    command reports included, is None: the caller then decodes the whole
-    file, and every exit code and message is the one that path gives.
+    would yield these members again.  A head listing more members than a
+    family may have is refused.  Any other outcome, an error that a command
+    reports included, is None: the caller then decodes the whole file, and
+    every exit code and message is the one that path gives.
     """
     end = text.find(_RATIOS) if text.startswith(_HEADER) else -1
     if end < 0:
         return None
     try:
         cert = certify_family(_members_from_json(_load_json(text[:end] + "\n}", path)))
+    except FamilySizeError:
+        raise
     except ParavolError:
         return None
     end = _written_end(text, cert)

@@ -40,12 +40,13 @@ from .errors import (
     CertificateError,
     DomainError,
     EqualCharacteristicError,
+    FamilySizeError,
     IncomparableError,
     InvalidResidueError,
     SearchCapError,
     UnknownPlaceError,
 )
-from .parahoric import HalfPowerRational, conjugate_types, equal_volume_rows, factor_terms
+from .parahoric import conjugate_types, equal_volume_rows, factor_terms
 from .reductive import PrimalityBoundError, prime_power_base, quotient_descriptor
 
 CITATIONS = (
@@ -184,9 +185,9 @@ def relative_covolume(a, b):
     over the index of each refinement of b.  A place refined on both
     sides with the same type contributes its index above and below, so it
     is skipped.  The integer numerator and denominator are accumulated
-    and reduced once, at the end.
+    and reduced once, at the end, into a `Fraction`.
     """
-    return HalfPowerRational(Fraction(*_covolume_terms(a, b, _place_terms)))
+    return Fraction(*_covolume_terms(a, b, _place_terms))
 
 
 def _place_terms(pl, ta, tb):
@@ -237,11 +238,18 @@ def _digits(n):
     return k + 1 if n >= 10 ** k else k
 
 
-# The most members a family may have.  Its v1 certificate holds N² ratios
-# and witnesses: at N = 512 (m = 9 family places on split:B3, refined) the
-# file is 41 MB, and `certify` of a compact copy, decoded whole, took
+# The most members a family or a certificate may have.  A v1 certificate
+# holds N² ratios and witnesses: at N = 512 (m = 9 places on split:B3,
+# refined) it is 41 MB, and `certify` of a compact copy, decoded whole, took
 # 0.94 s at a 285 MB peak; at N = 1,024 such a copy took 4.2 s and 1.04 GB.
 MAX_FAMILY_MEMBERS = 512
+
+
+def check_member_count(n, shown=None):
+    """Refuse a family of n members past MAX_FAMILY_MEMBERS; the message names n as `shown`."""
+    if n > MAX_FAMILY_MEMBERS:
+        raise FamilySizeError(f"a family of {shown or n} members is past the bound of "
+                              f"{MAX_FAMILY_MEMBERS} members")
 
 
 # A ratio longer than this (numerator plus denominator digits) is described
@@ -250,7 +258,7 @@ SHORT_RATIO_DIGITS = 40
 
 
 def _unequal_covolume(i, j, a, b, ratio):
-    """The error naming members i and j, where they differ and their ratio."""
+    """The error naming members i and j, where they differ and their ratio, a `Fraction`."""
     differ = []
     for pl, ta, tb in zip(a.places, a.types, b.types):
         what = []
@@ -260,11 +268,9 @@ def _unequal_covolume(i, j, a, b, ratio):
             what.append("refinement")
         if what:
             differ.append(f"{_id(pl.id)} ({', '.join(what)})")
-    num, den = _digits(ratio.rational.numerator), _digits(ratio.rational.denominator)
-    if num + den <= SHORT_RATIO_DIGITS:
-        shown = f"ratio {ratio!r}"
-    else:
-        shown = f"a ratio with {num}-digit numerator and {den}-digit denominator"
+    num, den = _digits(ratio.numerator), _digits(ratio.denominator)
+    shown = (f"ratio {ratio}" if num + den <= SHORT_RATIO_DIGITS
+             else f"a ratio with {num}-digit numerator and {den}-digit denominator")
     return CertificateError(
         f"not equal covolume: members {i} and {j} differ at places "
         f"{', '.join(differ)} and have {shown}")
@@ -313,8 +319,7 @@ def certify_family(members):
     fractions = [_covolume_terms(members[0], m, terms) for m in members[1:]]
     for j, (num, den) in enumerate(fractions, 1):
         if num != den:
-            ratio = HalfPowerRational(Fraction(num, den))
-            raise _unequal_covolume(0, j, members[0], members[j], ratio)
+            raise _unequal_covolume(0, j, members[0], members[j], Fraction(num, den))
     types = [m.types for m in members]
     numbers = []  # per place, vertex mask -> the number of its orbit there
     for k, pl in enumerate(members[0].places):
@@ -370,9 +375,7 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
     if len(set(family_ids)) != len(family_ids):
         raise DomainError("duplicate family place ids")
     factors = len(family_ids) // 2 if fallback_swap else len(family_ids)
-    if 2 ** factors > MAX_FAMILY_MEMBERS:
-        raise DomainError(f"a family of 2^{factors} members is past the bound of "
-                          f"{MAX_FAMILY_MEMBERS} members")
+    check_member_count(2 ** factors, f"2^{factors}")
     if refine:
         if len(refine) != 2:
             raise DomainError(f"refine must name exactly two places, got {len(refine)}")

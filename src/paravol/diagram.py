@@ -197,7 +197,7 @@ class LocalIndex:
 
     `neighbours` is each vertex's neighbour bitmask and `aut_images` each
     realized automorphism's bit-image table, the bit of the image of each
-    vertex.  `component_classes`, a connected vertex set's labels by its
+    vertex.  `component_classes`, a connected vertex set's label by its
     mask, is the memo `classify_component` fills; it dies with the index
     and stays out of its repr and copies.
     """
@@ -424,8 +424,8 @@ def build_local_index(spec):
     return LocalIndex(spec, vertices, edges, marks, hyper, auts)
 
 
-def _component_labels(d, comp):
-    """The label of a connected proper vertex set's induced subdiagram, by its mask, in a 1-tuple.
+def _component_label(d, comp):
+    """The label of a connected proper vertex set's induced subdiagram, by its mask.
 
     Every proper subdiagram of an affine diagram is of finite type, so the
     set's degrees and its one multiple edge, if any, name it.  Without a
@@ -454,7 +454,7 @@ def _component_labels(d, comp):
         else:
             arms = [u for u in _bits(d.neighbours[branch[0]] & comp) if degree[u] == 1]
             family = "D" if len(arms) > 1 else "E"
-    return (FiniteTypeLabel(family, k),)
+    return FiniteTypeLabel(family, k)
 
 
 def induced_subdiagram(d, t):
@@ -478,24 +478,23 @@ def induced_subdiagram(d, t):
             grown = reach & mask & ~comp
             comp |= grown
         mask ^= comp
-        labels += classify_component(d, comp)
-    labels.sort()
-    return tuple(labels)
+        labels.append(classify_component(d, comp))
+    return tuple(sorted(labels))
 
 
 def classify_component(d, comp):
-    """The label(s) of a connected proper vertex set's induced subdiagram, by its mask.
+    """The label of a connected proper vertex set's induced subdiagram, by its mask.
 
     The caller vouches that the set is connected and proper.  Each orbit
     of sets under the realized automorphisms is classified once per index:
     an automorphism keeps the decorated edges, so a set's images share its
-    label(s), and `d.component_classes` holds them by each image's mask.
+    label, and `d.component_classes` holds it by each image's mask.
     A few dozen to a few hundred sets make up every type of a diagram.
     """
     classes = d.component_classes
     found = classes.get(comp)
     if found is None:
-        found = _component_labels(d, comp)
+        found = _component_label(d, comp)
         for image in d.orbit_masks(comp):
             classes[image] = found
     return found

@@ -45,5 +45,9 @@ class EqualCharacteristicError(DomainError):
     """Torsion-free refinement needs places of distinct residue characteristic."""
 
 
+class FamilySizeError(DomainError):
+    """A family with more members than a v1 certificate may list (`MAX_FAMILY_MEMBERS`)."""
+
+
 class CertificateError(DomainError):
     """Family failed certification (unequal covolume or missing witness)."""

@@ -13,6 +13,7 @@ import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -237,6 +238,17 @@ def test_ratio_command(tmp_path, capsys):
                             write_json(tmp_path / "r.json", spec))
     assert code == 0
     assert json.loads(out) == {"num": 7, "den": 3, "half_exponents": {}}
+
+
+@pytest.mark.parametrize("ratio", [1, Fraction(7, 3), Fraction(10 ** 4999 + 1, 3)],
+                         ids=["one", "7/3", "5000-digit"])
+def test_the_ratio_object_is_written_by_one_cli_helper(ratio):
+    # `ratio` and the certificate's ratio rows both write the v1 object with
+    # it; the engine hands over a plain Fraction (the rows an int 1)
+    expected = {"num": ratio.numerator, "den": ratio.denominator, "half_exponents": {}}
+    with _int_digit_limit(0):
+        assert json.dumps(cli._ratio_json(ratio), indent=2) == json.dumps(expected, indent=2)
+    assert not hasattr(cli, "HalfPowerRational")
 
 
 def test_ratio_requires_two_collections(tmp_path, capsys):
@@ -473,6 +485,18 @@ def test_family_with_refine_flag(tmp_path, capsys):
                for row in cert["ratios"] for r in row)
 
 
+@pytest.mark.parametrize("flag", ["", "w4", "w4,w9,v2"])
+def test_a_refine_flag_that_does_not_list_two_places_exits_2(tmp_path, capsys, flag):
+    # an empty flag is refused too, not read as absent: the request's own
+    # refine would otherwise be used
+    req = write_json(tmp_path / "req.json", family_request(
+        places=[{"id": "v2", "q": 2, "p": 2}, {"id": "v3", "q": 3, "p": 3},
+                {"id": "w4", "q": 4, "p": 2}, {"id": "w9", "q": 9, "p": 3}],
+        refine=["w4", "w9"]))
+    assert invoke(capsys, "family", "--input", req, "--refine", flag) == (
+        2, "", "input error: input: refine must list exactly two place ids\n")
+
+
 def test_family_fallback_swap_flag(tmp_path, capsys):
     req = write_json(tmp_path / "req.json", {
         "group": "split:A4",
@@ -567,6 +591,38 @@ def test_a_family_at_its_member_bound_builds_and_one_factor_more_exits_1(
     code, out, err = invoke(capsys, "family", "--input", req)
     assert (code, out) == (1, "")
     assert err == "error: a family of 2^10 members is past the bound of 512 members\n"
+
+
+def members_past_the_bound():
+    """A split:B3 certificate head over ten places, listing 513 distinct members."""
+    places = [{"id": f"v{q}", "q": q, "p": q, "index": "split:B3"} for q in PRIMES[:10]]
+    members = [{"assignment": {pl["id"]: [2] if b >> k & 1 else [0]
+                               for k, pl in enumerate(places)},
+                "refinements": []}
+               for b in range(513)]
+    return {"group": "split:B3", "places": places, "members": members}
+
+
+def test_certify_refuses_a_canonical_head_past_the_member_bound_from_the_head(tmp_path, capsys,
+                                                                              monkeypatch):
+    head = json.dumps(members_past_the_bound(), indent=2)
+    assert head.endswith("\n  ]\n}")
+    path = tmp_path / "cert.json"
+    # family's layout up to the members, then a ratios section cut short
+    path.write_text(head[:-2] + ',\n  "ratios": [\n    [\n      {\n        "num": 1')
+    monkeypatch.setattr(cli, "make_collection", None)  # no member is built
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "certify", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == "error: a family of 513 members is past the bound of 512 members\n"
+
+
+def test_certify_refuses_a_compact_certificate_past_the_member_bound(tmp_path, capsys):
+    path = write_json(tmp_path / "cert.json", members_past_the_bound()
+                      | {"ratios": [], "witnesses": [], "citations": []})
+    assert invoke(capsys, "certify", "--input", path) == (
+        1, "", "error: a family of 513 members is past the bound of 512 members\n")
 
 
 def test_tampered_certificate_exits_1(tmp_path, capsys):
@@ -918,15 +974,18 @@ def lengthen_text(data, path, as_key):
 @st.composite
 def mutated_inputs(draw, commands=("ratio", "family", "certify"), dumps=json.dumps):
     """A seed input with one key dropped or added, one value retyped, wrapped or made long,
-    or cut short, or a family seed with one family place repeated under new ids; `dumps`
-    encodes the changed input."""
+    or cut short, a family seed with one family place repeated under new ids, or a
+    certificate seed with its members repeated; `dumps` encodes the changed input."""
     command = draw(st.sampled_from(commands))
     text = fuzz_seed(command)
     mutation = draw(st.sampled_from(("drop", "swap", "wrap", "truncate", "rank", "long")
-                                    + (("repeat",) if command == "family" else ())))
+                                    + (("repeat",) if command != "ratio" else ())))
     if mutation == "truncate":
         return command, text[:draw(st.integers(0, len(text) - 1))]
     data = json.loads(text)
+    if mutation == "repeat" and command == "certify":  # 8 or, past the bound, 800 members
+        data["members"] *= draw(st.sampled_from((2, 200)))
+        return command, dumps(data)
     if mutation == "repeat":  # a family place again under new ids: 2^3 to 2^22 members
         place = draw(st.sampled_from([pl for pl in data["places"]
                                       if pl["id"] in data["family_places"]]))

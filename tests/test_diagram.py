@@ -26,7 +26,7 @@ from paravol.diagram import (
     LocalIndex,
     ParahoricTypeSpec,
     _bits,
-    _component_labels,
+    _component_label,
     _graph_automorphisms,
     build_local_index,
     induced_subdiagram,
@@ -466,7 +466,7 @@ def test_mask_classifier_matches_the_set_and_edge_reference():
     for label in small + ["twisted:C-BC1", "twisted:C-B2"]:
         d = build_local_index(label)
         for comp, _ in _connected_masks(d):
-            assert _component_labels(d, comp) == reference_component_labels(d, _bits(comp))
+            assert (_component_label(d, comp),) == reference_component_labels(d, _bits(comp))
             count += 1
     assert count == 3492
     # at each A-D cap, seeded connected sets, each grown a neighbour at a time
@@ -481,7 +481,7 @@ def test_mask_classifier_matches_the_set_and_edge_reference():
                 w = rng.choice(_bits(reach & ~comp))
                 comp |= 1 << w
                 reach |= d.neighbours[w]
-            assert _component_labels(d, comp) == reference_component_labels(d, _bits(comp))
+            assert (_component_label(d, comp),) == reference_component_labels(d, _bits(comp))
 
 
 def test_canonical_label_coincidences():

@@ -153,7 +153,7 @@ def test_factor_ratio_of_every_type_pair_is_a_ratio_of_weyl_poincare_values(labe
         v = Place("v", q, p, d)
         index = {t: Fraction(poincare_value(c, q)) for t, c in counts.items()}
         for t1, t2 in combinations(counts, 2):
-            assert factor_ratio(d, t1, t2, v).rational == index[t2] / index[t1], (t1, t2)
+            assert factor_ratio(d, t1, t2, v) == index[t2] / index[t1], (t1, t2)
 
 
 @pytest.mark.parametrize("label", LARGE_SPLIT)
@@ -166,7 +166,7 @@ def test_factor_ratio_over_the_iwahori_is_the_weyl_poincare_value(label):
     for q, p in RESIDUES:
         v = Place("v", q, p, d)
         for t, c in counts.items():
-            assert factor_ratio(d, IWAHORI, t, v).rational == poincare_value(c, q), t
+            assert factor_ratio(d, IWAHORI, t, v) == poincare_value(c, q), t
 
 
 # The finite type whose affine Weyl group each twisted index's diagram

@@ -33,6 +33,7 @@ from paravol.parahoric import (
     pairs_to_json,
 )
 from paravol.reductive import quotient_descriptor
+from paravol.cli import _ratio_json
 from paravol.construction import Place
 
 
@@ -46,31 +47,37 @@ def test_half_power_folding():
     for q, p in ((2, 2), (4, 2), (7, 7)):
         v = place("v", q, p, a1)
         # q^((1-3)/2) (q^3-q)/(q-1) = q+1
-        assert factor_ratio(a1, (), (0,), v) == HalfPowerRational(q + 1)
-        assert factor_ratio(a1, (0,), (), v) == HalfPowerRational(Fraction(1, q + 1))
+        assert factor_ratio(a1, (), (0,), v) == q + 1
+        assert factor_ratio(a1, (0,), (), v) == Fraction(1, q + 1)
     b3 = build_local_index("split:B3")
     # q^((5-11)/2) * 720 / 6 at q=2
-    assert factor_ratio(b3, (0,), (2, 3), place("v", 2, 2, b3)) == HalfPowerRational(15)
+    assert factor_ratio(b3, (0,), (2, 3), place("v", 2, 2, b3)) == 15
 
 
 def test_half_power_multiplication_cancels_in_pairs():
-    a = HalfPowerRational(Fraction(3, 2))
-    assert HalfPowerRational(a.rational * a.rational) == HalfPowerRational(Fraction(9, 4))
-    assert HalfPowerRational(a.rational / a.rational) == HalfPowerRational(1)
-    b = HalfPowerRational(Fraction(1, 2))
-    ab = HalfPowerRational(a.rational * b.rational)
-    assert ab.rational == Fraction(3, 4)
-    assert not ab.is_one
+    # factor_ratio's HalfPowerRational is a Fraction that adds only `is_one`
+    a = HalfPowerRational(3, 2)
+    assert isinstance(a, Fraction) and not hasattr(a, "__dict__")
+    assert a * a == Fraction(9, 4)
+    assert a / a == 1
+    b = HalfPowerRational(1, 2)
+    ab = a * b
+    assert type(ab) is Fraction and ab == Fraction(3, 4)
+    assert not HalfPowerRational(ab).is_one
     assert HalfPowerRational(1).is_one
-    assert HalfPowerRational(Fraction(2, 4)) == b
-    assert hash(HalfPowerRational(Fraction(2, 4))) == hash(b)
+    assert HalfPowerRational(2, 4) == b == Fraction(1, 2)
+    assert hash(HalfPowerRational(2, 4)) == hash(b) == hash(Fraction(1, 2))
 
 
 def test_half_power_json():
-    x = HalfPowerRational(Fraction(7, 3))
-    assert x.to_json() == {"num": 7, "den": 3, "half_exponents": {}}
-    assert repr(x) == "HalfPowerRational(7/3)"
-    assert HalfPowerRational(1).to_json() == {"num": 1, "den": 1, "half_exponents": {}}
+    # the v1 ratio object is written by the command line, from any exact rational
+    a3 = build_local_index("split:A3")
+    x = factor_ratio(a3, (0, 2), (0, 3), place("v", 2, 2, a3))
+    assert _ratio_json(x) == {"num": 7, "den": 3, "half_exponents": {}}
+    assert str(x) == "7/3"
+    assert _ratio_json(factor_ratio(a3, (0, 2), (0, 2), place("v", 2, 2, a3))) == {
+        "num": 1, "den": 1, "half_exponents": {}}
+    assert not hasattr(x, "to_json")
 
 
 def test_conjugate_types_examples():
@@ -131,7 +138,7 @@ def test_factor_ratio_spec_example():
     a3 = build_local_index("split:A3")
     v = place("v", 2, 2, a3)
     r = factor_ratio(a3, (0, 2), (0, 3), v)
-    assert r == HalfPowerRational(Fraction(7, 3))
+    assert r == Fraction(7, 3)
 
 
 def test_factor_ratio_cocycle_at_one_place():
@@ -141,11 +148,11 @@ def test_factor_ratio_cocycle_at_one_place():
     for t1 in types:
         assert factor_ratio(b3, t1, t1, v).is_one
         for t2 in types:
-            forward = factor_ratio(b3, t1, t2, v).rational
-            assert forward * factor_ratio(b3, t2, t1, v).rational == 1
+            forward = factor_ratio(b3, t1, t2, v)
+            assert forward * factor_ratio(b3, t2, t1, v) == 1
             for t3 in types:
-                chained = forward * factor_ratio(b3, t2, t3, v).rational
-                assert chained == factor_ratio(b3, t1, t3, v).rational
+                chained = forward * factor_ratio(b3, t2, t3, v)
+                assert chained == factor_ratio(b3, t1, t3, v)
 
 
 SMALL_LABELS = [label for label in LABELS if build_local_index(label).relative_rank <= 6]
@@ -167,17 +174,17 @@ def place_and_types(draw, count):
 def test_factor_ratio_cocycle_law(drawn):
     v, (a, b, c) = drawn
     d = v.local_index
-    assert (factor_ratio(d, a, b, v).rational * factor_ratio(d, b, c, v).rational
-            == factor_ratio(d, a, c, v).rational)
+    assert (factor_ratio(d, a, b, v) * factor_ratio(d, b, c, v)
+            == factor_ratio(d, a, c, v))
 
 
 @settings(max_examples=40, deadline=None)
 @given(place_and_types(2))
 def test_factor_ratio_inverse_law(drawn):
     v, (a, b) = drawn
-    x = factor_ratio(v.local_index, a, b, v).rational
-    assert x * factor_ratio(v.local_index, b, a, v).rational == 1
-    assert 1 / x == factor_ratio(v.local_index, b, a, v).rational
+    x = factor_ratio(v.local_index, a, b, v)
+    assert x * factor_ratio(v.local_index, b, a, v) == 1
+    assert 1 / x == factor_ratio(v.local_index, b, a, v)
 
 
 def test_find_pairs_a4_empty_a5_contains_spec_pair():

@@ -203,7 +203,7 @@ def test_component_memo_belongs_to_one_index():
     first = build_local_index("split:B3")
     quotient_descriptor(first, (0,))
     # {0} and its image {1} under the swap of vertices 0 and 1, by vertex mask
-    a1 = (FiniteTypeLabel("A", 1),)
+    a1 = FiniteTypeLabel("A", 1)
     assert first.component_classes == {0b1: a1, 0b10: a1}
     second = build_local_index("split:B3")
     assert second.component_classes == {}
