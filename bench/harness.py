@@ -155,15 +155,17 @@ def spread(key, values, digits):
     return {key: found[1], f"{key}_quartiles": [found[0], found[2]]}
 
 
-def paired(head, baseline, key, digits):
-    """Per round, head's time less baseline's, over the rounds both trees finished.
+def paired(head, baseline, key, digits, better="lower"):
+    """Per round, head's value less baseline's, over the rounds both trees finished.
 
     The block holds the median and quartiles of those differences under
-    `key`, the rounds head won and the rounds compared.
+    `key`, the rounds head won and the rounds compared.  Head wins a round
+    with the lower value, or the higher one when `better` is "higher", as
+    for a rate; `head_faster_rounds` counts them either way.
     """
     diffs = [h - b for h, b in zip(head, baseline) if h is not None and b is not None]
-    return {**spread(key, diffs, digits),
-            "head_faster_rounds": sum(d < 0 for d in diffs), "rounds": len(diffs)}
+    won = sum(d > 0 if better == "higher" else d < 0 for d in diffs)
+    return {**spread(key, diffs, digits), "head_faster_rounds": won, "rounds": len(diffs)}
 
 
 def measure(row, trees, runs, steps, request=None, timeout=None, in_process_runs=0):
@@ -246,8 +248,8 @@ def host():
     }
 
 
-def write(output, fields, tables):
-    """Write `fields`, the statistic, the host and `tables` to `output` as indented JSON."""
-    record = {**fields, "statistic": STATISTIC, "host": host(), **tables}
+def write(output, fields, tables, statistic=STATISTIC, host_fields=None):
+    """Write `fields`, the statistic, the host with `host_fields` and `tables` to `output`."""
+    record = {**fields, "statistic": statistic, "host": {**host(), **(host_fields or {})}, **tables}
     output.write_text(json.dumps(record, indent=2) + "\n")
     return 0

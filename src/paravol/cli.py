@@ -193,16 +193,20 @@ def _list_chunks(texts):
 
 
 def _member_texts(members):
-    """Each member's text: its assignment, from one line per (place id, type), and refinements."""
-    lines = {}  # (place id, vertex mask) -> its assignment line
+    """Each member's text: its assignment, from one line per (place, type), and refinements.
+
+    The members share their places in one order, as `certify_family`
+    checks, so each place keeps its own table of lines by vertex mask.
+    """
+    places = members[0].places
+    tables = [{} for _ in places]  # per place, vertex mask -> its assignment line
     refinement_texts = {}  # refinement tuple -> its text
     for m in members:
         parts = []
-        for pl, t in zip(m.places, m.types):
-            key = (pl.id, t.mask)
-            line = lines.get(key)
+        for pl, t, lines in zip(places, m.types, tables):
+            line = lines.get(t.mask)
             if line is None:
-                line = lines[key] = _quote(pl.id) + ": " + _ints(t.vertices, _NESTED)
+                line = lines[t.mask] = _quote(pl.id) + ": " + _ints(t.vertices, _NESTED)
             parts.append(line)
         assignment = "{" + _NESTED + ("," + _NESTED).join(parts) + _KEY + "}" if parts else "{}"
         refined = refinement_texts.get(m.refinements)
@@ -334,19 +338,26 @@ def _read_text(path):
         raise SchemaError(f"{_path(path)}: not UTF-8 text: {exc}") from exc
 
 
+@contextmanager
+def _collector_paused():
+    """Run with the cyclic GC off, and turn it back on after if it was on."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _decode(text, **options):
-    """`json.loads(text, **options)` with the cyclic GC off, turned back on after if it was on.
+    """`json.loads(text, **options)` with the cyclic GC paused.
 
     Decoded JSON holds no reference cycle, so a collection during a decode
     frees nothing: it only scans the growing tree again.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         return json.loads(text, **options)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _load_json(text, path):
@@ -402,16 +413,17 @@ def _places_from_json(items, group_label):
             raise SchemaError(f"places[{k}]: place index {echo(entry['index'], 'place index')} "
                               f"does not match group {group_label!r}")
         places.append(Place(pid, q, p, index))
-    return places
+    return tuple(places)
 
 
 def _assignment_from_json(value, ctx):
+    """The decoded assignment itself, once each of its types is a list of integers."""
     if not isinstance(value, dict):
         raise SchemaError(f"{ctx}: expected an object mapping place ids to types")
     for pid, t in value.items():
         if not _is_int_list(t):  # the context, which echoes the id, only for the error
             raise SchemaError(f"{ctx}[{_id(pid)}]: expected a list of integers")
-    return {pid: tuple(t) for pid, t in value.items()}
+    return value
 
 
 # -- subcommands ------------------------------------------------------------
@@ -444,11 +456,19 @@ def cmd_pairs(args):
     return 0
 
 
-def _collection_from_json(entry, group, places, ctx, checked=None):
-    overrides = _assignment_from_json(_get(entry, "assignment", ctx), f"{ctx}.assignment")
-    refinements = entry.get("refinements", [])
-    if not isinstance(refinements, list) or not all(isinstance(x, str) for x in refinements):
-        raise SchemaError(f"{ctx}.refinements: expected a list of place ids")
+def _collection_from_json(entry, group, places, key, k, checked=None):
+    """The collection of entry k of the list `key` of a request or certificate.
+
+    A schema error is raised relative to the entry and named `key[k]` as it
+    is raised, so no context text is built for an entry that is valid.
+    """
+    try:
+        overrides = _assignment_from_json(_get(entry, "assignment", ""), ".assignment")
+        refinements = entry.get("refinements", [])
+        if not isinstance(refinements, list) or not all(isinstance(x, str) for x in refinements):
+            raise SchemaError(".refinements: expected a list of place ids")
+    except SchemaError as exc:
+        raise SchemaError(f"{key}[{k}]{exc}") from None
     return make_collection(group, places, overrides, tuple(refinements), checked)
 
 
@@ -459,8 +479,8 @@ def cmd_ratio(args):
     colls = _get(data, "collections", "input", list)
     if len(colls) != 2:
         raise SchemaError("input: collections must list exactly two entries")
-    a = _collection_from_json(colls[0], group, places, "collections[0]")
-    b = _collection_from_json(colls[1], group, places, "collections[1]")
+    a = _collection_from_json(colls[0], group, places, "collections", 0)
+    b = _collection_from_json(colls[1], group, places, "collections", 1)
     _dump(args.output, _ratio_json(relative_covolume(a, b)))
     return 0
 
@@ -543,7 +563,10 @@ def _first_difference(expected, found, path):
 
 
 def _members_from_json(data):
-    """The members a decoded certificate lists; each (place, type) in them is checked once."""
+    """The members a decoded certificate lists, over one shared tuple of places.
+
+    Each distinct (local index, given vertices) in them is checked once.
+    """
     group = GroupSpec.parse(_get(data, "group", "certificate", str))
     places = _places_from_json(_get(data, "places", "certificate"), group.label)
     member_entries = _get(data, "members", "certificate", list)
@@ -552,7 +575,7 @@ def _members_from_json(data):
     check_member_count(len(member_entries))
     checked = {}
     return [
-        _collection_from_json(entry, group, places, f"members[{k}]", checked)
+        _collection_from_json(entry, group, places, "members", k, checked)
         for k, entry in enumerate(member_entries)
     ]
 
@@ -566,7 +589,8 @@ def _certify_canonical(text, path):
     """The certificate of a file whose text is `family`'s byte for byte, or None.
 
     Only the head, the text before the ratios, is decoded.  The members are
-    rebuilt from it and certified, and the file must then be the writer's
+    rebuilt from it, with the collector paused so that no collection walks
+    the decoded head, and certified; the file must then be the writer's
     text for them, chunk by chunk, followed by nothing but JSON whitespace.
     Such a file is valid JSON that holds no bool, and decoding it whole
     would yield these members again.  A head listing more members than a
@@ -578,7 +602,9 @@ def _certify_canonical(text, path):
     if end < 0:
         return None
     try:
-        cert = certify_family(_members_from_json(_load_json(text[:end] + "\n}", path)))
+        with _collector_paused():
+            members = _members_from_json(_load_json(text[:end] + "\n}", path))
+        cert = certify_family(members)
     except FamilySizeError:
         raise
     except ParavolError:
@@ -597,16 +623,17 @@ def _written_end(text, cert):
     return pos
 
 
-def _check_section(expected, found, key, bools):
-    """Raise the mismatch naming the first entry of section `key` where found differs.
+def _mismatch(expected, found, key, bools):
+    """The path of the first entry of section `key` where found differs, or None.
 
     `bools` says whether the file's text may hold a bool; when it cannot,
     found is not walked for one.  A call of its own, so that the decoded
-    section is dropped before the next one is decoded.
+    section is dropped before the next one is decoded.  It returns rather
+    than raises, so that no traceback keeps the decoded file.
     """
     if expected != found or bools and _holds_bool(found):
-        entry = _first_difference(expected, found, key)
-        raise CertificateError(f"certificate mismatch: {entry} does not match recomputation")
+        return _first_difference(expected, found, key)
+    return None
 
 
 def _certify_decoded(text, path):
@@ -615,19 +642,34 @@ def _certify_decoded(text, path):
     `_certify_canonical` has taken every file that is the writer's text
     followed by whitespace, so this file is compared entry by entry, with
     the expected text decoded one top-level section at a time.  A JSON
-    bool comes only from a literal true or false, so when the text holds
-    neither word, no section is walked for a bool.
+    bool comes only from a literal true or false, so the text is searched
+    for either word only once the members pass, and when it holds neither,
+    no section is walked for a bool.
+
+    The decoded file holds no reference cycle, so the decode, the member
+    rebuild, the certification and the compares run with the cyclic GC
+    paused.  The decoded file is dropped before the collector resumes, so
+    that no collection walks it: in a `finally`, as the traceback of an
+    error keeps this frame.
     """
-    bools = "true" in text or "false" in text
-    data = _load_json(text, path)
-    members = _members_from_json(data)
-    for key in ("ratios", "witnesses", "citations"):
-        _get(data, key, "certificate", list)
-    cert = certify_family(members)
-    sections = dict(_certificate_sections(cert))
-    for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
-        _check_section(_decode("".join(sections[key])), data[key], key, bools)
-    return cert
+    with _collector_paused():
+        data = None
+        try:
+            data = _load_json(text, path)
+            members = _members_from_json(data)
+            for key in ("ratios", "witnesses", "citations"):
+                _get(data, key, "certificate", list)
+            cert = certify_family(members)
+            bools = "true" in text or "false" in text
+            sections = dict(_certificate_sections(cert))
+            for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
+                entry = _mismatch(_decode("".join(sections[key])), data[key], key, bools)
+                if entry is not None:
+                    raise CertificateError(
+                        f"certificate mismatch: {entry} does not match recomputation")
+            return cert
+        finally:
+            data = None
 
 
 def cmd_certify(args):

@@ -27,6 +27,15 @@ that layout has only its head, the members, decoded; any other file is
 decoded whole and compared entry by entry with the expected text, decoded
 one top-level key at a time.  A certificate keeps no ratio, as each is
 one: the writer writes the all-ones matrix from the member count.
+
+Member work is done once per distinct (place, type), not per member.
+`build_family` checks one base collection and builds each member from
+its types.  The members read from a file share one tuple of places, and
+`make_collection` checks each distinct (local index, vertices) once over
+all of them.  The writer keeps one assignment line per place and type.
+No collection of the cyclic GC walks a decoded certificate:
+`cli._certify_decoded` keeps the collector paused until it has dropped
+the decoded file.
 """
 
 from __future__ import annotations
@@ -116,16 +125,19 @@ class CoherentCollection(namedtuple("CoherentCollection", "group places types re
 def make_collection(group, places, overrides=None, refinements=(), checked=None):
     """Assemble a collection; absent places carry the diagram's default type.
 
-    `checked` may be a dict that calls share: each (place, given vertices)
-    is then turned into a type and checked once over all of them.  Unknown,
-    repeated and equal-characteristic refinement places are reported in
-    sorted-id order, each id's unknown check first.
+    `overrides` maps place ids to types or vertex lists.  `checked` may be
+    a dict that calls share.  It is keyed by what `check_proper` reads: a
+    place's local index and the vertices given there, or None for the
+    default type.  Each such key is then turned into a type and checked
+    once over all the calls.  Unknown, repeated and equal-characteristic
+    refinement places are reported in sorted-id order, each id's unknown
+    check first.
     """
     places = tuple(places)
     by_id = {pl.id: pl for pl in places}
     if len(by_id) != len(places):
         raise DomainError("duplicate place ids in collection")
-    overrides = dict(overrides or {})
+    overrides = overrides or {}
     for pid in overrides:
         if pid not in by_id:
             raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
@@ -133,10 +145,10 @@ def make_collection(group, places, overrides=None, refinements=(), checked=None)
     types = []
     for pl in places:
         t = overrides.get(pl.id)
-        key = (pl, t if t is None else tuple(t))
+        d = pl.local_index
+        key = (d, t if t is None else tuple(t))
         found = checked.get(key)
         if found is None:
-            d = pl.local_index
             found = checked[key] = d.check_proper(d.default_type() if t is None else t)
         types.append(found)
     refinements = tuple(sorted(refinements or ()))
@@ -438,7 +450,7 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
         for k, choices in enumerate(variations):
             for pid, t in choices[bits >> k & 1].items():
                 types[slot[pid]] = t
-        members.append(base._replace(types=tuple(types)))
+        members.append(CoherentCollection(group, base.places, tuple(types), base.refinements))
     return members
 
 

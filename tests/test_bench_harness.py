@@ -1,6 +1,7 @@
 """The one harness every `bench/` recorder measures with: rounds, statistic, launcher."""
 
 import gc
+import json
 import os
 import statistics
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import harness  # noqa: E402
+import perf  # noqa: E402
 import scale  # noqa: E402
 
 
@@ -143,3 +145,70 @@ def test_scale_refuses_a_max_m_past_the_places(tmp_path, capsys):
         scale.main(["--max-m", "9", "--output", str(tmp_path / "scale.json")])
     assert done.value.code == 2
     assert "--max-m must be between 4 and 8" in capsys.readouterr().err
+
+
+# A perfbench/run.py that prints a fixed result line after a line of noise.
+# Its setup_s is the seed, and it exits 3 unless it runs from its tree's root.
+STUB_RUN = """\
+import json, sys
+from pathlib import Path
+if Path.cwd() != Path(__file__).resolve().parent.parent:
+    sys.exit(3)
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+print("noise")
+print(json.dumps({"correct": True, "attempted": 2, "failed": FAILED, "metrics": {
+    "setup_s": {"value": seed, "unit": "s"},
+    "op_ms": {"value": OP_MS, "unit": "ms"},
+    "ops_per_s": {"value": 1000 / OP_MS, "unit": "1/s"},
+    "out_bytes": {"value": OUT_BYTES, "unit": "bytes"}}}))
+"""
+
+
+def stub_tree(root, op_ms, out_bytes=100, failed=0):
+    """The source directory of a tree whose perfbench reports fixed metrics."""
+    (root / "src" / "paravol").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text(
+        STUB_RUN.replace("FAILED", str(failed)).replace("OP_MS", str(op_ms))
+        .replace("OUT_BYTES", str(out_bytes)))
+    return root / "src"
+
+
+def test_perf_pairs_each_metric_by_its_direction(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "SRC", stub_tree(tmp_path / "head", op_ms=10))
+    baseline = stub_tree(tmp_path / "baseline", op_ms=20)
+    output = tmp_path / "perf.json"
+    assert perf.main(["--workload", "w", "--runs", "3", "--seed", "7", "--seconds", "0",
+                      "--baseline-src", str(baseline), "--output", str(output)]) == 0
+    record = json.loads(output.read_text())
+    assert record["seeds"] == [7, 8, 9] and record["refused"] == []
+    # both trees ran with each round's seed
+    values = record["values"]
+    assert values["head"]["setup_s"] == values["baseline"]["setup_s"] == [7, 8, 9]
+    assert record["columns"]["head"]["op_ms"] == 10 and record["columns"]["baseline"]["op_ms"] == 20
+    assert record["columns"]["head"]["attempted"] == 6
+    paired = record["paired"]
+    assert set(paired) == {"setup_s", "op_ms", "ops_per_s", "out_bytes"}
+    # a lower op_ms and a higher ops_per_s each win every round
+    assert paired["op_ms"] == {"diff": -10, "diff_quartiles": [-10, -10],
+                               "head_faster_rounds": 3, "rounds": 3}
+    assert paired["ops_per_s"]["diff"] == 50 and paired["ops_per_s"]["head_faster_rounds"] == 3
+    assert paired["out_bytes"]["diff"] == 0 and paired["out_bytes"]["head_faster_rounds"] == 0
+    assert set(record["host"]["bytecode_cached"]) == {"head", "baseline"}
+    assert "PYTHONDONTWRITEBYTECODE" in record["host"]
+
+
+@pytest.mark.parametrize("change", [{"out_bytes": 101}, {"failed": 1}],
+                         ids=["out-bytes", "failed"])
+def test_perf_refuses_unequal_out_bytes_and_failed_operations(tmp_path, monkeypatch, capsys,
+                                                              change):
+    monkeypatch.setattr(harness, "SRC", stub_tree(tmp_path / "head", op_ms=10))
+    baseline = stub_tree(tmp_path / "baseline", op_ms=10, **change)
+    output = tmp_path / "perf.json"
+    assert perf.main(["--workload", "w", "--runs", "2", "--seconds", "0",
+                      "--baseline-src", str(baseline), "--output", str(output)]) == 1
+    refused = json.loads(output.read_text())["refused"]
+    assert len(refused) == 2
+    assert refused[0] == ("round 0: out_bytes 100 (head), 101 (baseline)" if "out_bytes" in change
+                          else "round 0, baseline: 1 failed operations")
+    assert f"perf: {refused[0]}" in capsys.readouterr().err

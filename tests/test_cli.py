@@ -793,6 +793,9 @@ JSON_ERRORS = (
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 def test_load_json_leaves_the_collector_as_it_found_it(enabled):
+    compact = json.dumps(json.loads(refined_certificate((2, 3))))
+    refused = json.loads(compact)
+    refused["members"][1]["assignment"]["v2"] = []  # the Iwahori: unequal covolume
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -801,6 +804,17 @@ def test_load_json_leaves_the_collector_as_it_found_it(enabled):
         for text, message in JSON_ERRORS:
             with pytest.raises(SchemaError, match=re.escape(message)):
                 cli._load_json(text, "in.json")
+            assert gc.isenabled() is enabled
+        # and so does a certify of a file decoded whole, on each way out
+        assert len(cli._certify_decoded(compact, "in.json").members) == 4
+        assert gc.isenabled() is enabled
+        for text, error, message in (
+            (json.dumps(refused), construction.CertificateError, "not equal covolume"),
+            ('{"group": "split:B3"}', SchemaError, "certificate: missing key 'places'"),
+            (compact[:-9], SchemaError, "in.json: Unterminated string"),
+        ):
+            with pytest.raises(error, match=re.escape(message)):
+                cli._certify_decoded(text, "in.json")
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
@@ -823,6 +837,62 @@ def test_load_json_decodes_a_certificate_without_collecting():
     finally:
         gc.callbacks.remove(count)
     assert len(data["members"]) == 64 and len(starts) <= 1
+
+
+def refused_compact_certificate():
+    """A compact copy of the 64-member certificate in which member 17 has the Iwahori at v5.
+
+    The Iwahori's volume differs from both types of the family pair, so
+    the copy is refused: members 0 and 17 have unequal covolume.
+    """
+    cert = json.loads(refined_certificate((2, 3, 5, 7, 11, 13)))
+    cert["members"][17]["assignment"]["v5"] = []
+    return json.dumps(cert)
+
+
+def test_a_refused_compact_certificate_is_still_decoded_whole_first(tmp_path):
+    text = refused_compact_certificate()
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    code, out, err = run_quietly(["certify", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err == ("error: not equal covolume: members 0 and 17 differ at places "
+                   "v2 (type), v5 (type), v11 (type) and have ratio 1/6\n")
+    # a JSON or schema error anywhere in the file comes first
+    for section in ("ratios", "witnesses"):
+        cut = text[:text.index(f'"{section}": ') + 2000]
+        path = tmp_path / f"{section}-cut.json"
+        path.write_text(cut)
+        with pytest.raises(json.JSONDecodeError) as decoded:
+            json.loads(cut)
+        assert run_quietly(["certify", "--input", str(path)]) == (
+            2, "", f"input error: {path}: {decoded.value}\n")
+    path = tmp_path / "den-float.json"
+    path.write_text(text.replace('"den": 1,', '"den": 1.0,', 1))
+    assert run_quietly(["certify", "--input", str(path)]) == (
+        2, "", "input error: number 1.0 is not an integer\n")
+
+
+def test_certify_of_a_refused_compact_certificate_never_collects_the_decoded_file(tmp_path):
+    # the file decodes to about 16,000 containers; with the collector paused
+    # until they are dropped, no collection starts with them in generation 0
+    path = tmp_path / "refused.json"
+    path.write_text(refused_compact_certificate())
+    counts = []
+
+    def record(phase, info):
+        if phase == "start":
+            counts.append(gc.get_count()[0])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        code, _, err = run_quietly(["certify", "--input", str(path)])
+    finally:
+        gc.callbacks.remove(record)
+    assert code == 1 and "not equal covolume" in err
+    assert all(count < 2000 for count in counts), counts
 
 
 def run_quietly(argv):
@@ -1300,9 +1370,10 @@ def test_certify_checks_each_distinct_place_and_type_of_the_members_once(monkeyp
 
     monkeypatch.setattr(diagram.LocalIndex, "check_proper", counted)
     assert len(cli._members_from_json(data)) == 64
-    # two types at each of the six family places, one at each refinement place
-    distinct = {(pid, tuple(t)) for m in data["members"] for pid, t in m["assignment"].items()}
-    assert len(checked) == len(distinct) == 14
+    # the check reads only the local index, which every place shares, and the
+    # vertices: the family pair's two types, one of which the refinement places carry
+    distinct = {tuple(t) for m in data["members"] for t in m["assignment"].values()}
+    assert len(checked) == len(distinct) == 2
 
 
 def test_schema_errors_exit_2(tmp_path, capsys):
