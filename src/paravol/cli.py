@@ -45,7 +45,7 @@ MAX_INPUT_DIGITS = 4300
 
 
 def _write(output, chunks):
-    """Write an iterable of text chunks to the file `output`, or to stdout.
+    """Write an iterable of text chunks to the file `output`, or to stdout if it is None.
 
     The file is written through a 1 MB buffer, so a multi-MB result takes
     a few system calls, not one per 8 KB.  A failed write, the final flush
@@ -54,14 +54,14 @@ def _write(output, chunks):
     interpreter's flush of what is left at exit finds nothing to report.
     """
     try:
-        if output:
+        if output is not None:  # an empty path is a path, and fails to open
             with open(output, "w", buffering=1 << 20) as fh:
                 fh.writelines(chunks)
         else:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
     except OSError as exc:
-        if output:
+        if output is not None:
             where = _path(output, repr)
         else:
             where = "stdout"

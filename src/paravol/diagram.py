@@ -6,8 +6,9 @@ a proper subset of the vertex set, stored as its vertex mask (bit v for
 vertex v); the empty type is the Iwahori.  Two types are conjugate when
 they lie in one orbit of the realized diagram automorphisms:
 `LocalIndex.orbit_masks` maps a mask through one bit-image table per
-automorphism, and the pair search (`parahoric.orbit_representatives`)
-reads images off two `subset_table`s of it, one per byte of the mask.
+automorphism, and the pair search (`parahoric.orbit_representatives`),
+which lists the proper types' masks itself behind its vertex cap, reads
+images off two `subset_table`s of it, one per byte of the mask.
 A type's induced subdiagram is split into connected vertex sets
 (`induced_subdiagram`), and each set is classified once per orbit and
 index, in the one memo `LocalIndex.component_classes`
@@ -254,27 +255,6 @@ class LocalIndex:
         """
         vertices = _bits(mask)
         return [sum(map(bits.__getitem__, vertices)) for bits in self.aut_images]
-
-    def proper_masks(self):
-        """Masks of all proper types, in lexicographic order of their vertex tuples.
-
-        The vertices are 0..n-1.  A tuple is followed by itself with the
-        next vertex after its last appended or, when its last is n-1, by
-        itself without n-1 and with its new last vertex moved up by one.
-        """
-        n = len(self.vertices)
-        full, top = (1 << n) - 1, 1 << (n - 1)
-        mask = 0
-        while True:
-            if mask != full:
-                yield mask
-            if mask & top:
-                mask ^= top
-                if not mask:
-                    return
-                mask += 1 << (mask.bit_length() - 1)
-            else:
-                mask |= 1 << mask.bit_length()
 
     def default_type(self):
         """Type {0} if split, else the smallest maximal type.

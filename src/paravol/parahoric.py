@@ -5,21 +5,25 @@ residue exponent common to both types and the global normalization cancel;
 what remains is q^((dim1-dim2)/2) * order2(q) / order1(q).  The exponent
 is a whole number, so every ratio is an exact rational.
 
-The equal-volume search works on vertex masks (plain ints) from the orbit
-search to the rows it hands out; only `find_equal_volume_pairs` and a
-family's chosen pair wrap them in types.  It buckets the orbit
-representatives on a packed int per volume key, read off a table that
-holds every proper type's and is filled from the diagram's connected
-vertex sets, so no representative is classified and no descriptor is
-built.  `pairs_to_json` reads each volume factor's dimension and degrees
-off its packed key and computes its order once per key, and leaves all
-text to the `pairs` writer, `cli._pairs_chunks`.
+The equal-volume search works on vertex masks (plain ints) from the
+orbit search to the rows it hands out; only `find_equal_volume_pairs`
+and a family's chosen pair wrap them in types.  It lists every proper
+type's mask in lexicographic order of its vertex tuple (`proper_masks`),
+once the diagram is known to be under the search's vertex cap, and
+buckets the orbit representatives on a packed int per volume key, read
+off a table that holds every proper type's and is filled from the
+diagram's connected vertex sets, so no representative is classified and
+no descriptor is built.  `pairs_to_json` reads each volume factor's
+dimension and degrees off its packed key and computes its order once per
+key, and leaves all text to the `pairs` writer, `cli._pairs_chunks`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import or_
 
 from .diagram import ParahoricTypeSpec, _bits, classify_component, subset_table
 from .errors import SearchCapError
@@ -77,27 +81,49 @@ def _check_searchable(d):
             f"({(1 << MAX_SEARCH_VERTICES) - 1:,} proper types); {d.group.label} has {n}")
 
 
+def proper_masks(d):
+    """Masks of all proper types, in lexicographic order of their vertex tuples.
+
+    The nonempty vertex sets from v up come in that order as {v}, then
+    {v} joined to each nonempty set above v, then those sets themselves,
+    so the list is built from the top vertex down, one `map` per vertex.
+    The whole vertex set, met after {0}, {0, 1}, ..., is taken out and the
+    Iwahori's 0 put first.  Past MAX_SEARCH_VERTICES vertices it raises
+    SearchCapError before anything is allocated.
+    """
+    _check_searchable(d)
+    n = len(d.vertices)
+    tail = []
+    for v in reversed(range(n)):
+        b = 1 << v
+        tail = [b, *map(or_, repeat(b), tail), *tail]
+    del tail[n - 1]
+    tail.insert(0, 0)
+    return tail
+
+
 def orbit_representatives(d):
     """The least vertex mask of each realized-automorphism orbit of proper types, in order.
 
-    Masks are met in lexicographic order of their vertex tuples, so the
-    first mask met of an orbit is its least.  Each new representative
-    marks its images in a bytearray, one byte per mask, reading each off
-    two `subset_table`s of an automorphism, for the mask's low and high
-    byte; a diagram with no non-identity automorphism (E8, F4, G2, C-BC1)
-    has every proper type as its own representative.  Past MAX_SEARCH_VERTICES
-    vertices it raises SearchCapError before anything is allocated.
+    Masks are met in lexicographic order of their vertex tuples
+    (`proper_masks`), so the first mask met of an orbit is its least.
+    Each new representative marks its images in a bytearray, one byte per
+    mask, reading each off two `subset_table`s of an automorphism, for the
+    mask's low and high byte; a diagram with no non-identity automorphism
+    (E8, F4, G2, C-BC1) has every proper type as its own representative.
+    Past MAX_SEARCH_VERTICES vertices it raises SearchCapError before
+    anything is allocated.
     """
-    _check_searchable(d)
+    masks = proper_masks(d)
     n = len(d.vertices)
     identity = tuple(1 << v for v in range(n))
     others = [bits for bits in d.aut_images if bits != identity]
     if not others:
-        return list(d.proper_masks())
+        return masks
     tables = [(subset_table(bits[:8], 0), subset_table(bits[8:], 0)) for bits in others]
     seen = bytearray(1 << n)
     reps = []
-    for mask in d.proper_masks():
+    for mask in masks:
         if not seen[mask]:
             low, high = mask & 255, mask >> 8
             for lows, highs in tables:

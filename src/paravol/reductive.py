@@ -1,24 +1,26 @@
 """Orders of finite reductive groups and reductive quotients of parahorics.
 
-Over F_q a reductive quotient has order q^N * prod(q^d - 1), one factor per
-fundamental degree d of each component and a d = 1 for each rank of its
-central torus, where N = dim - sum(d) (Steinberg; Carter, Finite Groups of
-Lie Type, 2.9).  `quotient_descriptor` reads a type's components off
-`diagram.induced_subdiagram` and builds the descriptor, which keeps the
-sorted degrees, once per distinct (components, relative rank).
-`order_polynomial` multiplies that product out and `order_value`
-evaluates it at q, for a descriptor and for the pair search's packed
-volume keys alike.  Two (dim, degrees) agree exactly when the order
-polynomials do: Phi_e(0) is not 0, so the product fixes N, and the
-cyclotomic Phi_e divides it once per degree that e divides, so Moebius
-inversion recovers each degree's count.
+Over F_q a reductive quotient has order q^N * prod(q^d - 1), one factor
+per fundamental degree d of each component and a d = 1 for each rank of
+its central torus, where N = dim - sum(d) (Steinberg; Carter, Finite
+Groups of Lie Type, 2.9).  `quotient_descriptor` reads a type's
+components off `diagram.induced_subdiagram` and builds the descriptor,
+which keeps the sorted degrees, once per distinct (components, relative
+rank).  `order_polynomial` multiplies that product out as one big int,
+the product at q = 2^B whose B-bit digits are the coefficients (Kronecker
+substitution), and `order_value` evaluates it at q, for a descriptor and
+for the pair search's packed volume keys alike.  Two (dim, degrees) agree
+exactly when the order polynomials do: Phi_e(0) is not 0, so the product
+fixes N, and the cyclotomic Phi_e divides it once per degree that e
+divides, so Moebius inversion recovers each degree's count.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import namedtuple
 from functools import lru_cache
-from operator import sub
 
 from . import diagram as dg
 from . import roots
@@ -40,16 +42,41 @@ class ReductiveQuotientDescriptor(
         return order_value(self.dim, self.degrees, q)
 
 
+# The signed digits `order_polynomial` reads coefficients from, narrowest
+# first: (bits, array typecode).
+DIGITS = tuple((array(code).itemsize * 8, code) for code in "hiq")
+
+
 def order_polynomial(dim, degrees):
     """The order q^N * prod(q^d - 1), N = dim - sum(degrees), as coefficients lowest first.
 
-    The degrees may come in any order, each as often as it counts.
+    The degrees may come in any order, each as often as it counts.  The
+    product is taken at q = 2^B, one shift and subtraction per degree
+    (Kronecker substitution), and its B-bit digits are read back as the
+    coefficients.  The coefficients of k factors q^d - 1 have absolute
+    values summing to at most 2^k, and the top one is 1, so for k >= 1
+    each is below 2^k in size and fits a signed B-bit digit when k < B:
+    16-bit digits for up to 15 degrees, 64-bit ones for up to 63.  More
+    degrees raise ValueError.
     """
-    coeffs = [1]
+    for bits, code in DIGITS:
+        if len(degrees) < bits:
+            break
+    else:
+        raise ValueError(f"an order polynomial of at most {bits - 1} degrees, "
+                         f"got {len(degrees)}")
+    value = 1 << bits * (dim - sum(degrees))
     for e in degrees:
-        # times q^e - 1: the terms shifted up by e less the unshifted terms
-        coeffs = list(map(sub, [0] * e + coeffs, coeffs + [0] * e))
-    return [0] * (dim - sum(degrees)) + coeffs
+        value = (value << bits * e) - value
+    # 2^(B-1) added to each digit keeps it in [0, 2^B), so no digit borrows
+    # from the next; XOR with the same offset leaves each in two's complement
+    size = bits // 8
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * (dim + 1), "little")
+    coeffs = array(code, ((value + offset) ^ offset).to_bytes(size * (dim + 1), sys.byteorder)
+                   ).tolist()
+    if sys.byteorder == "big":  # the digits came highest first
+        coeffs.reverse()
+    return coeffs
 
 
 def order_value(dim, degrees, q):

@@ -52,6 +52,7 @@ from math import gcd, lcm
 
 from paravol.diagram import FiniteTypeLabel, ParahoricTypeSpec, _edge
 from paravol.errors import UnsupportedTypeError
+from paravol.parahoric import proper_masks
 from paravol.roots import cartan_matrix, fundamental_degrees, positive_roots
 
 
@@ -503,7 +504,7 @@ def reference_orbit(d, t):
 
 def proper_types(d):
     """All proper types of the index d, in lexicographic vertex-tuple order."""
-    return [ParahoricTypeSpec(mask) for mask in d.proper_masks()]
+    return [ParahoricTypeSpec(mask) for mask in proper_masks(d)]
 
 
 def index_of(coll, pid):

@@ -1645,6 +1645,18 @@ def test_a_write_error_exits_1_and_a_read_error_exits_2(tmp_path, capsys):
     assert (code, out) == (2, "") and err.startswith("input error: [Errno 21] Is a directory")
 
 
+@pytest.mark.parametrize("command", ["diagram", "pairs", "ratio", "family"])
+def test_an_empty_output_path_is_a_path_that_cannot_be_written(tmp_path, capsys, command):
+    # an empty --output names no file, so nothing goes to stdout instead
+    ratio = {"group": "split:A3", "places": [{"id": "v", "q": 2, "p": 2}],
+             "collections": [{"assignment": {"v": [0, 2]}}, {"assignment": {"v": [0, 3]}}]}
+    argv = {"diagram": ["split:G2"], "pairs": ["split:G2"],
+            "ratio": ["--input", write_json(tmp_path / "ratio.json", ratio)],
+            "family": ["--input", write_json(tmp_path / "req.json", family_request())]}
+    assert invoke(capsys, command, *argv[command], "--output", "") == (
+        1, "", "error: cannot write the result to '': No such file or directory\n")
+
+
 @pytest.mark.parametrize("error, err", [
     (BrokenPipeError(32, "Broken pipe"), ""),
     (OSError(28, "No space left on device"),

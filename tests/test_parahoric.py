@@ -1,8 +1,10 @@
 """Exact ratio arithmetic, conjugacy of types, symbolic equal-volume search."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from paravol.parahoric import (
     orbit_representatives,
     packed_volume_keys,
     pairs_to_json,
+    proper_masks,
 )
 from paravol.reductive import quotient_descriptor
 from paravol.cli import _ratio_json
@@ -303,6 +306,24 @@ def test_pair_search_is_capped_at_15_vertices():
         find_equal_volume_pairs(build_local_index("split:D100"))
     with pytest.raises(SearchCapError, match=r"split:A15 has 16$"):
         packed_volume_keys(build_local_index("split:A15"))
+
+
+def test_proper_masks_come_in_lexicographic_order_of_their_vertex_tuples():
+    for n in range(1, 16):
+        d = SimpleNamespace(vertices=tuple(range(n)))
+        expected = sorted(range(2 ** n - 1), key=lambda m: tuple(v for v in range(n) if m >> v & 1))
+        assert proper_masks(d) == expected, n
+
+
+def test_past_the_cap_the_search_raises_before_it_lists_a_mask():
+    # a list of every mask of split:A150 would hold 2^151 - 1 of them
+    for label in ("split:A150", "split:D100"):
+        d = build_local_index(label)
+        for search in (proper_masks, orbit_representatives):
+            start = time.perf_counter()
+            with pytest.raises(SearchCapError, match=f"{label} has {len(d.vertices)}$"):
+                search(d)
+            assert time.perf_counter() - start < 0.1, (label, search)
 
 
 def test_pairs_compute_each_quotient_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Orders in factored form, reductive quotient descriptors and the residue-size check."""
 
 import time
+from math import comb
 
 import pytest
 from oracle_helpers import proper_types, reference_prime_power_base
@@ -10,6 +11,7 @@ from paravol import diagram as dg
 from paravol.diagram import FiniteTypeLabel, build_local_index
 from paravol.errors import ImproperTypeError
 from paravol.reductive import (
+    DIGITS,
     PRIMALITY_BOUND,
     WITNESS_BITS,
     PrimalityBoundError,
@@ -47,6 +49,35 @@ def test_order_polynomial_known_coefficients():
     assert (c2.dim, c2.degrees) == (10, (2, 4))
     assert len(order_polynomial(*c2.volume_key)) == 11
     assert c2.order_at(2) == 720
+
+
+def expanded(dim, degrees):
+    """q^(dim - sum(degrees)) * prod(q^e - 1), lowest coefficient first, one term at a time."""
+    coeffs = [0] * (dim - sum(degrees)) + [1]
+    for e in degrees:
+        shifted = [0] * e + coeffs
+        for j, c in enumerate(coeffs):
+            shifted[j] -= c
+        coeffs = shifted
+    return coeffs
+
+
+def test_order_polynomial_at_the_digit_width_edge():
+    # (q - 1)^14, the pair search's most factors: the largest coefficients
+    # any 14 factors give, +-C(14, 7) = 3432, in 16-bit digits
+    assert order_polynomial(14, [1] * 14) == [(-1) ** (14 - j) * comb(14, j) for j in range(15)]
+    mixed = [1, 1, 2, 2, 3, 4, 4, 6, 8, 10, 12, 14, 28, 30]
+    assert order_polynomial(sum(mixed) + 40, mixed) == expanded(sum(mixed) + 40, mixed)
+    assert order_polynomial(406, range(2, 29, 2)) == expanded(406, range(2, 29, 2))  # C14
+    # k factors need k < B bits: 16-bit digits up to 15, then 32 and 64 bits
+    assert [bits for bits, _ in DIGITS] == [16, 32, 64]
+    for k in (15, 16, 31, 32, 63):
+        assert order_polynomial(k + 2, [1] * k) == [0, 0] + [
+            (-1) ** (k - j) * comb(k, j) for j in range(k + 1)], k
+        assert order_polynomial(3 * k, [1, 2] * (k // 2) + [3] * (k % 2)) == expanded(
+            3 * k, [1, 2] * (k // 2) + [3] * (k % 2)), k
+    with pytest.raises(ValueError, match="at most 63 degrees, got 64"):
+        order_polynomial(64, [1] * 64)
 
 
 def test_b_and_c_orders_coincide():
