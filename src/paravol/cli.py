@@ -91,7 +91,9 @@ def _nested(value, newline):
     """`json.dumps(value, indent=2)` at the indent of `newline`.
 
     Exact, since the text's only newlines are the layout's: JSON writes a
-    newline inside a string as the escape `\\n`.
+    newline inside a string as the escape `\\n`.  With an indent, json's
+    pure-Python encoder leaves a reference cycle per call, so this serves
+    only values written a bounded number of times, never one per place.
     """
     return json.dumps(value, indent=2).replace("\n", newline)
 
@@ -265,14 +267,16 @@ def _certificate_sections(cert):
 
     The keys come in the layout's order, and each section's chunks are
     made only as they are taken, so a reader can build or decode one
-    section's text at a time.
+    section's text at a time.  A place's entry is joined from its quoted
+    strings and `int.__repr__` of q and p.
     """
     first = cert.members[0]
     return (
         ("group", (_quote(first.group.label),)),
         ("places", _list_chunks(
-            _nested({"id": pl.id, "q": pl.q, "p": pl.p, "index": pl.local_index.group.label},
-                    _ENTRY)
+            "{" + _KEY + '"id": ' + _quote(pl.id) + "," + _KEY + '"q": ' + int.__repr__(pl.q)
+            + "," + _KEY + '"p": ' + int.__repr__(pl.p) + "," + _KEY + '"index": '
+            + _quote(pl.local_index.group.label) + _ENTRY + "}"
             for pl in first.places)),
         ("members", _list_chunks(_member_texts(cert.members))),
         ("ratios", _list_chunks(_ratio_rows(len(cert.members)))),
@@ -338,34 +342,12 @@ def _read_text(path):
         raise SchemaError(f"{_path(path)}: not UTF-8 text: {exc}") from exc
 
 
-@contextmanager
-def _collector_paused():
-    """Run with the cyclic GC off, and turn it back on after if it was on."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _decode(text, **options):
-    """`json.loads(text, **options)` with the cyclic GC paused.
-
-    Decoded JSON holds no reference cycle, so a collection during a decode
-    frees nothing: it only scans the growing tree again.
-    """
-    with _collector_paused():
-        return json.loads(text, **options)
-
-
 def _load_json(text, path):
     """The JSON decoded from the text of the file `path`, refusing floats and huge integers."""
     try:
         # the C scanner builds each int and refuses one past the limit
         with _int_digit_limit(MAX_INPUT_DIGITS):
-            return _decode(text, parse_float=_input_float, parse_constant=_input_float)
+            return json.loads(text, parse_float=_input_float, parse_constant=_input_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{_path(path)}: {exc}") from exc
     except RecursionError as exc:
@@ -589,8 +571,7 @@ def _certify_canonical(text, path):
     """The certificate of a file whose text is `family`'s byte for byte, or None.
 
     Only the head, the text before the ratios, is decoded.  The members are
-    rebuilt from it, with the collector paused so that no collection walks
-    the decoded head, and certified; the file must then be the writer's
+    rebuilt from it and certified; the file must then be the writer's
     text for them, chunk by chunk, followed by nothing but JSON whitespace.
     Such a file is valid JSON that holds no bool, and decoding it whole
     would yield these members again.  A head listing more members than a
@@ -602,9 +583,7 @@ def _certify_canonical(text, path):
     if end < 0:
         return None
     try:
-        with _collector_paused():
-            members = _members_from_json(_load_json(text[:end] + "\n}", path))
-        cert = certify_family(members)
+        cert = certify_family(_members_from_json(_load_json(text[:end] + "\n}", path)))
     except FamilySizeError:
         raise
     except ParavolError:
@@ -628,8 +607,7 @@ def _mismatch(expected, found, key, bools):
 
     `bools` says whether the file's text may hold a bool; when it cannot,
     found is not walked for one.  A call of its own, so that the decoded
-    section is dropped before the next one is decoded.  It returns rather
-    than raises, so that no traceback keeps the decoded file.
+    section is dropped before the next one is decoded.
     """
     if expected != found or bools and _holds_bool(found):
         return _first_difference(expected, found, key)
@@ -645,31 +623,19 @@ def _certify_decoded(text, path):
     bool comes only from a literal true or false, so the text is searched
     for either word only once the members pass, and when it holds neither,
     no section is walked for a bool.
-
-    The decoded file holds no reference cycle, so the decode, the member
-    rebuild, the certification and the compares run with the cyclic GC
-    paused.  The decoded file is dropped before the collector resumes, so
-    that no collection walks it: in a `finally`, as the traceback of an
-    error keeps this frame.
     """
-    with _collector_paused():
-        data = None
-        try:
-            data = _load_json(text, path)
-            members = _members_from_json(data)
-            for key in ("ratios", "witnesses", "citations"):
-                _get(data, key, "certificate", list)
-            cert = certify_family(members)
-            bools = "true" in text or "false" in text
-            sections = dict(_certificate_sections(cert))
-            for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
-                entry = _mismatch(_decode("".join(sections[key])), data[key], key, bools)
-                if entry is not None:
-                    raise CertificateError(
-                        f"certificate mismatch: {entry} does not match recomputation")
-            return cert
-        finally:
-            data = None
+    data = _load_json(text, path)
+    members = _members_from_json(data)
+    for key in ("ratios", "witnesses", "citations"):
+        _get(data, key, "certificate", list)
+    cert = certify_family(members)
+    bools = "true" in text or "false" in text
+    sections = dict(_certificate_sections(cert))
+    for key in ("ratios", "witnesses", "members", "places", "group", "citations"):
+        entry = _mismatch(json.loads("".join(sections[key])), data[key], key, bools)
+        if entry is not None:
+            raise CertificateError(f"certificate mismatch: {entry} does not match recomputation")
+    return cert
 
 
 def cmd_certify(args):
@@ -743,27 +709,49 @@ def build_parser():
     return parser
 
 
-def run(argv):
-    args = build_parser().parse_args(argv)
+@contextmanager
+def _collector_paused():
+    """Run with the cyclic GC off, and turn it back on after if it was on."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with _int_digit_limit(0):
-            return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OutputError as exc:
-        if not isinstance(exc.__cause__, BrokenPipeError):  # its reader is gone: end quietly
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def run(argv):
+    """Run one command line; its exit code: 0, 1 or 2 (see the module docstring).
+
+    The command runs with the cyclic GC paused.  No command leaves cyclic
+    garbage that grows with its input, and decoded JSON holds no cycle, so
+    a collection while a command runs frees nothing and only scans what it
+    holds again, a decoded certificate included.  The handlers sit inside
+    the pause, so an error's traceback, which may keep a decoded file
+    alive, is dropped before the collector resumes.
+    """
+    args = build_parser().parse_args(argv)
+    with _collector_paused():
+        try:
+            with _int_digit_limit(0):
+                return args.func(args)
+        except DomainError as exc:
             print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # the input file could not be read
-        message = str(exc)
-        if exc.filename is not None:  # shown as its repr
-            message = message.replace(repr(exc.filename), _path(exc.filename, repr))
-        print(f"input error: {message}", file=sys.stderr)
-        return 2
+            return 1
+        except OutputError as exc:
+            if not isinstance(exc.__cause__, BrokenPipeError):  # its reader is gone: end quietly
+                print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except SchemaError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:  # the input file could not be read
+            message = str(exc)
+            if exc.filename is not None:  # shown as its repr
+                message = message.replace(repr(exc.filename), _path(exc.filename, repr))
+            print(f"input error: {message}", file=sys.stderr)
+            return 2
 
 
 def main():

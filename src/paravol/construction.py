@@ -33,9 +33,8 @@ Member work is done once per distinct (place, type), not per member.
 its types.  The members read from a file share one tuple of places, and
 `make_collection` checks each distinct (local index, vertices) once over
 all of them.  The writer keeps one assignment line per place and type.
-No collection of the cyclic GC walks a decoded certificate:
-`cli._certify_decoded` keeps the collector paused until it has dropped
-the decoded file.
+No collection of the cyclic GC walks a decoded certificate: `cli.run`
+keeps the collector paused until the command, its error included, is done.
 """
 
 from __future__ import annotations
@@ -76,6 +75,12 @@ CITATIONS = (
 def _id(pid):
     """A place id as an error message shows it: unquoted, or named by its length."""
     return echo(pid, "place id", str)
+
+
+def _check_place_id(pid, ids, where=""):
+    """Raise UnknownPlaceError unless pid is in ids; `where` follows "unknown place id"."""
+    if pid not in ids:
+        raise UnknownPlaceError(f"unknown place id{where}: {_id(pid)}")
 
 
 def _number(n):
@@ -139,8 +144,7 @@ def make_collection(group, places, overrides=None, refinements=(), checked=None)
         raise DomainError("duplicate place ids in collection")
     overrides = overrides or {}
     for pid in overrides:
-        if pid not in by_id:
-            raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
+        _check_place_id(pid, by_id)
     checked = {} if checked is None else checked
     types = []
     for pl in places:
@@ -154,8 +158,7 @@ def make_collection(group, places, overrides=None, refinements=(), checked=None)
     refinements = tuple(sorted(refinements or ()))
     chars = {}
     for pid in refinements:
-        if pid not in by_id:
-            raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
+        _check_place_id(pid, by_id)
         p = by_id[pid].p
         if p in chars:
             if chars[p] == pid:
@@ -185,8 +188,7 @@ def _check_comparable(a, b):
     # with an id of no place would otherwise be dropped
     ids = {pl.id for pl in a.places}
     for pid in (*a.refinements, *b.refinements):
-        if pid not in ids:
-            raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
+        _check_place_id(pid, ids)
 
 
 def relative_covolume(a, b):
@@ -382,8 +384,7 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
     places = tuple(places)
     by_id = {pl.id: pl for pl in places}
     for pid in family_ids:
-        if pid not in by_id:
-            raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
+        _check_place_id(pid, by_id)
     if len(set(family_ids)) != len(family_ids):
         raise DomainError("duplicate family place ids")
     factors = len(family_ids) // 2 if fallback_swap else len(family_ids)
@@ -392,14 +393,12 @@ def build_family(group, places, family_ids, pairs=None, fallback_swap=False,
         if len(refine) != 2:
             raise DomainError(f"refine must name exactly two places, got {len(refine)}")
         for pid in refine:
-            if pid not in by_id:
-                raise UnknownPlaceError(f"unknown place id: {_id(pid)}")
+            _check_place_id(pid, by_id)
             if pid in family_ids:
                 raise DomainError(f"refinement place {_id(pid)} may not be a family place")
     pairs = dict(pairs or {})
     for pid in pairs:
-        if pid not in by_id:
-            raise UnknownPlaceError(f"unknown place id in pairs: {_id(pid)}")
+        _check_place_id(pid, by_id, " in pairs")
         if pid not in family_ids:
             raise DomainError(f"pairs names place {_id(pid)}, which is not a family place")
         if fallback_swap:

@@ -820,10 +820,12 @@ def test_load_json_leaves_the_collector_as_it_found_it(enabled):
         (gc.enable if was else gc.disable)()
 
 
-def test_load_json_decodes_a_certificate_without_collecting():
-    # decoded JSON holds no cycle, so the decode runs with the collector off;
-    # one collection may start when it is turned back on
-    text = json.dumps(json.loads(refined_certificate((2, 3, 5, 7, 11, 13))))
+def test_certify_of_a_compact_certificate_starts_at_most_one_collection(tmp_path):
+    # run pauses the collector for the whole command, and neither the decoded
+    # file nor the command's own work holds a cycle that grows with the file;
+    # one collection may start when the collector is turned back on
+    path = tmp_path / "compact.json"
+    path.write_text(json.dumps(json.loads(refined_certificate((2, 3, 5, 7, 11, 13)))))
     starts = []
 
     def count(phase, info):
@@ -833,10 +835,96 @@ def test_load_json_decodes_a_certificate_without_collecting():
     assert gc.isenabled()
     gc.callbacks.append(count)
     try:
-        data = cli._load_json(text, "compact.json")
+        code, out, err = run_quietly(["certify", "--input", str(path)])
     finally:
         gc.callbacks.remove(count)
-    assert len(data["members"]) == 64 and len(starts) <= 1
+    assert (code, err) == (0, "") and json.loads(out)["members"] == 64
+    assert len(starts) <= 1, starts
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_run_leaves_the_collector_as_it_found_it(enabled, tmp_path):
+    req = write_json(tmp_path / "req.json", family_request())
+    refused = json.loads(refined_certificate((2, 3)))
+    refused["members"][1]["assignment"]["v2"] = []  # the Iwahori: unequal covolume
+    refused = write_json(tmp_path / "refused.json", refused)
+    unwritable = str(tmp_path / "no-such-directory" / "out.json")
+    ways_out = (  # argv, exit code, whether the command writes its result
+        (["family", "--input", req], 0, True),
+        (["certify", "--input", refused], 1, False),
+        (["diagram", "split:B3", "--output", unwritable], 1, True),
+        (["certify", "--input", str(tmp_path / "missing.json")], 2, False),
+        (["ratio", "--input", str(tmp_path)], 2, False),  # a directory: an OSError on open
+        (["diagram", "split:B3", "--no-such-option"], 2, False),  # refused by argparse
+    )
+    writes = []
+    write = cli._write
+
+    def spy(output, chunks):
+        writes.append(gc.isenabled())
+        return write(output, chunks)
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with mock.patch.object(cli, "_write", spy):
+            for argv, want, writes_result in ways_out:
+                del writes[:]
+                assert run_quietly(argv)[0] == want, argv
+                assert gc.isenabled() is enabled, argv
+                # the command itself ran with the collector paused
+                assert writes == ([False] if writes_result else []), argv
+        # an exception that escapes run, as a defect would raise, resumes it too
+        with mock.patch.object(cli, "_write", side_effect=RuntimeError("defect")):
+            with pytest.raises(RuntimeError, match="defect"):
+                run_quietly(["diagram", "split:B3"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _cyclic_garbage(argv):
+    """(exit code, objects that gc.collect() finds unreachable) after run(argv) with the GC off."""
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        code = run_quietly(argv)[0]
+        return code, gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_no_command_leaves_cyclic_garbage_that_grows_with_its_places(tmp_path):
+    # run pauses the collector for the whole command, which is sound only if
+    # what a command leaves for it is bounded: here at 2 and at 200 extra places
+    def argvs(extra):
+        places = [{"id": "v3", "q": 3, "p": 3}]
+        places += [{"id": f"x{k}", "q": 2, "p": 2} for k in range(extra)]
+        req = write_json(tmp_path / f"req-{extra}.json", {
+            "group": "split:B3", "places": places, "family_places": ["v3"]})
+        cert = tmp_path / f"cert-{extra}.json"
+        assert run_quietly(["family", "--input", req, "--output", str(cert)])[0] == 0
+        compact = write_json(tmp_path / f"compact-{extra}.json", json.loads(cert.read_text()))
+        ratio = write_json(tmp_path / f"ratio-{extra}.json", {
+            "group": "split:B3", "places": places,
+            "collections": [{"assignment": {}}, {"assignment": {"v3": [2]}}]})
+        return {
+            "family": ["family", "--input", req, "--output", str(tmp_path / "out.json")],
+            "certify": ["certify", "--input", str(cert)],
+            "certify-compact": ["certify", "--input", compact],
+            "ratio": ["ratio", "--input", ratio],
+        }
+
+    few, many = argvs(2), argvs(200)
+    for command in few:
+        _cyclic_garbage(few[command])  # caches filled, as in a running process
+        code, at_few = _cyclic_garbage(few[command])
+        assert code == 0, command
+        code, at_many = _cyclic_garbage(many[command])
+        assert code == 0, command
+        assert at_many <= at_few, (command, at_few, at_many)
 
 
 def refused_compact_certificate():

@@ -304,6 +304,32 @@ def test_build_family_errors():
         build_family(g3, places3, ["v0"], refine=("v0", "v1"))
 
 
+def test_each_unknown_place_id_is_named_in_its_checks_order():
+    g, d, places = setup_group("split:B3", 2, 3, 5)
+    base = make_collection(g, places)
+    cases = (
+        (lambda: make_collection(g, places, {"v0": (0,), "nope": (0,)}), ""),
+        (lambda: make_collection(g, places, refinements=("v0", "nope")), ""),
+        (lambda: relative_covolume(base, base._replace(refinements=("nope",))), ""),
+        (lambda: build_family(g, places, ["v0", "nope"]), ""),
+        (lambda: build_family(g, places, ["v0"], refine=("v1", "nope")), ""),
+        (lambda: build_family(g, places, ["v0"], pairs={"v0": ((2,), (3,)), "nope": ((2,), (3,))}),
+         " in pairs"),
+    )
+    for build, where in cases:
+        with pytest.raises(UnknownPlaceError) as info:
+            build()
+        assert str(info.value) == f"unknown place id{where}: nope"
+    # each id is checked for being a place before its other checks, and in
+    # the order given: an earlier id's other error comes first
+    with pytest.raises(DomainError, match="^refinement place v0 may not be a family place$"):
+        build_family(g, places, ["v0"], refine=("v0", "nope"))
+    with pytest.raises(DomainError, match="^pairs names place v1, which is not a family place$"):
+        build_family(g, places, ["v0"], pairs={"v1": ((2,), (3,)), "nope": ((2,), (3,))})
+    with pytest.raises(UnknownPlaceError, match="^unknown place id in pairs: nope$"):
+        build_family(g, places, ["v0"], pairs={"nope": ((2,), (3,)), "v1": ((2,), (3,))})
+
+
 def test_build_family_refine_names_exactly_two_places():
     g, d, places = setup_group("split:B3", 2, 3, 5, 7)
     for refine in (("v1",), ("v1", "v2", "v3")):
