@@ -198,17 +198,17 @@ def _member_texts(members):
     """Each member's text: its assignment, from one line per (place, type), and refinements.
 
     The members share their places in one order, as `certify_family`
-    checks, so each place keeps its own table of lines by vertex mask.
+    checks, so each place keeps its own table of lines by type.
     """
     places = members[0].places
-    tables = [{} for _ in places]  # per place, vertex mask -> its assignment line
+    tables = [{} for _ in places]  # per place, type -> its assignment line
     refinement_texts = {}  # refinement tuple -> its text
     for m in members:
         parts = []
         for pl, t, lines in zip(places, m.types, tables):
-            line = lines.get(t.mask)
+            line = lines.get(t)
             if line is None:
-                line = lines[t.mask] = _quote(pl.id) + ": " + _ints(t.vertices, _NESTED)
+                line = lines[t] = _quote(pl.id) + ": " + _ints(t.vertices, _NESTED)
             parts.append(line)
         assignment = "{" + _NESTED + ("," + _NESTED).join(parts) + _KEY + "}" if parts else "{}"
         refined = refinement_texts.get(m.refinements)
@@ -241,22 +241,22 @@ def _witness_chunks(cert):
     types = [m.types for m in members]
     digits = list(map(str, range(n)))
     masks = _MaskTexts(max(len(pl.local_index.vertices) for pl in places))
-    tails = {}  # (place index, t1 mask) -> per member j, the witness text from j on
+    tails = {}  # (place index, t1) -> per member j, the witness text from j on
 
-    def tail(k, mask):
-        found = tails.get((k, mask))
+    def tail(k, t1):
+        found = tails.get((k, t1))
         if found is None:
             head = (_KEY + "]," + _KEY + '"place": ' + _quote(places[k].id) + "," + _KEY
-                    + '"t1": ' + masks[mask] + "," + _KEY + '"t2": ')
-            column = [ts[k].mask for ts in types]
+                    + '"t1": ' + masks[t1] + "," + _KEY + '"t2": ')
+            column = [ts[k] for ts in types]
             ends = {m: head + masks[m] + _ENTRY + "}" for m in set(column)}
-            found = tails[k, mask] = list(map(str.__add__, digits, map(ends.__getitem__, column)))
+            found = tails[k, t1] = list(map(str.__add__, digits, map(ends.__getitem__, column)))
         return found
 
     opener = "," + _ENTRY + "{" + _KEY + '"pair": [' + _NESTED
     for i, row in enumerate(cert.witness_places):
         joiner = opener + digits[i] + "," + _NESTED
-        lists = {k: tail(k, types[i][k].mask) for k in set(row)}
+        lists = {k: tail(k, types[i][k]) for k in set(row)}
         yield ((joiner if i else "[" + joiner[1:])
                + joiner.join(map(getitem, map(lists.__getitem__, row), range(i + 1, n))))
     yield "\n  ]" if cert.witness_places else "[]"

@@ -132,11 +132,11 @@ def make_collection(group, places, overrides=None, refinements=(), checked=None)
 
     `overrides` maps place ids to types or vertex lists.  `checked` may be
     a dict that calls share.  It is keyed by what `check_proper` reads: a
-    place's local index and the vertices given there, or None for the
-    default type.  Each such key is then turned into a type and checked
-    once over all the calls.  Unknown, repeated and equal-characteristic
-    refinement places are reported in sorted-id order, each id's unknown
-    check first.
+    place's local index and the type given there, a vertex list as its
+    tuple, or None for the default type.  Each such key is then turned
+    into a type and checked once over all the calls.  Unknown, repeated
+    and equal-characteristic refinement places are reported in sorted-id
+    order, each id's unknown check first.
     """
     places = tuple(places)
     by_id = {pl.id: pl for pl in places}
@@ -150,7 +150,7 @@ def make_collection(group, places, overrides=None, refinements=(), checked=None)
     for pl in places:
         t = overrides.get(pl.id)
         d = pl.local_index
-        key = (d, t if t is None else tuple(t))
+        key = (d, t if t is None or isinstance(t, ParahoricTypeSpec) else tuple(t))
         found = checked.get(key)
         if found is None:
             found = checked[key] = d.check_proper(d.default_type() if t is None else t)
@@ -213,7 +213,7 @@ def _covolume_terms(a, b, terms):
     _check_comparable(a, b)
     num = den = 1
     for pl, ta, tb in zip(a.places, a.types, b.types):
-        same = ta.mask == tb.mask
+        same = ta == tb
         if not same:
             n, d = terms(pl, ta, tb)
             num *= n
@@ -319,12 +319,12 @@ def certify_family(members):
     members = tuple(members)
     if len(members) < 2:
         raise CertificateError("a family needs at least two members")
-    # (place id, mask of member 0's type, other mask) -> their factor terms;
+    # (place id, member 0's type, other type) -> their factor terms;
     # every member is checked comparable with member 0, so an id names one place
     memo = {}
 
     def terms(pl, ta, tb):
-        key = (pl.id, ta.mask, tb.mask)
+        key = (pl.id, ta, tb)
         found = memo.get(key)
         if found is None:
             found = memo[key] = _place_terms(pl, ta, tb)
@@ -335,20 +335,20 @@ def certify_family(members):
         if num != den:
             raise _unequal_covolume(0, j, members[0], members[j], Fraction(num, den))
     types = [m.types for m in members]
-    numbers = []  # per place, vertex mask -> the number of its orbit there
+    numbers = []  # per place, type -> the number of its orbit there
     for k, pl in enumerate(members[0].places):
-        number = dict.fromkeys(ts[k].mask for ts in types)
+        number = dict.fromkeys(ts[k] for ts in types)
         orbits = {}  # least mask of an orbit -> its number
-        for mask in number:
-            least = min(pl.local_index.orbit_masks(mask))
-            number[mask] = orbits.setdefault(least, len(orbits))
+        for t in number:
+            least = min(pl.local_index.orbit_masks(t))
+            number[t] = orbits.setdefault(least, len(orbits))
         numbers.append(number)
     width = max((max(number.values()) for number in numbers), default=0).bit_length()
     codes = []
     for ts in types:
         code = 0
         for number, t in zip(numbers, ts):
-            code = code << width | number[t.mask]
+            code = code << width | number[t]
         codes.append(code)
     # bit length of two codes' xor -> index of the place whose field holds
     # its top bit; -1 for two equal codes

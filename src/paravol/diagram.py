@@ -2,8 +2,8 @@
 
 Vertices of a split local index are numbered 0 (the extra affine vertex)
 and 1..n (the finite simple roots in Bourbaki order).  A parahoric type is
-a proper subset of the vertex set, stored as its vertex mask (bit v for
-vertex v); the empty type is the Iwahori.  Two types are conjugate when
+a proper subset of the vertex set, and `ParahoricTypeSpec` is an int, its
+vertex mask (bit v for vertex v); the empty type is the Iwahori.  Two types are conjugate when
 they lie in one orbit of the realized diagram automorphisms:
 `LocalIndex.orbit_masks` maps a mask through one bit-image table per
 automorphism, and the pair search (`parahoric.orbit_representatives`),
@@ -149,42 +149,25 @@ def subset_table(items, empty):
     return table
 
 
-class ParahoricTypeSpec:
-    """A parahoric type, stored as its vertex mask: bit v is set when vertex v is in the type.
+class ParahoricTypeSpec(int):
+    """A parahoric type: its vertex mask, bit v set when vertex v is in the type.
 
-    `vertices`, the sorted vertex tuple, is derived from the mask.  A list
-    of vertex ids from outside becomes a type through `LocalIndex.check_proper`.
+    It equals and hashes as the mask.  `vertices`, the sorted vertex tuple,
+    is derived from the mask.  A list of vertex ids from outside becomes a
+    type through `LocalIndex.check_proper`.
     """
 
-    __slots__ = ("mask",)
-    __setattr__ = __delattr__ = _immutable
+    __slots__ = ()
 
-    def __init__(self, mask):
+    def __new__(cls, mask):
         mask = index(mask)
         if mask < 0:
             raise ValueError(f"a vertex mask is not negative, got {mask}")
-        object.__setattr__(self, "mask", mask)
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__
-        return ParahoricTypeSpec, (self.mask,)
+        return int.__new__(cls, mask)
 
     @property
     def vertices(self):
-        return _bits(self.mask)
-
-    def __eq__(self, other):
-        if isinstance(other, ParahoricTypeSpec):
-            return self.mask == other.mask
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.mask)
-
-    def __len__(self):
-        return self.mask.bit_count()
-
-    def __iter__(self):
-        return iter(self.vertices)
+        return _bits(self)
 
     def __repr__(self):
         return f"ParahoricTypeSpec({list(self.vertices)})"
@@ -237,7 +220,7 @@ class LocalIndex:
         mask is never negative and the vertices are 0..n-1, so a type whose
         mask is below the whole vertex set's is proper and returned as is.
         """
-        if isinstance(t, ParahoricTypeSpec) and t.mask < (1 << len(self.vertices)) - 1:
+        if isinstance(t, ParahoricTypeSpec) and t < (1 << len(self.vertices)) - 1:
             return t
         ids = set(t.vertices if isinstance(t, ParahoricTypeSpec) else t)
         if not ids <= set(self.vertices):
@@ -444,7 +427,7 @@ def induced_subdiagram(d, t):
     then split into connected components along `d.neighbours`, and each is
     classified by `classify_component`.
     """
-    mask = d.check_proper(t).mask
+    mask = d.check_proper(t)
     neighbours = d.neighbours
     labels = []
     while mask:

@@ -44,7 +44,7 @@ class HalfPowerRational(Fraction):
 def conjugate_types(d, t1, t2):
     """Whether some realized diagram automorphism carries t1 to t2."""
     t1, t2 = d.check_proper(t1), d.check_proper(t2)
-    return t2.mask in d.orbit_masks(t1.mask)
+    return t2 in d.orbit_masks(t1)
 
 
 def factor_terms(d, t1, t2, q):

@@ -111,7 +111,7 @@ def test_acceptance_3_split_equal_volume_pairs():
             else:
                 singleton = [
                     (t1, t2) for t1, t2 in pairs
-                    if len(t1) == len(t2) == 1
+                    if len(t1.vertices) == len(t2.vertices) == 1
                     and d.hyperspecial[t1.vertices[0]] != d.hyperspecial[t2.vertices[0]]
                 ]
                 assert singleton, f"no hyperspecial/non-hyperspecial pair for {fam}{rank}"

@@ -793,6 +793,9 @@ JSON_ERRORS = (
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 def test_load_json_leaves_the_collector_as_it_found_it(enabled):
+    # a decoded text, each JSON error's message, and a certify of a file
+    # decoded whole that passes or is refused for its content, its schema or
+    # its JSON; neither helper touches the collector, since run pauses it
     compact = json.dumps(json.loads(refined_certificate((2, 3))))
     refused = json.loads(compact)
     refused["members"][1]["assignment"]["v2"] = []  # the Iwahori: unequal covolume

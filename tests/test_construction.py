@@ -680,7 +680,7 @@ def test_family_and_certify_classify_each_type_once(monkeypatch):
     # split:B3's diagram is a star, vertex 2 joined to 0, 1 and 3, and its
     # automorphism swaps 0 and 1: its 10 connected proper sets (4 vertices,
     # 3 edges, 3 paths of three) lie in 7 orbits
-    assert {t.mask for m in members for t in m.types} <= set(orbit_representatives(d))
+    assert {t for m in members for t in m.types} <= set(orbit_representatives(d))
     assert len(classified) == len(set(classified)) == 7
     assert set(classified) < d.component_classes.keys()
     assert len(d.component_classes) == 10

@@ -120,7 +120,7 @@ def test_every_conjugacy_user_agrees_with_the_reference_orbit(label):
     orbit = {t: reference_orbit(d, t) for t in types}
     for t in types:
         # the orbit that `certify_family` keys each member's type by
-        assert set(d.orbit_masks(t.mask)) == {sum(1 << v for v in image) for image in orbit[t]}
+        assert set(d.orbit_masks(t)) == {sum(1 << v for v in image) for image in orbit[t]}
     for t1 in types:
         for t2 in types:
             assert conjugate_types(d, t1, t2) == (orbit[t1] == orbit[t2]), (t1, t2)
@@ -128,7 +128,7 @@ def test_every_conjugacy_user_agrees_with_the_reference_orbit(label):
     first = {}
     for t in types:
         first.setdefault(tuple(orbit[t]), t)
-    assert orbit_representatives(build_local_index(label)) == [t.mask for t in first.values()]
+    assert orbit_representatives(build_local_index(label)) == list(first.values())
 
 
 def test_conjugate_types_rejects_improper():
@@ -260,7 +260,7 @@ def test_pairs_json_shape():
     assert coeffs[dim] == 1
     # one row per run of pairs with one t1, the t2 masks in pair order
     assert [(row[0], t2) for row in rows for t2 in row[4]] == [
-        (a.mask, b.mask) for a, b in pairs]
+        (a, b) for a, b in pairs]
     assert len({row[0] for row in rows}) == len(rows)
     assert next(pairs_to_json(d))[3] is None
 
@@ -338,10 +338,10 @@ def test_pairs_compute_each_quotient_once(monkeypatch):
     expected = {}
     for t1, t2 in pairs:
         desc = quotient_descriptor(d, t1)
-        row = expected.setdefault(t1.mask, [
-            t1.mask, desc.dim, reference_order_coeffs(desc.components, desc.torus_rank),
+        row = expected.setdefault(t1, [
+            t1, desc.dim, reference_order_coeffs(desc.components, desc.torus_rank),
             desc.order_at(7), []])
-        row[4].append(t2.mask)
+        row[4].append(t2)
 
     # the rows are read off the packed keys: nothing classifies a type or
     # builds a descriptor, and each key that yields a row is multiplied
@@ -360,8 +360,8 @@ def test_pairs_compute_each_quotient_once(monkeypatch):
     rows = list(pairs_to_json(d, q=7))
     keys = parahoric.packed_volume_keys(d)
     assert [list(row) for row in rows] == list(expected.values())
-    assert len(expanded) == len({keys[t.mask] for t in first_types}) == 10
-    assert {t.mask for t in first_types} <= set(parahoric.orbit_representatives(d))
+    assert len(expanded) == len({keys[t] for t in first_types}) == 10
+    assert first_types <= set(parahoric.orbit_representatives(d))
     monkeypatch.undo()
 
     # each component label's share of a packed key is memoized by the

@@ -191,7 +191,7 @@ def test_descriptor_invariant_under_realized_automorphisms():
         for t in proper_types(d):
             desc = quotient_descriptor(d, t)
             for g in d.realized_auts:
-                image = quotient_descriptor(d, [g[v] for v in t])
+                image = quotient_descriptor(d, [g[v] for v in t.vertices])
                 assert image.volume_key == desc.volume_key
 
 
